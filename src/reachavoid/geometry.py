@@ -145,9 +145,10 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> np.ndarra
     return np.array(g)
 
 
-def _radial_h1_h2(pursuer: PursuerSpec, evader: EvaderSpec,
+def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,
                   direction: Vec) -> tuple[float, float, float]:
-    """Shared pieces of the radial boundary description along ``direction``."""
+    """``(h1, alpha, const)`` of the radial boundary description along
+    ``direction``; see :func:`radial_derivatives`."""
     separation = _check_not_captured(pursuer, evader)
     alpha = speed_ratio(pursuer, evader)
     if alpha <= 1.0:
@@ -156,8 +157,31 @@ def _radial_h1_h2(pursuer: PursuerSpec, evader: EvaderSpec,
         )
     r = pursuer.capture_radius
     h1 = la.dot(la.sub(evader.position, pursuer.position), direction) - alpha * r
-    h2 = math.sqrt(h1 * h1 + (alpha * alpha - 1.0) * (separation * separation - r * r))
-    return h1, h2, alpha
+    const = (alpha * alpha - 1.0) * (separation * separation - r * r)
+    return h1, alpha, const
+
+
+def radial_derivatives(h1: float, h1_d: float, ar: float, a2m1: float,
+                       const: float) -> tuple[float, float, float]:
+    """Boundary radius ``rho`` and its first two angle derivatives.
+
+    A unit direction ``e(psi)`` sweeping a circle in a plane through the
+    evader meets the boundary at ``rho = (h1 + h2) / (alpha^2 - 1)``, with
+
+        h1 = (x_E - x_P) . e - alpha r,   h2 = sqrt(h1^2 + const),
+        const = (alpha^2 - 1) (||x_E - x_P||^2 - r^2).
+
+    ``h1_d`` is ``(x_E - x_P) . e'``; since ``e'' = -e`` the second
+    derivative ``h1''`` collapses to ``-(h1 + alpha r)``.  ``ar`` is
+    ``alpha r`` and ``a2m1`` is ``alpha^2 - 1``.
+    """
+    h1_dd = -(h1 + ar)
+    h2 = math.sqrt(h1 * h1 + const)
+    rho = (h1 + h2) / a2m1
+    rho_d = (h2 + h1) / h2 * h1_d / a2m1
+    rho_dd = ((h2 + h1) / h2 * h1_dd
+              + (h2 * h2 - h1 * h1) / h2 ** 3 * h1_d * h1_d) / a2m1
+    return rho, rho_d, rho_dd
 
 
 def boundary_radius(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> float:
@@ -170,8 +194,8 @@ def boundary_radius(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> floa
     e = la.as_vec(direction)
     if abs(la.norm(e) - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector, got norm {la.norm(e)}")
-    h1, h2, alpha = _radial_h1_h2(pursuer, evader, e)
-    return (h1 + h2) / (alpha * alpha - 1.0)
+    h1, alpha, const = _radial_terms(pursuer, evader, e)
+    return (h1 + math.sqrt(h1 * h1 + const)) / (alpha * alpha - 1.0)
 
 
 def boundary_point(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> np.ndarray:
@@ -211,9 +235,7 @@ def polar_direction(frame: PolarFrame, theta: float, psi: float) -> np.ndarray:
 
 def _rho_of_psi(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
                 theta: float, psi: float) -> float:
-    e = la.as_vec(polar_direction(frame, theta, psi))
-    h1, h2, alpha = _radial_h1_h2(pursuer, evader, e)
-    return (h1 + h2) / (alpha * alpha - 1.0)
+    return boundary_radius(pursuer, evader, polar_direction(frame, theta, psi))
 
 
 def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
@@ -226,17 +248,10 @@ def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame
     e: Vec = (cos_p * cos_t, cos_p * sin_t, sin_p)
     de: Vec = (-sin_p * cos_t, -sin_p * sin_t, cos_p)
 
-    h1, h2, alpha = _radial_h1_h2(pursuer, evader, e)
+    h1, alpha, const = _radial_terms(pursuer, evader, e)
     offset = la.sub(evader.position, pursuer.position)
-    a2m1 = alpha * alpha - 1.0
-    h1_d = la.dot(offset, de)
-    # d^2 e / d psi^2 = -e, so h1'' collapses to -(h1 + alpha*r).
-    h1_dd = -(h1 + alpha * pursuer.capture_radius)
-
-    rho = (h1 + h2) / a2m1
-    rho_d = (h2 + h1) / h2 * h1_d / a2m1
-    rho_dd = ((h2 + h1) / h2 * h1_dd + (h2 * h2 - h1 * h1) / h2 ** 3 * h1_d * h1_d) / a2m1
-    return rho, rho_d, rho_dd
+    return radial_derivatives(h1, la.dot(offset, de), alpha * pursuer.capture_radius,
+                              alpha * alpha - 1.0, const)
 
 
 def cross_section_curvature(pursuer: PursuerSpec, evader: EvaderSpec,

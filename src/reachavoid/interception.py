@@ -15,9 +15,25 @@ the equivalent concave form
 
     f_i(x) >= 0  <=>  ||x - x_P||^2 - (alpha ||x - x_E|| + r)^2 >= 0,
 
-which makes the log-barrier strictly convex, and the solution is then
-Newton-polished on the original Karush-Kuhn-Tucker system so that
-multipliers and residuals are reported for f_i itself.
+which makes the log-barrier strictly convex.  Every solve returns a
+point certified on the original Karush-Kuhn-Tucker system of f_i, and
+reaches it along one of three paths:
+
+- **single-active**: each member's body alone has its lowest point found
+  by a Newton search over one angle (the body is one of revolution about
+  the evader-pursuer axis), seeded at the lowest point of the Apollonius
+  sphere, which is exact when r = 0.  When that point satisfies every
+  other member and the ball strictly, its own constraint is the only
+  active one and its multiplier has the closed form of a one-column least
+  squares; the certificate is checked once and the solve ends.  This is
+  the common case.
+- **barrier + polish**: otherwise (several active constraints, an active
+  ball, or an ``initial_point`` given) a log-barrier continuation finds
+  the point, and a Newton polish of the KKT system on active-set
+  hypotheses from tight to loose refines it and its multipliers.
+- **degenerate fallback**: when no hypothesis certifies (dependent active
+  gradients), the barrier point is kept with sign-clamped least-squares
+  multipliers, and the final certificate decides whether it stands.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
@@ -40,6 +56,7 @@ from .geometry import (
     AssumptionViolation,
     CapturedConfigurationError,
     EvaderSpec,
+    radial_derivatives,
 )
 
 # Altitude threshold separating pursuit wins / tie / evader wins.
@@ -195,9 +212,23 @@ def _constraints(members: Coalition, evader: EvaderSpec,
     return cons
 
 
+def _race_numerator(alpha: float, y: Vec, q: Vec) -> float:
+    """``||y - q||^2 - alpha^2 ||y||^2`` expanded around the evader.
+
+    With ``y = x - x_E`` and ``q = x_P - x_E`` this equals
+    ``(d_p - alpha d_e)(d_p + alpha d_e)``, so dividing by the second factor
+    gives ``d_p - alpha d_e`` without subtracting two large distances: far
+    below a barely-faster pursuer both are huge and nearly equal.
+    """
+    return (-(alpha - 1.0) * (alpha + 1.0) * la.dot(y, y)
+            - 2.0 * la.dot(y, q) + la.dot(q, q))
+
+
 def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
     p, alpha, r = con
-    return la.dist(x, p) - alpha * la.dist(x, evader_pos) - r
+    y = la.sub(x, evader_pos)
+    numerator = _race_numerator(alpha, y, la.sub(p, evader_pos))
+    return numerator / (la.dist(x, p) + alpha * la.norm(y)) - r
 
 
 def _ftilde(con: _Con, evader_pos: Vec, x: Vec, mu2: float = 0.0) -> float:
@@ -449,53 +480,56 @@ def _barrier_solve(cons, epos: Vec, ball: Ball | None, x0: Vec,
 # containing that axis and one scalar angle parameterizes the search.
 
 
-def _solve_single(con: _Con, epos: Vec) -> tuple[Vec, float]:
+def _section_altitude(phi: float, qp: float, qz: float, ar: float,
+                      a2m1: float, const: float):
+    """Boundary point at angle ``phi`` from straight down in the vertical
+    plane of the axis: altitude relative to the evader and its first two
+    derivatives, then ``rho``, ``sin(phi)`` and ``cos(phi)``."""
+    s = math.sin(phi)
+    c = math.cos(phi)
+    rho, rho_d, rho_dd = radial_derivatives(
+        -(s * qp - c * qz) - ar, -(c * qp + s * qz), ar, a2m1, const)
+    return (-rho * c, -rho_d * c + rho * s,
+            -rho_dd * c + 2.0 * rho_d * s + rho * c, rho, s, c)
+
+
+def _solve_single(con: _Con, epos: Vec) -> Vec:
     p, a, r = con
     q = la.sub(p, epos)
     d = la.norm(q)
     a2m1 = a * a - 1.0
-    const = a2m1 * (d * d - r * r)
     qp = math.hypot(q[0], q[1])
     if qp > 1e-13 * max(d, 1.0):
         phat = (q[0] / qp, q[1] / qp, 0.0)
     else:
         phat = (1.0, 0.0, 0.0)
         qp = 0.0
-    qz = q[2]
-    ar = a * r
+    section = (qp, q[2], a * r, a2m1, a2m1 * (d * d - r * r))
 
-    def derivs(phi: float):
-        s = math.sin(phi)
-        c = math.cos(phi)
-        h1 = -(s * qp - c * qz) - ar
-        h1_d = -(c * qp + s * qz)
-        h1_dd = -(h1 + ar)
-        h2 = math.sqrt(h1 * h1 + const)
-        rho = (h1 + h2) / a2m1
-        rho_d = (h2 + h1) / h2 * h1_d / a2m1
-        rho_dd = ((h2 + h1) / h2 * h1_dd
-                  + (h2 * h2 - h1 * h1) / h2 ** 3 * h1_d * h1_d) / a2m1
-        z = -rho * c
-        z_d = -rho_d * c + rho * s
-        z_dd = -rho_dd * c + 2.0 * rho_d * s + rho * c
-        return z, z_d, z_dd, rho, s, c
-
-    # Coarse scan; the altitude along the closed convex section is circularly
-    # unimodal, so the sample argmin brackets the true minimum.
-    n = 16
-    best_k = 0
-    best_z = math.inf
-    two_pi = 2.0 * math.pi
-    for k in range(n):
-        z = derivs(-math.pi + two_pi * k / n)[0]
-        if z < best_z:
-            best_z = z
-            best_k = k
-    lo = -math.pi + two_pi * (best_k - 1) / n
-    hi = -math.pi + two_pi * (best_k + 1) / n
-    phi = -math.pi + two_pi * best_k / n
+    # The altitude along the closed convex section is circularly unimodal,
+    # so a half circle whose ends slope down and up holds the minimum.  The
+    # lowest point of the Apollonius sphere (the body when r = 0) is the
+    # centre of the first try; a coarse scan brackets it otherwise.
+    phi = math.atan2(-qp, q[2] + a * d)
+    lo = phi - 0.5 * math.pi
+    hi = phi + 0.5 * math.pi
+    if not (_section_altitude(lo, *section)[1] < 0.0
+            < _section_altitude(hi, *section)[1]):
+        n = 16
+        best_k = 0
+        best_z = math.inf
+        two_pi = 2.0 * math.pi
+        for k in range(n):
+            z = _section_altitude(-math.pi + two_pi * k / n, *section)[0]
+            if z < best_z:
+                best_z = z
+                best_k = k
+        lo = -math.pi + two_pi * (best_k - 1) / n
+        hi = -math.pi + two_pi * (best_k + 1) / n
+        phi = -math.pi + two_pi * best_k / n
+    state = _section_altitude(phi, *section)
     for _ in range(100):
-        z, z_d, z_dd, rho, s, c = derivs(phi)
+        z, z_d, z_dd, rho, s, c = state
         if abs(z_d) <= 1e-14 * max(1.0, rho):
             break
         if z_d > 0.0:
@@ -509,29 +543,56 @@ def _solve_single(con: _Con, epos: Vec) -> tuple[Vec, float]:
         else:
             candidate = 0.5 * (lo + hi)
         phi = candidate
-    z, z_d, z_dd, rho, s, c = derivs(phi)
-    point = (
+        state = _section_altitude(phi, *section)
+    _, _, _, rho, s, c = state
+    return (
         epos[0] + rho * s * phat[0],
         epos[1] + rho * s * phat[1],
         epos[2] - rho * c,
     )
-    return point, epos[2] + z
+
+
+def _single_active(cons, epos: Vec, ball: Ball | None, x: Vec,
+                   idx: int, f_at: list[float]):
+    """Certify ``x``, the lowest point of constraint ``idx`` alone, directly.
+
+    Applies when that constraint is the only active one and the ball is
+    inactive: stationarity ``lam * grad f = (0, 0, -1)`` then has the
+    one-column least-squares multiplier ``lam = -grad_z / ||grad||^2``.
+    Returns ``(lam, stationarity, slackness)`` or None when a check fails.
+    """
+    if abs(f_at[idx]) > ACTIVE_TOLERANCE:
+        return None
+    if any(f <= ACTIVE_TOLERANCE for j, f in enumerate(f_at) if j != idx):
+        return None
+    if ball is not None and ball.boundary_distance(x) <= ACTIVE_TOLERANCE:
+        return None
+    grad = _f_grad_hess(cons[idx], epos, x, hessian=False)[1]
+    lam = min(-grad[2] / la.dot(grad, grad), 0.0)
+    stationarity, slack = _certificate(cons, epos, ball, x, {idx: lam}, 0.0)
+    if stationarity > KKT_TOLERANCE or slack > KKT_TOLERANCE:
+        return None
+    return lam, stationarity, slack
 
 
 # --------------------------------------------------------------------------
 # KKT polish on the original constraint functions
 
 
-def _f_grad_hess(con: _Con, epos: Vec, x: Vec):
+def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
+    """Race potential, its gradient and (unless ``hessian`` is false, when
+    None stands in) its packed symmetric Hessian at ``x``."""
     p, a, r = con
     dpv = la.sub(x, p)
     dev = la.sub(x, epos)
     d_p = la.norm(dpv)
     d_e = la.norm(dev)
-    f = d_p - a * d_e - r
+    f = _race_numerator(a, dev, la.sub(p, epos)) / (d_p + a * d_e) - r
     u = la.scale(dpv, 1.0 / d_p)
     w = la.scale(dev, 1.0 / d_e)
     grad = la.sub(u, la.scale(w, a))
+    if not hessian:
+        return f, grad, None
     # Hessian (I - u u^T)/d_p - a (I - w w^T)/d_e, packed symmetric.
     ip = 1.0 / d_p
     ie = a / d_e
@@ -676,7 +737,7 @@ def _certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
     r2 = 1.0
     slack = 0.0
     for idx, con in enumerate(cons):
-        f, grad, _ = _f_grad_hess(con, epos, x)
+        f, grad, _ = _f_grad_hess(con, epos, x, hessian=False)
         lj = lam.get(idx, 0.0)
         r0 += lj * grad[0]
         r1 += lj * grad[1]
@@ -697,7 +758,8 @@ def _lstsq_multipliers(cons, epos: Vec, ball: Ball | None, x: Vec,
                        active: tuple[int, ...], region_active: bool):
     """Least-squares multipliers on the active gradients (fallback path)."""
     columns = [
-        np.array(_f_grad_hess(cons[idx], epos, x)[1]) for idx in active
+        np.array(_f_grad_hess(cons[idx], epos, x, hessian=False)[1])
+        for idx in active
     ]
     if region_active:
         columns.append(np.array(la.scale(la.sub(x, ball.center), -2.0)))
@@ -724,35 +786,51 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         if ball.g(epos) < -1e-9:
             raise ValueError("evader lies outside the ball play region")
 
+    x: Vec | None = None
+    if initial_point is None:
+        # A single constraint's minimizer that happens to satisfy all other
+        # constraints is the global minimizer, since each single body
+        # contains the full feasible set.
+        for idx in range(len(cons)):
+            candidate = _solve_single(cons[idx], epos)
+            f_at = [_f_original(con, epos, candidate) for con in cons]
+            if any(f < -1e-12 for j, f in enumerate(f_at) if j != idx):
+                continue
+            if ball is not None and ball.g(candidate) < -1e-12:
+                continue
+            single = _single_active(cons, epos, ball, candidate, idx, f_at)
+            if single is not None:
+                lam, stationarity, slack = single
+                return InterceptionResult(
+                    coalition=members,
+                    point=candidate,
+                    value=candidate[2],
+                    active_set=(members[idx],),
+                    multipliers=tuple(lam if j == idx else 0.0
+                                      for j in range(len(members))),
+                    region_active=False,
+                    region_multiplier=0.0,
+                    status=SolveStatus.SOLVED,
+                    kkt_residual=stationarity,
+                    slackness_residual=slack,
+                )
+            x = candidate
+            break
+
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
     margin = min(la.dist(con[0], epos) - con[2] for con in cons)
     mu2 = (1e-7 * margin) ** 2 if any(con[2] > 0.0 for con in cons) else 0.0
-
-    x: Vec | None = None
     if initial_point is not None:
         x0 = la.as_vec(initial_point)
         if not _strictly_feasible(cons, epos, ball, x0, mu2):
             raise ValueError("initial point must be strictly feasible")
         x = _barrier_solve(cons, epos, ball, x0, mu2)
-    else:
-        # A single constraint's minimizer that happens to satisfy all other
-        # constraints is the global minimizer, since each single body
-        # contains the full feasible set.
-        for idx in range(len(cons)):
-            candidate, _ = _solve_single(cons[idx], epos)
-            ok = all(
-                _f_original(cons[j], epos, candidate) >= -1e-12
-                for j in range(len(cons)) if j != idx
-            )
-            if ok and (ball is None or ball.g(candidate) >= -1e-12):
-                x = candidate
-                break
-        if x is None:
-            start = _slide_down(
-                cons, epos, ball, _initial_point(cons, epos, ball, mu2), mu2
-            )
-            x = _barrier_solve(cons, epos, ball, start, mu2)
+    elif x is None:
+        start = _slide_down(
+            cons, epos, ball, _initial_point(cons, epos, ball, mu2), mu2
+        )
+        x = _barrier_solve(cons, epos, ball, start, mu2)
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
@@ -926,7 +1004,7 @@ def _gradients_dependent(cons, epos: Vec, x: Vec, active_positions) -> bool:
     if len(active_positions) < 2:
         return False
     grads = np.array([
-        _f_grad_hess(cons[j], epos, x)[1] for j in active_positions
+        _f_grad_hess(cons[j], epos, x, hessian=False)[1] for j in active_positions
     ])
     singular_values = np.linalg.svd(grads, compute_uv=False)
     return bool(singular_values[-1] <= 1e-10 * singular_values[0])
