@@ -291,9 +291,8 @@ def cmd_simulate(args) -> int:
     try:
         trace = run(scenario)
     except SolverFailure as exc:
-        partial = getattr(exc, "partial_trace", None)
-        if partial is not None and args.out:
-            Path(args.out).write_text(trace_to_jsonl(partial))
+        if exc.partial_trace is not None and args.out:
+            Path(args.out).write_text(trace_to_jsonl(exc.partial_trace))
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     if args.out:

@@ -15,25 +15,42 @@ the equivalent concave form
 
     f_i(x) >= 0  <=>  ||x - x_P||^2 - (alpha ||x - x_E|| + r)^2 >= 0,
 
-which makes the log-barrier strictly convex.  Every solve returns a
-point certified on the original Karush-Kuhn-Tucker system of f_i, and
-reaches it along one of three paths:
+which makes the log-barrier strictly convex.  With y = x - x_E and
+rho = ||y||, every boundary also has the one form
 
-- **single-active**: each member's body alone has its lowest point found
-  by a Newton search over one angle (the body is one of revolution about
-  the evader-pursuer axis), seeded at the lowest point of the Apollonius
-  sphere, which is exact when r = 0.  When that point satisfies every
-  other member and the ball strictly, its own constraint is the only
-  active one and its multiplier has the closed form of a one-column least
-  squares; the certificate is checked once and the solve ends.  This is
-  the common case.
-- **barrier + polish**: otherwise (several active constraints, an active
-  ball, or an ``initial_point`` given) a log-barrier continuation finds
-  the point, and a Newton polish of the KKT system on active-set
-  hypotheses from tight to loose refines it and its multipliers.
-- **degenerate fallback**: when no hypothesis certifies (dependent active
-  gradients), the barrier point is kept with sign-clamped least-squares
-  multipliers, and the final certificate decides whether it stands.
+    y . q = (k rho^2 - 2 l rho + m) / 2,
+
+with (q, k, l, m) = (x_P - x_E, 1 - alpha^2, alpha r, ||q||^2 - r^2) for
+f_i = 0 and (c - x_E, 1, 0, ||c - x_E||^2 - R^2) for the ball sphere.
+
+Every solve returns a point certified on the original Karush-Kuhn-Tucker
+system of f_i.  In 3D at most three constraints pin the point down, so a
+default solve first tries the candidate points of one, two and three
+active constraints and certifies the first whose other constraints all hold
+strictly, with multipliers from the Gram system of the active gradients.
+A certified KKT point of this strictly convex program is its unique
+minimizer, so the order below changes only the cost:
+
+- **single**: each member's body alone has its lowest point found by a
+  Newton search over one angle (the body is one of revolution about the
+  evader-pursuer axis), seeded at the lowest point of the Apollonius
+  sphere, which is exact when r = 0; the ball's lowest point is explicit.
+  This is the common case.
+- **pair**: two boundaries meet on a curve over rho whose lowest point a
+  safeguarded Newton search finds, seeded at the lowest common point of the
+  two spheres obtained by dropping l (exact for r = 0 and for the ball).
+  Members are paired first, then each member with the ball.  When the
+  evader and both axes lie in one vertical plane the point lies in that
+  plane and the triple kernel finds it; parallel axes have no direct path.
+- **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
+  quartic in rho; its real roots are tried lowest point first.
+- **barrier + polish**: when no candidate certifies (parallel axes,
+  dependent gradients, or an ``initial_point`` given) a log-barrier
+  continuation finds the point, and a Newton polish of the KKT system on
+  active-set hypotheses from tight to loose refines it and its multipliers.
+- **degenerate fallback**: when no hypothesis certifies, the barrier point
+  is kept with sign-clamped least-squares multipliers, and the final
+  certificate decides whether it stands.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
@@ -45,8 +62,10 @@ boundary intersections.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -58,6 +77,9 @@ from .geometry import (
     EvaderSpec,
     radial_derivatives,
 )
+
+if TYPE_CHECKING:
+    from .engine import Trace
 
 # Altitude threshold separating pursuit wins / tie / evader wins.
 GOAL_TOLERANCE = 1e-7
@@ -76,6 +98,9 @@ Coalition = tuple[int, ...]
 
 class SolverFailure(RuntimeError):
     """The interception solver did not reach its certified accuracy."""
+
+    #: The game up to the failing frame, when raised by ``engine.run``.
+    partial_trace: Trace | None = None
 
 
 class CoplanarConfigurationError(ValueError):
@@ -212,23 +237,34 @@ def _constraints(members: Coalition, evader: EvaderSpec,
     return cons
 
 
-def _race_numerator(alpha: float, y: Vec, q: Vec) -> float:
-    """``||y - q||^2 - alpha^2 ||y||^2`` expanded around the evader.
+def _race_numerator(alpha: float, yy: float, yq: float, qq: float) -> float:
+    """``||y - q||^2 - alpha^2 ||y||^2`` from ``y.y``, ``y.q`` and ``q.q``.
 
     With ``y = x - x_E`` and ``q = x_P - x_E`` this equals
     ``(d_p - alpha d_e)(d_p + alpha d_e)``, so dividing by the second factor
     gives ``d_p - alpha d_e`` without subtracting two large distances: far
     below a barely-faster pursuer both are huge and nearly equal.
     """
-    return (-(alpha - 1.0) * (alpha + 1.0) * la.dot(y, y)
-            - 2.0 * la.dot(y, q) + la.dot(q, q))
+    return -(alpha - 1.0) * (alpha + 1.0) * yy - 2.0 * yq + qq
 
 
 def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
     p, alpha, r = con
-    y = la.sub(x, evader_pos)
-    numerator = _race_numerator(alpha, y, la.sub(p, evader_pos))
-    return numerator / (la.dist(x, p) + alpha * la.norm(y)) - r
+    ex, ey, ez = evader_pos
+    y0 = x[0] - ex
+    y1 = x[1] - ey
+    y2 = x[2] - ez
+    q0 = p[0] - ex
+    q1 = p[1] - ey
+    q2 = p[2] - ez
+    d0 = x[0] - p[0]
+    d1 = x[1] - p[1]
+    d2 = x[2] - p[2]
+    yy = y0 * y0 + y1 * y1 + y2 * y2
+    numerator = _race_numerator(alpha, yy, y0 * q0 + y1 * q1 + y2 * q2,
+                                q0 * q0 + q1 * q1 + q2 * q2)
+    return numerator / (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+                        + alpha * math.sqrt(yy)) - r
 
 
 def _ftilde(con: _Con, evader_pos: Vec, x: Vec, mu2: float = 0.0) -> float:
@@ -473,7 +509,7 @@ def _barrier_solve(cons, epos: Vec, ball: Ball | None, x0: Vec,
 
 
 # --------------------------------------------------------------------------
-# single-pursuer fast path
+# lowest point of one member's body
 #
 # The evasion space of one pursuer is a body of revolution about the
 # evader-pursuer axis, so its lowest point lies in the vertical plane
@@ -552,27 +588,401 @@ def _solve_single(con: _Con, epos: Vec) -> Vec:
     )
 
 
-def _single_active(cons, epos: Vec, ball: Ball | None, x: Vec,
-                   idx: int, f_at: list[float]):
-    """Certify ``x``, the lowest point of constraint ``idx`` alone, directly.
+# --------------------------------------------------------------------------
+# boundary forms and the pair and triple kernels
+#
+# For fixed rho each boundary form (see the module docstring) is a plane in
+# y, so two boundaries meet on a curve over rho and three in at most four
+# points.
 
-    Applies when that constraint is the only active one and the ball is
-    inactive: stationarity ``lam * grad f = (0, 0, -1)`` then has the
-    one-column least-squares multiplier ``lam = -grad_z / ||grad||^2``.
-    Returns ``(lam, stationarity, slackness)`` or None when a check fails.
+
+class _Form(NamedTuple):
+    """``y . q = (k rho^2 - 2 l rho + m) / 2``; on the boundary rho lies in
+    ``[near, far]``, its distances from the evader along the axis ``q``."""
+
+    q: Vec
+    k: float
+    l: float  # noqa: E741 - named as in the form above
+    m: float
+    near: float
+    far: float
+
+
+def _forms(cons, epos: Vec, ball: Ball | None) -> list[_Form]:
+    """The members' boundary forms, then the ball sphere's when there is one."""
+    forms = []
+    for p, a, r in cons:
+        q = la.sub(p, epos)
+        d = la.norm(q)
+        forms.append(_Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
+                           (d - r) / (a + 1.0), (d - r) / (a - 1.0)))
+    if ball is not None:
+        c = la.sub(ball.center, epos)
+        d = la.norm(c)
+        forms.append(_Form(c, 1.0, 0.0, (d - ball.radius) * (d + ball.radius),
+                           ball.radius - d, ball.radius + d))
+    return forms
+
+
+def _dropped_sphere(form: _Form) -> tuple[Vec, float]:
+    """Centre and squared radius of ``k ||y||^2 - 2 y . q + m = 0``, the
+    sphere the form becomes with ``l`` dropped; it is the boundary itself
+    for zero capture radii and for the ball."""
+    centre = la.scale(form.q, 1.0 / form.k)
+    return centre, la.dot(centre, centre) - form.m / form.k
+
+
+def _sphere_low_z(form: _Form) -> float:
+    """Altitude, relative to the evader, of the lowest point of the form's
+    dropped sphere."""
+    centre, radius2 = _dropped_sphere(form)
+    return centre[2] - math.sqrt(radius2)
+
+
+def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
+    """``rho`` at the lowest common point of the two forms' dropped
+    spheres, or None when they do not meet in a circle."""
+    ca, ra2 = _dropped_sphere(fa)
+    cb, rb2 = _dropped_sphere(fb)
+    axis = la.sub(cb, ca)
+    d = la.norm(axis)
+    if d == 0.0:
+        return None
+    nu = la.scale(axis, 1.0 / d)
+    t = (d * d + ra2 - rb2) / (2.0 * d)
+    radius2 = ra2 - t * t
+    if radius2 <= 0.0:
+        return None
+    centre = la.add(ca, la.scale(nu, t))
+    # The circle's lowest point lies along -z projected off its normal nu;
+    # on a horizontal circle a point off the centre's direction will do.
+    down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
+    length = la.norm(down)
+    if length == 0.0:
+        return math.sqrt(la.dot(centre, centre) + radius2)
+    return la.norm(la.add(centre, la.scale(down, math.sqrt(radius2) / length)))
+
+
+# Below this |n_z| the pair's lowest point sits so close to the end of the
+# curve's rho range that it is found more accurately in the plane y . n = 0.
+_VERTICAL_PLANE_NZ = 1e-8
+
+
+def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
+    """Lowest point of the curve where two boundaries meet, relative to the
+    evader; empty when the axes are parallel or no point is found.
+
+    In the frame ``e1 = q_a / |q_a|``, ``e2`` in ``span(q_a, q_b)`` and
+    ``n = e1 x e2`` the curve is ``a1 e1 + a2 e2 +- sqrt(h) n`` with ``a1``
+    and ``a2`` quadratic in ``rho`` and ``h = rho^2 - a1^2 - a2^2`` quartic;
+    its lower branch has altitude ``phi = a1 e1_z + a2 e2_z - |n_z| sqrt(h)``.
+    A safeguarded Newton search on ``phi'`` finds the minimum; ``phi'``
+    tends to -inf at the left end of the range where ``h >= 0`` and to
+    +inf at the right end, so a trial point outside it bounds the search.
     """
-    if abs(f_at[idx]) > ACTIVE_TOLERANCE:
+    na = la.norm(fa.q)
+    e1 = la.scale(fa.q, 1.0 / na)
+    cos_b = la.dot(fb.q, e1)
+    w = la.sub(fb.q, la.scale(e1, cos_b))
+    sin_b = la.norm(w)
+    if sin_b <= 1e-9 * la.norm(fb.q):
+        return []
+    e2 = la.scale(w, 1.0 / sin_b)
+    n = la.cross(e1, e2)
+    if abs(n[2]) <= _VERTICAL_PLANE_NZ:
+        # Evader and both centres in one vertical plane: the curve is
+        # symmetric about it and lowest where it crosses it.
+        plane = _Form(n, 0.0, 0.0, 0.0, 0.0, math.inf)
+        return _triple_points(fa, fb, plane) or []
+
+    # a1 = A2 rho^2 + A1 rho + A0 and a2 = B2 rho^2 + B1 rho + B0
+    A2 = 0.5 * fa.k / na
+    A1 = -fa.l / na
+    A0 = 0.5 * fa.m / na
+    B2 = (0.5 * fb.k - cos_b * A2) / sin_b
+    B1 = (-fb.l - cos_b * A1) / sin_b
+    B0 = (0.5 * fb.m - cos_b * A0) / sin_b
+
+    def state(rho):
+        """a1, a2, their slopes, and h with its first two derivatives."""
+        a1 = (A2 * rho + A1) * rho + A0
+        a2 = (B2 * rho + B1) * rho + B0
+        d1 = 2.0 * A2 * rho + A1
+        d2 = 2.0 * B2 * rho + B1
+        h = rho * rho - a1 * a1 - a2 * a2
+        h_d = 2.0 * (rho - a1 * d1 - a2 * d2)
+        h_dd = 2.0 * (1.0 - d1 * d1 - 2.0 * A2 * a1 - d2 * d2 - 2.0 * B2 * a2)
+        return a1, a2, d1, d2, h, h_d, h_dd
+
+    lo = max(fa.near, fb.near)
+    hi = min(fa.far, fb.far)
+    if not lo < hi:
+        return []
+    rho = _sphere_low_rho(fa, fb)
+    if rho is None or not lo < rho < hi:
+        rho = 0.5 * (lo + hi)
+    current = state(rho)
+    if current[4] <= 0.0:
+        rho = _climb(state, rho, lo, hi)
+        if rho is None:
+            return []
+        current = state(rho)
+
+    nz = abs(n[2])
+    z_dd = 2.0 * (A2 * e1[2] + B2 * e2[2])
+    for _ in range(100):
+        a1, a2, d1, d2, h, h_d, h_dd = current
+        root = math.sqrt(h)
+        slope = d1 * e1[2] + d2 * e2[2] - nz * h_d / (2.0 * root)
+        curvature = z_dd - nz * (2.0 * h * h_dd - h_d * h_d) / (4.0 * h * root)
+        if slope > 0.0:
+            hi = rho
+        else:
+            lo = rho
+        step = -slope / curvature if curvature > 0.0 else math.inf
+        # A Newton step this small leaves rho exact to rounding once taken.
+        converged = abs(step) <= 1e-12 * rho
+        trial = rho + step if converged or lo < rho + step < hi else 0.5 * (lo + hi)
+        if trial == rho:
+            break
+        trial_state = state(trial)
+        if trial_state[4] <= 0.0:
+            # Off the curve: the range ends between rho and the trial.
+            if converged:
+                break
+            if trial < rho:
+                lo = trial
+            else:
+                hi = trial
+            continue
+        rho = trial
+        current = trial_state
+        if converged:
+            break
+    else:
+        return []
+    a1, a2, _, _, h, _, _ = current
+    s = -math.copysign(math.sqrt(h), n[2])
+    return [(a1 * e1[0] + a2 * e2[0] + s * n[0],
+             a1 * e1[1] + a2 * e2[1] + s * n[1],
+             a1 * e1[2] + a2 * e2[2] + s * n[2])]
+
+
+def _climb(state, rho: float, lo: float, hi: float) -> float | None:
+    """A point of ``(lo, hi)`` where the pair curve's ``h`` is positive,
+    found by climbing ``h`` from ``rho`` (safeguarded Newton on ``h'``), or
+    None when its maximum is not positive."""
+    for _ in range(100):
+        _, _, _, _, h, h_d, h_dd = state(rho)
+        if h > 0.0:
+            return rho
+        if h_d > 0.0:
+            lo = rho
+        else:
+            hi = rho
+        step = -h_d / h_dd if h_dd < 0.0 else math.inf
+        trial = rho + step if lo < rho + step < hi else 0.5 * (lo + hi)
+        if trial == rho:
+            return None
+        rho = trial
+    return None
+
+
+def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
+    """Common points of three boundaries relative to the evader, lowest
+    first, or None when their axes ``q`` are coplanar.
+
+    For each rho the forms are a linear system in y with solution
+    ``y = U rho^2 + V rho + W``, and ``||y||^2 = rho^2`` is a quartic in rho.
+    """
+    cab = la.cross(fb.q, fc.q)
+    cbc = la.cross(fc.q, fa.q)
+    cca = la.cross(fa.q, fb.q)
+    det = la.dot(fa.q, cab)
+    if abs(det) <= 1e-10 * la.norm(fa.q) * la.norm(fb.q) * la.norm(fc.q):
         return None
-    if any(f <= ACTIVE_TOLERANCE for j, f in enumerate(f_at) if j != idx):
+
+    def solution(ca: float, cb: float, cc: float, scale: float) -> Vec:
+        """The y with ``y . q = scale * c`` for each form (Cramer's rule)."""
+        return tuple((ca * x + cb * y + cc * z) * scale / det
+                     for x, y, z in zip(cab, cbc, cca))
+
+    u = solution(fa.k, fb.k, fc.k, 0.5)
+    v = solution(fa.l, fb.l, fc.l, -1.0)
+    w = solution(fa.m, fb.m, fc.m, 0.5)
+    coeffs = [
+        la.dot(u, u),
+        2.0 * la.dot(u, v),
+        la.dot(v, v) + 2.0 * la.dot(u, w) - 1.0,
+        2.0 * la.dot(v, w),
+        la.dot(w, w),
+    ]
+    points = []
+    for root in np.roots(coeffs):
+        if abs(root.imag) > 1e-8:
+            continue
+        rho = float(root.real)
+        # Newton on ||y(rho)||^2 - rho^2 evaluated through y, which keeps
+        # the digits the expanded coefficients lose.
+        for _ in range(6):
+            y = la.add(la.scale(u, rho * rho), la.add(la.scale(v, rho), w))
+            dy = la.add(la.scale(u, 2.0 * rho), v)
+            slope = 2.0 * (la.dot(y, dy) - rho)
+            if slope == 0.0:
+                break
+            step = (la.dot(y, y) - rho * rho) / slope
+            rho -= step
+            if abs(step) < 1e-15 * max(1.0, abs(rho)):
+                break
+        if rho <= 1e-12:
+            continue
+        y = la.add(la.scale(u, rho * rho), la.add(la.scale(v, rho), w))
+        if abs(la.norm(y) - rho) > 1e-6 * rho:
+            continue
+        points.append(y)
+    points.sort(key=lambda y: (y[2], y[0], y[1]))
+    return points
+
+
+# --------------------------------------------------------------------------
+# direct certification of the minimizer
+#
+# Constraints are numbered by position: members 0..n-1, then the ball as n.
+
+
+def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
+    """Multipliers of ``(0, 0, -1)`` on k <= 3 gradients, clamped to <= 0.
+
+    They solve the k x k Gram system of the least-squares fit, written with
+    cross products so that no Gram matrix is formed; None when the
+    gradients are nearly dependent and the multipliers are not unique.
+    """
+    if len(grads) == 1:
+        (a,) = grads
+        lam = [-a[2] / la.dot(a, a)]
+    elif len(grads) == 2:
+        a, b = grads
+        normal = la.cross(a, b)
+        volume = la.dot(normal, normal)
+        if volume <= 1e-12 * la.dot(a, a) * la.dot(b, b):
+            return None
+        # (0, 0, -1) x b and a x (0, 0, -1), dotted with a x b
+        lam = [(b[1] * normal[0] - b[0] * normal[1]) / volume,
+               (a[0] * normal[1] - a[1] * normal[0]) / volume]
+    else:
+        a, b, c = grads
+        bc = la.cross(b, c)
+        ca = la.cross(c, a)
+        ab = la.cross(a, b)
+        volume = la.dot(a, bc)
+        if abs(volume) <= 1e-6 * la.norm(a) * la.norm(b) * la.norm(c):
+            return None
+        lam = [-bc[2] / volume, -ca[2] / volume, -ab[2] / volume]
+    return [min(value, 0.0) for value in lam]
+
+
+def _constraint_values(cons, epos: Vec, ball: Ball | None, x: Vec) -> list[float]:
+    """Each member's ``f`` at ``x``, then the ball's boundary distance."""
+    values = [_f_original(con, epos, x) for con in cons]
+    if ball is not None:
+        values.append(ball.boundary_distance(x))
+    return values
+
+
+def _certify(cons, epos: Vec, ball: Ball | None, x: Vec,
+             active: tuple[int, ...], values: list[float]):
+    """Certify ``x`` as the minimizer with exactly ``active`` binding.
+
+    ``values`` are the constraint values at ``x``.  The active constraints
+    must lie within ``ACTIVE_TOLERANCE`` of their boundary and every other
+    one strictly beyond it; the multipliers come from the Gram system and
+    the KKT certificate must pass.  Returns ``(lam, lam_g, stationarity,
+    slackness)`` or None.
+    """
+    for j, value in enumerate(values):
+        if j in active:
+            if abs(value) > ACTIVE_TOLERANCE:
+                return None
+        elif value <= ACTIVE_TOLERANCE:
+            return None
+    region = len(cons)
+    grads = []
+    residuals = []
+    for j in active:
+        if j == region:
+            grads.append(la.scale(la.sub(x, ball.center), -2.0))
+            residuals.append(ball.g(x))
+        else:
+            f, grad, _ = _f_grad_hess(cons[j], epos, x, hessian=False)
+            grads.append(grad)
+            residuals.append(f)
+    multipliers = _gram_multipliers(grads)
+    if multipliers is None:
         return None
-    if ball is not None and ball.boundary_distance(x) <= ACTIVE_TOLERANCE:
-        return None
-    grad = _f_grad_hess(cons[idx], epos, x, hessian=False)[1]
-    lam = min(-grad[2] / la.dot(grad, grad), 0.0)
-    stationarity, slack = _certificate(cons, epos, ball, x, {idx: lam}, 0.0)
+    stationarity, slack = _residuals(zip(multipliers, grads, residuals))
     if stationarity > KKT_TOLERANCE or slack > KKT_TOLERANCE:
         return None
-    return lam, stationarity, slack
+    lam = {j: value for j, value in zip(active, multipliers) if j != region}
+    lam_g = multipliers[-1] if region in active else 0.0
+    return lam, lam_g, stationarity, slack
+
+
+def _direct(cons, epos: Vec, ball: Ball | None):
+    """The minimizer certified directly from one to three active
+    constraints, as ``(x, active, certificate)``, or None.
+
+    Tries each constraint's own lowest point (likely highest first), then
+    pairs of members, then a member with the ball, then triples (lowest
+    candidate first).  A certified KKT point of this strictly convex
+    program is its unique minimizer, so the order only affects cost.  A set
+    is skipped when one of its constraints' own lowest point strictly
+    satisfies all the others: that point is then the set's minimizer and
+    leaves them inactive.
+    """
+    n = len(cons)
+    count = n + (ball is not None)
+    order = range(count)
+    if count > 1:
+        forms = _forms(cons, epos, ball)
+        # A single-active minimizer is the highest of the constraints' own
+        # lowest points, which their dropped spheres approximate.
+        order = sorted(order, key=lambda j: _sphere_low_z(forms[j]), reverse=True)
+    values_at_low: dict[int, list[float]] = {}
+    for j in order:
+        if j < n:
+            x = _solve_single(cons[j], epos)
+        else:
+            x = (ball.center[0], ball.center[1], ball.center[2] - ball.radius)
+        values = _constraint_values(cons, epos, ball, x)
+        certificate = _certify(cons, epos, ball, x, (j,), values)
+        if certificate is not None:
+            return x, (j,), certificate
+        values_at_low[j] = values
+    if count == 1:
+        return None
+
+    def redundant(subset):
+        return any(all(values_at_low[i][j] > ACTIVE_TOLERANCE
+                       for j in subset if j != i) for i in subset)
+
+    subsets = list(itertools.combinations(range(n), 2))
+    if ball is not None:
+        subsets += [(j, n) for j in range(n)]
+    subsets += list(itertools.combinations(range(count), 3))
+    for subset in subsets:
+        if redundant(subset):
+            continue
+        if len(subset) == 2:
+            points = _pair_points(forms[subset[0]], forms[subset[1]])
+        else:
+            points = _triple_points(*(forms[j] for j in subset)) or []
+        for y in points:
+            x = la.add(epos, y)
+            values = _constraint_values(cons, epos, ball, x)
+            certificate = _certify(cons, epos, ball, x, subset, values)
+            if certificate is not None:
+                return x, subset, certificate
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +997,9 @@ def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
     dev = la.sub(x, epos)
     d_p = la.norm(dpv)
     d_e = la.norm(dev)
-    f = _race_numerator(a, dev, la.sub(p, epos)) / (d_p + a * d_e) - r
+    q = la.sub(p, epos)
+    numerator = _race_numerator(a, la.dot(dev, dev), la.dot(dev, q), la.dot(q, q))
+    f = numerator / (d_p + a * d_e) - r
     u = la.scale(dpv, 1.0 / d_p)
     w = la.scale(dev, 1.0 / d_e)
     grad = la.sub(u, la.scale(w, a))
@@ -730,28 +1142,30 @@ def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec,
     return None
 
 
-def _certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
-                 lam: dict[int, float], lam_g: float):
-    """Stationarity and complementary-slackness residuals at (x, lam)."""
+def _residuals(terms):
+    """Stationarity and complementary-slackness residuals of
+    ``(multiplier, gradient, constraint value)`` terms."""
     r0 = r1 = 0.0
     r2 = 1.0
     slack = 0.0
-    for idx, con in enumerate(cons):
-        f, grad, _ = _f_grad_hess(con, epos, x, hessian=False)
-        lj = lam.get(idx, 0.0)
+    for lj, grad, value in terms:
         r0 += lj * grad[0]
         r1 += lj * grad[1]
         r2 += lj * grad[2]
-        slack = max(slack, abs(lj * f))
+        slack = max(slack, abs(lj * value))
+    return math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), slack
+
+
+def _certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
+                 lam: dict[int, float], lam_g: float):
+    """Stationarity and complementary-slackness residuals at (x, lam)."""
+    terms = []
+    for idx, con in enumerate(cons):
+        f, grad, _ = _f_grad_hess(con, epos, x, hessian=False)
+        terms.append((lam.get(idx, 0.0), grad, f))
     if ball is not None:
-        g = ball.g(x)
-        grad_g = la.scale(la.sub(x, ball.center), -2.0)
-        r0 += lam_g * grad_g[0]
-        r1 += lam_g * grad_g[1]
-        r2 += lam_g * grad_g[2]
-        slack = max(slack, abs(lam_g * g))
-    stationarity = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-    return stationarity, slack
+        terms.append((lam_g, la.scale(la.sub(x, ball.center), -2.0), ball.g(x)))
+    return _residuals(terms)
 
 
 def _lstsq_multipliers(cons, epos: Vec, ball: Ball | None, x: Vec,
@@ -786,51 +1200,26 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         if ball.g(epos) < -1e-9:
             raise ValueError("evader lies outside the ball play region")
 
-    x: Vec | None = None
     if initial_point is None:
-        # A single constraint's minimizer that happens to satisfy all other
-        # constraints is the global minimizer, since each single body
-        # contains the full feasible set.
-        for idx in range(len(cons)):
-            candidate = _solve_single(cons[idx], epos)
-            f_at = [_f_original(con, epos, candidate) for con in cons]
-            if any(f < -1e-12 for j, f in enumerate(f_at) if j != idx):
-                continue
-            if ball is not None and ball.g(candidate) < -1e-12:
-                continue
-            single = _single_active(cons, epos, ball, candidate, idx, f_at)
-            if single is not None:
-                lam, stationarity, slack = single
-                return InterceptionResult(
-                    coalition=members,
-                    point=candidate,
-                    value=candidate[2],
-                    active_set=(members[idx],),
-                    multipliers=tuple(lam if j == idx else 0.0
-                                      for j in range(len(members))),
-                    region_active=False,
-                    region_multiplier=0.0,
-                    status=SolveStatus.SOLVED,
-                    kkt_residual=stationarity,
-                    slackness_residual=slack,
-                )
-            x = candidate
-            break
+        direct = _direct(cons, epos, ball)
+        if direct is not None:
+            x, active, (lam, lam_g, stationarity, slack) = direct
+            return _result(members, x, lam, lam_g, len(cons) in active,
+                           stationarity, slack)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
     margin = min(la.dist(con[0], epos) - con[2] for con in cons)
     mu2 = (1e-7 * margin) ** 2 if any(con[2] > 0.0 for con in cons) else 0.0
-    if initial_point is not None:
-        x0 = la.as_vec(initial_point)
-        if not _strictly_feasible(cons, epos, ball, x0, mu2):
-            raise ValueError("initial point must be strictly feasible")
-        x = _barrier_solve(cons, epos, ball, x0, mu2)
-    elif x is None:
+    if initial_point is None:
         start = _slide_down(
             cons, epos, ball, _initial_point(cons, epos, ball, mu2), mu2
         )
-        x = _barrier_solve(cons, epos, ball, start, mu2)
+    else:
+        start = la.as_vec(initial_point)
+        if not _strictly_feasible(cons, epos, ball, start, mu2):
+            raise ValueError("initial point must be strictly feasible")
+    x = _barrier_solve(cons, epos, ball, start, mu2)
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
@@ -880,7 +1269,7 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
     # Report multipliers only on the reported active set and certify with
     # exactly those values, so the certificate is reproducible from the
     # result fields alone.
-    lam = {j: lam[j] for j in lam if j in active_positions}
+    lam = {j: lam.get(j, 0.0) for j in active_positions}
     lam_g = lam_g if region_active else 0.0
     stationarity, slack = _certificate(cons, epos, ball, x, lam, lam_g)
     if stationarity > KKT_TOLERANCE or slack > KKT_TOLERANCE:
@@ -888,12 +1277,19 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
             f"KKT certificate out of tolerance (stationarity {stationarity:.3e}, "
             f"slackness {slack:.3e})"
         )
+    return _result(members, x, lam, lam_g, region_active, stationarity, slack)
+
+
+def _result(members: Coalition, x: Vec, lam: dict[int, float], lam_g: float,
+            region_active: bool, stationarity: float,
+            slack: float) -> InterceptionResult:
+    """Result whose active set is the members with a multiplier in ``lam``."""
     return InterceptionResult(
         coalition=members,
         point=x,
         value=x[2],
-        active_set=tuple(members[j] for j in active_positions),
-        multipliers=tuple(lam.get(j, 0.0) for j in range(len(members))),
+        active_set=tuple([members[j] for j in sorted(lam)]),
+        multipliers=tuple([lam.get(j, 0.0) for j in range(len(members))]),
         region_active=region_active,
         region_multiplier=lam_g,
         status=SolveStatus.SOLVED,
@@ -932,71 +1328,20 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarra
     if len(members) != 3:
         raise ValueError("triple candidates require a coalition of exactly 3")
     cons = _constraints(members, evader, pursuers)
-    epos = np.array(evader.position)
-
-    m_rows = []
-    b = np.empty(3)
-    c = np.empty(3)
-    for j, (p, a, r) in enumerate(cons):
-        a2m1 = a * a - 1.0
-        offset = epos - np.array(p)
-        m_rows.append(2.0 * offset / a2m1)
-        b[j] = 2.0 * a * r / a2m1
-        d2 = float(offset @ offset)
-        c[j] = (d2 - r * r) / a2m1
-    m_matrix = np.array(m_rows)
-    scale = max(float(np.linalg.norm(row)) for row in m_rows)
-    if abs(float(np.linalg.det(m_matrix))) <= 1e-10 * scale ** 3:
+    epos = evader.position
+    points = _triple_points(*_forms(cons, epos, None))
+    if points is None:
         raise CoplanarConfigurationError(
             "evader and pursuers are coplanar; boundary intersections are "
             "not isolated points"
         )
-    inv = np.linalg.inv(m_matrix)
-    u = inv @ np.ones(3)
-    pv = inv @ b
-    qv = inv @ c
-    # || u rho^2 + pv rho - qv ||^2 = rho^2, expanded in powers of rho.
-    coeffs = [
-        float(u @ u),
-        2.0 * float(u @ pv),
-        float(pv @ pv) - 2.0 * float(u @ qv) - 1.0,
-        -2.0 * float(pv @ qv),
-        float(qv @ qv),
-    ]
-    poly = np.polynomial.Polynomial(coeffs[::-1])
-    dpoly = poly.deriv()
-    candidates: list[np.ndarray] = []
-    for root in np.roots(coeffs):
-        if abs(root.imag) > 1e-8:
-            continue
-        rho = float(root.real)
-        if rho <= 1e-12:
-            continue
-        for _ in range(6):
-            slope = dpoly(rho)
-            if slope == 0.0:
-                break
-            step = poly(rho) / slope
-            rho -= step
-            if abs(step) < 1e-15 * max(1.0, abs(rho)):
-                break
-        if rho <= 1e-12:
-            continue
-        direction = inv @ (rho * np.ones(3) + b - c / rho)
-        if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-6:
-            continue
-        point = epos + rho * direction
-        residual = max(
-            abs(_f_original(con, evader.position, tuple(point))) for con in cons
-        )
-        if residual > 1e-7:
-            continue
-        candidates.append(point)
-    candidates.sort(key=lambda pt: (pt[2], pt[0], pt[1]))
     unique: list[np.ndarray] = []
-    for point in candidates:
-        if all(float(np.linalg.norm(point - other)) > 1e-8 for other in unique):
-            unique.append(point)
+    for y in points:
+        point = la.add(epos, y)
+        if max(abs(_f_original(con, epos, point)) for con in cons) > 1e-7:
+            continue
+        if all(la.dist(point, other) > 1e-8 for other in unique):
+            unique.append(np.array(point))
     return unique
 
 

@@ -12,6 +12,7 @@ sequential approximation are provided.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -165,29 +166,22 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 results[key] = result
             return classify_result(result, evader, pursuers, region)
 
-        losing_singles = set()
+        # Increasing indices, so combinations come in all_coalitions order.
+        losing_singles = []
         for i in range(len(pursuers)):
             if kind_of((i,)) is GameKind.EVADER_WINS:
-                losing_singles.add(i)
+                losing_singles.append(i)
             else:
                 edges.append((index_of[(i,)], ej))
         losing_pairs = set()
-        for members in all_coalitions(len(pursuers)):
-            if len(members) == 2 and set(members) <= losing_singles:
-                if kind_of(members) is GameKind.EVADER_WINS:
-                    losing_pairs.add(members)
-                else:
-                    edges.append((index_of[members], ej))
-        for members in all_coalitions(len(pursuers)):
-            if len(members) != 3 or not set(members) <= losing_singles:
-                continue
-            sub_pairs = [
-                tuple(sorted(pair))
-                for pair in ((members[0], members[1]),
-                             (members[0], members[2]),
-                             (members[1], members[2]))
-            ]
-            if all(pair in losing_pairs for pair in sub_pairs):
+        for members in itertools.combinations(losing_singles, 2):
+            if kind_of(members) is GameKind.EVADER_WINS:
+                losing_pairs.add(members)
+            else:
+                edges.append((index_of[members], ej))
+        for members in itertools.combinations(losing_singles, 3):
+            i, j, k = members
+            if {(i, j), (i, k), (j, k)} <= losing_pairs:
                 if kind_of(members) is not GameKind.EVADER_WINS:
                     edges.append((index_of[members], ej))
     graph = GameGraph(coalitions=coalitions, evaders=evader_ids, edges=tuple(edges))

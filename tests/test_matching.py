@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -235,6 +236,41 @@ def test_build_graph_minimality_invariant():
         for size in range(1, len(members)):
             for sub in itertools.combinations(members, size):
                 assert classify_kind(sub, evader, pursuers) is GameKind.EVADER_WINS
+
+
+def test_build_graph_edges_are_exactly_the_minimal_winners():
+    # A ring of three slow pursuers holds the first evader only together;
+    # the other players are random, and for some evader two losing pairs of
+    # a triple share a member while its third pair wins.  Per evader, the edges are every
+    # coalition that does not lose while all its proper subsets do.
+    rng = random.Random(24)
+    pursuers = [PursuerSpec((1.2 * math.cos(a), 1.2 * math.sin(a), 0.2), 1.2, 0.1)
+                for a in (0.0, 2.1, 4.2)]
+    pursuers += [
+        PursuerSpec(position=(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                              rng.uniform(0.2, 1.5)),
+                    speed=rng.uniform(1.1, 1.6),
+                    capture_radius=rng.uniform(0.05, 0.2))
+        for _ in range(3)
+    ]
+    evaders = [EvaderSpec((0.0, 0.0, 1.0), 1.0)]
+    evaders += [
+        EvaderSpec(position=(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(1.5, 2.5)), speed=1.0)
+        for _ in range(3)
+    ]
+    graph = build_graph(pursuers, evaders)
+    expected = []
+    for ej, evader in enumerate(evaders):
+        loses = {c: classify_kind(c, evader, pursuers) is GameKind.EVADER_WINS
+                 for c in all_coalitions(len(pursuers))}
+        for ci, members in enumerate(all_coalitions(len(pursuers))):
+            subsets = [sub for size in range(1, len(members))
+                       for sub in itertools.combinations(members, size)]
+            if not loses[members] and all(loses[sub] for sub in subsets):
+                expected.append((ci, ej))
+    assert sorted(graph.edges) == sorted(expected)
+    assert {len(graph.coalitions[ci]) for ci, _ in graph.edges} == {1, 2, 3}
 
 
 def test_three_dm_instance_validation():

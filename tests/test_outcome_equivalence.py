@@ -4,8 +4,9 @@ Solver refactors must leave the games the engine plays unchanged: the
 summary, the number of frames, every frame's matching and each terminal
 event's kind, evader and pursuer exactly, and event times and positions to
 1e-9.  The fixture ``outcome_corpus.json`` was recorded from the solver
-before it gained its single-active fast path; regenerate it only on purpose,
-with
+before it gained its direct paths: the first seven games before the
+single-active path, the 8v8 game and ball seed 50 before the pair and
+triple paths.  Regenerate it only on purpose, with
 
     PYTHONPATH=src python tests/test_outcome_equivalence.py
 
@@ -24,15 +25,20 @@ from reachavoid import Ball, random_scenario, run
 
 FIXTURE = Path(__file__).with_name("outcome_corpus.json")
 BALL = Ball((0.0, 0.0, 1.0), 4.5)
-#: (random_scenario seed, region); ball games use the exact matcher.
+#: (random_scenario seed, region); ball games use the exact matcher and
+#: "unbounded-8v8" games allow up to 8 players a side.  Seed 5 at 8v8 has
+#: hundreds of pair-active and a few triple-active solves, and ball seed 50
+#: ten with two members and the ball active.
 CASES = (
     (4, "unbounded"),
     (7, "unbounded"),
     (8, "unbounded"),
     (14, "unbounded"),
+    (5, "unbounded-8v8"),
     (1, "ball"),
     (3, "ball"),
     (21, "ball"),
+    (50, "ball"),
 )
 POSITION_TOLERANCE = 1e-9
 
@@ -40,6 +46,8 @@ POSITION_TOLERANCE = 1e-9
 def scenario_for(seed: int, region: str):
     if region == "ball":
         return random_scenario(seed, region=BALL, matcher="exact", dt=0.05)
+    if region == "unbounded-8v8":
+        return random_scenario(seed, max_pursuers=8, max_evaders=8)
     return random_scenario(seed)
 
 

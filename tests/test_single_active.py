@@ -1,10 +1,11 @@
-"""The single-active path of the interception solver.
+"""The direct paths of the interception solver.
 
-A default solve first looks for a single member whose own lowest point
-satisfies every other constraint strictly; that point is certified with a
-closed-form multiplier and returned without the barrier or the KKT polish.
-Passing an ``initial_point`` always takes the barrier + polish path, so the
-two paths can be compared on the same input.
+A default solve first looks for one, two or three active constraints
+(members or the ball sphere) whose common lowest point satisfies every other
+constraint strictly; that point is certified with Gram-system multipliers
+and returned without the barrier or the KKT polish.  Passing an
+``initial_point`` always takes the barrier + polish path, so the two paths
+can be compared on the same input.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from reachavoid import (
     Ball,
     EvaderSpec,
     PursuerSpec,
+    SolverFailure,
     solve_interception,
 )
 from reachavoid import interception
@@ -29,7 +31,8 @@ AGREEMENT = 1e-7
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of polish hypotheses tried and of angle-kernel evaluations."""
+    """Counts of polish hypotheses tried, angle-kernel evaluations, barrier
+    runs, pair seeds climbed onto their curve and single lowest points."""
     counts = Counter()
 
     def counted(name):
@@ -43,6 +46,9 @@ def calls(monkeypatch):
 
     counted("_polish_hypothesis")
     counted("_section_altitude")
+    counted("_barrier_solve")
+    counted("_climb")
+    counted("_solve_single")
     return counts
 
 
@@ -51,6 +57,13 @@ def polishes(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
     before = calls["_polish_hypothesis"]
     solve_interception(members, evader, pursuers, region)
     return calls["_polish_hypothesis"] - before
+
+
+def barrier_runs(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
+    """Barrier runs a default solve makes; 0 on every direct path."""
+    before = calls["_barrier_solve"]
+    solve_interception(members, evader, pursuers, region)
+    return calls["_barrier_solve"] - before
 
 
 def assert_paths_agree(members, evader, pursuers, region=UNBOUNDED):
@@ -94,7 +107,8 @@ def _pursuer(rng: random.Random, evader: EvaderSpec, barely_faster: bool):
 def corpus(seed: int = 5, size: int = 240):
     """Seeded singles, pairs and triples: every fourth barely faster
     (alpha in (1, 1.01]), capture radii of 0, up to half and 0.9-0.99 of the
-    distance, and every fifth inside a ball."""
+    distance, and every fifth inside a ball; then ``size // 2`` cases of
+    :func:`symmetric_corpus`."""
     rng = random.Random(seed)
     for k in range(size):
         n = 1 + k % 3
@@ -110,13 +124,97 @@ def corpus(seed: int = 5, size: int = 240):
                     region.g(p.position) < 0.0 for p in pursuers):
                 region = Ball((0.0, 0.0, 1.0), 50.0)
         yield tuple(range(n)), evader, pursuers, region
+    yield from symmetric_corpus(rng, size // 2)
+
+
+def _around(evader: EvaderSpec, angle: float, tilt: float, distance: float):
+    """The point ``distance`` from the evader at azimuth ``angle`` and
+    ``tilt`` below the horizontal."""
+    axis = (math.cos(angle) * math.cos(tilt), math.sin(angle) * math.cos(tilt),
+            -math.sin(tilt))
+    return tuple(e + distance * c for e, c in zip(evader.position, axis))
+
+
+def symmetric_corpus(rng: random.Random, size: int):
+    """Nearly alike pursuers spread evenly around the evader, so that several
+    constraints bind at once: pairs in a vertical plane through the evader
+    and rings of three, every fifth barely faster.  Two cases in three that
+    are not barely faster get a ball whose lowest point sits just above the
+    unbounded minimizer, shifted sideways so that its sphere cuts the edge
+    where the boundaries meet; the scene is moved down so that the ball
+    meets the exit plane.  Barely faster groups get no ball: theirs would
+    reach hundreds of units down, where the barrier + polish reference
+    fails (see test_forced_barrier_on_large_ball)."""
+    for k in range(size):
+        n = 2 + k % 2
+        evader = EvaderSpec(
+            (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)),
+            rng.uniform(0.8, 1.2),
+        )
+        base = rng.uniform(0.0, 2.0 * math.pi)
+        tilt = rng.uniform(-0.5, 1.2)
+        distance = rng.uniform(1.0, 2.0)
+        barely_faster = k % 5 == 1
+        alpha = 1.0 + rng.uniform(1e-4, 0.01) if barely_faster else rng.uniform(1.5, 3.0)
+        fraction = rng.choice([0.0, 0.3, 0.95])
+        pursuers = []
+        for j in range(n):
+            angle = base + 2.0 * math.pi * j / n
+            own_tilt = tilt
+            if n == 3:
+                angle += rng.uniform(-0.3, 0.3)
+                own_tilt += rng.uniform(-0.2, 0.2)
+            d = distance * rng.uniform(0.9, 1.1)
+            speed = (1.0 + (alpha - 1.0) * rng.uniform(0.95, 1.05)) * evader.speed
+            pursuers.append(PursuerSpec(_around(evader, angle, own_tilt, d), speed,
+                                        d * fraction * rng.uniform(0.95, 1.0)))
+        members = tuple(range(n))
+        region = UNBOUNDED
+        if k % 3 != 0 and not barely_faster:
+            low = solve_interception(members, evader, pursuers).point
+            bottom = low[2] + rng.uniform(0.005, 0.05)
+            side = rng.uniform(0.1, 0.5)
+            centre = (low[0] - side * math.sin(base), low[1] + side * math.cos(base))
+            players = [evader.position] + [p.position for p in pursuers]
+            if min(point[2] for point in players) <= bottom:
+                yield members, evader, pursuers, region
+                continue
+            # The smallest ball with this lowest point that holds a player
+            # has radius (across^2 + above^2) / (2 above).
+            radius = max(
+                1.05 * ((x - centre[0]) ** 2 + (y - centre[1]) ** 2 + (z - bottom) ** 2)
+                / (2.0 * (z - bottom))
+                for x, y, z in players)
+            shift = -0.1 - bottom
+            evader = EvaderSpec(_shifted(evader.position, shift), evader.speed)
+            pursuers = [PursuerSpec(_shifted(p.position, shift), p.speed,
+                                    p.capture_radius) for p in pursuers]
+            region = Ball((centre[0], centre[1], radius - 0.1), radius)
+        yield members, evader, pursuers, region
+
+
+def _shifted(point, dz: float):
+    return (point[0], point[1], point[2] + dz)
+
+
+def _vertical_plane(evader: EvaderSpec, pursuers) -> bool:
+    """Whether the evader and two pursuers lie in one vertical plane."""
+    a, b = (tuple(p - e for p, e in zip(q.position, evader.position))
+            for q in pursuers)
+    normal = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+              a[0] * b[1] - a[1] * b[0])
+    return abs(normal[2]) <= 1e-9 * math.hypot(*normal)
 
 
 def test_paths_agree_on_seeded_corpus(calls):
     seen = Counter()
     for members, evader, pursuers, region in corpus():
+        before = calls.copy()
         single_active = polishes(calls, members, evader, pursuers, region) == 0
         seen["fast", len(members)] += single_active
+        direct = calls["_barrier_solve"] == before["_barrier_solve"]
+        climbed = calls["_climb"] > before["_climb"]
+        singles = calls["_solve_single"] - before["_solve_single"]
         result = assert_paths_agree(members, evader, pursuers, region)
         seen["multi-active"] += len(result.active_set) > 1
         seen["region-active"] += result.region_active
@@ -124,9 +222,28 @@ def test_paths_agree_on_seeded_corpus(calls):
         alpha = min(p.speed for p in pursuers) / evader.speed
         seen["barely-faster"] += alpha <= 1.01
         seen["zero-radius"] += any(p.capture_radius == 0.0 for p in pursuers)
+        if direct:
+            active = len(result.active_set) + result.region_active
+            regime = {(2, False): "pair", (3, False): "triple",
+                      (2, True): "member+ball", (3, True): "two members+ball"}
+            if (active, result.region_active) in regime:
+                seen[regime[active, result.region_active]] += 1
+            if active == 1 and region is UNBOUNDED and all(
+                    p.capture_radius == 0.0 for p in pursuers):
+                # Singles are tried from the highest lowest point of their
+                # l-dropped spheres, which for r = 0 are the bodies: the
+                # first one tried is the one that certifies.
+                assert singles == 1
+                seen["first single certifies"] += len(members) > 1
+            seen["seed outside range"] += climbed and active > 1
+            seen["vertical-plane pair"] += (
+                result.active_set == (0, 1) and not result.region_active
+                and len(members) == 2 and _vertical_plane(evader, pursuers))
     for key in (("fast", 1), ("fast", 2), ("fast", 3), "multi-active",
                 "region-active", "region-inactive", "barely-faster",
-                "zero-radius"):
+                "zero-radius", "pair", "triple", "member+ball",
+                "two members+ball", "seed outside range",
+                "vertical-plane pair", "first single certifies"):
         assert seen[key] >= 5, (key, seen)
 
 
@@ -172,33 +289,33 @@ def test_barely_faster_far_low_point_certifies():
     assert result.slackness_residual <= KKT_TOLERANCE
 
 
-def test_second_active_member_falls_through(calls):
+def test_second_active_member_certifies_directly(calls):
     # Pursuer 0 alone has its lowest point at (0, 0, 7/3); pursuer 1's speed
     # puts that point on its boundary too, so the point is right but the
-    # active set has two members and the polish must settle the multipliers.
+    # active set has two members, which the pair path certifies.
     evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
     low = (0.0, 0.0, 7.0 / 3.0)
     second_position = (2.0, 0.0, 2.0)
     alpha = math.dist(low, second_position) / math.dist(low, evader.position)
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
                 PursuerSpec(second_position, alpha)]
-    assert polishes(calls, (0, 1), evader, pursuers) > 0
+    assert barrier_runs(calls, (0, 1), evader, pursuers) == 0
     result = assert_paths_agree((0, 1), evader, pursuers)
     assert result.active_set == (0, 1)
     assert math.dist(result.point, low) <= 1e-9
 
 
-def test_pair_both_strictly_active_falls_through(calls):
+def test_pair_both_strictly_active_certifies_directly(calls):
     pursuers = [PursuerSpec((1.0, 0.0, 1.0), 2.0),
                 PursuerSpec((-1.0, 0.0, 1.0), 2.0)]
     evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
-    assert polishes(calls, (0, 1), evader, pursuers) > 0
+    assert barrier_runs(calls, (0, 1), evader, pursuers) == 0
     result = assert_paths_agree((0, 1), evader, pursuers)
     assert result.active_set == (0, 1)
     assert all(m < -1e-3 for m in result.multipliers)
 
 
-def test_active_ball_falls_through(calls):
+def test_active_ball_certifies_directly(calls):
     # The pursuer's lowest point (0, 0, -1) lies on the sphere of a ball
     # tilted so that its own lowest point is elsewhere: the point stands,
     # but the region is active there.
@@ -208,8 +325,69 @@ def test_active_ball_falls_through(calls):
     tilt = math.radians(30.0)
     ball = Ball((radius * math.sin(tilt), 0.0, -1.0 + radius * math.cos(tilt)),
                 radius)
-    assert polishes(calls, (0,), evader, [pursuer], ball) > 0
+    assert barrier_runs(calls, (0,), evader, [pursuer], ball) == 0
     result = assert_paths_agree((0,), evader, [pursuer], ball)
     assert result.region_active
     assert result.active_set == (0,)
     assert math.dist(result.point, (0.0, 0.0, -1.0)) <= 1e-9
+
+
+def test_coaxial_and_dependent_pairs_fall_through(calls):
+    # With the evader and both pursuers on one tilted line the two bodies
+    # share their axis, so no pair frame exists and the barrier solves it.
+    evader = EvaderSpec((0.0, 0.0, 2.0), 1.0)
+    axis = (math.cos(0.6), 0.3 * math.cos(0.6), math.sin(0.6))
+    length = math.hypot(*axis)
+    pursuers = [
+        PursuerSpec(tuple(e + c / length for e, c in zip(evader.position, axis)),
+                    2.0, 0.1),
+        PursuerSpec(tuple(e - c / length for e, c in zip(evader.position, axis)),
+                    2.0, 0.0),
+    ]
+    assert barrier_runs(calls, (0, 1), evader, pursuers) == 1
+    assert assert_paths_agree((0, 1), evader, pursuers).active_set == (0, 1)
+
+    # Both boundaries pass through (0, 0, 7/3) with gradients along the
+    # vertical axis: the active gradients are dependent.
+    evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
+    pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
+                PursuerSpec((0.0, 0.0, 0.0), 3.0, 1.0 / 3.0)]
+    assert barrier_runs(calls, (0, 1), evader, pursuers) == 1
+    result = solve_interception((0, 1), evader, pursuers)
+    assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
+
+
+# Three barely faster pursuers and a ball of radius 169 whose sphere cuts the
+# edge of two of their boundaries 318 below the evader.
+LARGE_BALL_EVADER = EvaderSpec(
+    (-0.4673388790854809, 0.6036527339929671, 318.20427240797204),
+    0.8408908632440193)
+LARGE_BALL_PURSUERS = [
+    PursuerSpec((-1.3142441733627512, 2.030825852348018, 318.671499148299),
+                0.8410520258386522, 0.5111062035368145),
+    PursuerSpec((-0.9766738942946137, -0.7494114602030293, 318.88651068475565),
+                0.841054424066632, 0.4738600013622042),
+    PursuerSpec((1.0633873117437171, 0.8686517708698425, 318.67030904245576),
+                0.8410582720107097, 0.48467490965264737),
+]
+LARGE_BALL = Ball((-12.515960689809667, -29.69558520516441, 169.11945372005624),
+                  169.21945372005624)
+
+
+def test_direct_path_certifies_where_barrier_fails(calls):
+    evader, pursuers, ball = LARGE_BALL_EVADER, LARGE_BALL_PURSUERS, LARGE_BALL
+    assert barrier_runs(calls, (0, 1, 2), evader, pursuers, ball) == 0
+    result = solve_interception((0, 1, 2), evader, pursuers, ball)
+    assert result.active_set == (0, 1)
+    assert result.region_active
+    assert result.kkt_residual <= KKT_TOLERANCE
+    assert result.slackness_residual <= KKT_TOLERANCE
+    assert all(m <= 0.0 for m in result.multipliers)
+    assert result.region_multiplier < 0.0
+
+
+@pytest.mark.xfail(raises=SolverFailure, strict=True,
+                   reason="barrier + polish stops at stationarity 1.4e-3 here")
+def test_forced_barrier_on_large_ball():
+    solve_interception((0, 1, 2), LARGE_BALL_EVADER, LARGE_BALL_PURSUERS,
+                       LARGE_BALL, initial_point=LARGE_BALL_EVADER.position)
