@@ -219,10 +219,19 @@ def _parse_coalition(text: str) -> tuple[int, ...]:
         raise ScenarioError(f"--coalition: expected comma-separated indices: {exc}") from exc
 
 
+def _pick_evader(scenario: Scenario, index: int) -> EvaderSpec:
+    if not 0 <= index < len(scenario.evaders):
+        raise ScenarioError(
+            f"--evader: index {index} out of range for "
+            f"{len(scenario.evaders)} evaders"
+        )
+    return scenario.evaders[index]
+
+
 def cmd_kind(args) -> int:
     scenario = _load_scenario(args.scenario)
     members = _parse_coalition(args.coalition)
-    evader = scenario.evaders[args.evader]
+    evader = _pick_evader(scenario, args.evader)
     result = solve_interception(members, evader, scenario.pursuers, scenario.region)
     kind = classify_result(result, evader, scenario.pursuers, scenario.region)
     print(f"{kind.value} z={_fmt(result.value)} point={_fmt_vec(result.point)}")
@@ -232,7 +241,7 @@ def cmd_kind(args) -> int:
 def cmd_intercept(args) -> int:
     scenario = _load_scenario(args.scenario)
     members = _parse_coalition(args.coalition)
-    evader = scenario.evaders[args.evader]
+    evader = _pick_evader(scenario, args.evader)
     result = solve_interception(members, evader, scenario.pursuers, scenario.region)
     print(f"status={result.status.value} z={_fmt(result.value)} "
           f"point={_fmt_vec(result.point)}")

@@ -105,10 +105,12 @@ def validate_scenario(scenario: Scenario) -> None:
 
     Raises :class:`ScenarioError` naming the offending field.
     """
-    if scenario.dt <= 0.0:
-        raise ScenarioError(f"dt: must be > 0, got {scenario.dt}")
-    if scenario.max_time <= 0.0:
-        raise ScenarioError(f"max_time: must be > 0, got {scenario.max_time}")
+    if not 0.0 < scenario.dt < math.inf:
+        raise ScenarioError(f"dt: must be finite and > 0, got {scenario.dt}")
+    if not 0.0 < scenario.max_time < math.inf:
+        raise ScenarioError(
+            f"max_time: must be finite and > 0, got {scenario.max_time}"
+        )
     if scenario.rematch_every < 1:
         raise ScenarioError(
             f"rematch_every: must be >= 1, got {scenario.rematch_every}"

@@ -53,10 +53,12 @@ class PursuerSpec:
         object.__setattr__(self, "position", la.as_vec(self.position))
         object.__setattr__(self, "speed", float(self.speed))
         object.__setattr__(self, "capture_radius", float(self.capture_radius))
-        if not self.speed > 0.0:
-            raise ValueError(f"pursuer speed must be > 0, got {self.speed}")
-        if self.capture_radius < 0.0:
-            raise ValueError(f"capture radius must be >= 0, got {self.capture_radius}")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"pursuer speed must be finite and > 0, got {self.speed}")
+        if not 0.0 <= self.capture_radius < math.inf:
+            raise ValueError(
+                f"capture radius must be finite and >= 0, got {self.capture_radius}"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class EvaderSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", la.as_vec(self.position))
         object.__setattr__(self, "speed", float(self.speed))
-        if not self.speed > 0.0:
-            raise ValueError(f"evader speed must be > 0, got {self.speed}")
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"evader speed must be finite and > 0, got {self.speed}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ optionally further intersected with a closed ball play region:
                 g(x)  >= 0         (ball region only),
 
 with f_i the race potential of :mod:`reachavoid.geometry` and
-g(x) = R^2 - ||x - c||^2.  Each constraint is handled internally through
+g(x) = R^2 - ||x - c||^2.  Both solver paths number the constraints by
+position: the members 0..n-1, then the ball as n, so active sets and
+multipliers are keyed alike for both; only the result splits the ball's
+entry out.  Each constraint is handled internally through
 the equivalent concave form
 
     f_i(x) >= 0  <=>  ||x - x_P||^2 - (alpha ||x - x_E|| + r)^2 >= 0,
@@ -134,8 +137,8 @@ class Ball:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", la.as_vec(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise ValueError(f"ball radius must be > 0, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be finite and > 0, got {self.radius}")
         if abs(self.center[2]) >= self.radius:
             raise ValueError(
                 "ball must intersect the exit plane z=0 in a disk of positive radius"
@@ -205,7 +208,9 @@ def validate_coalition(members, num_pursuers: int | None = None,
 # Each coalition member contributes the tuple (p, alpha, r); the concave
 # form evaluated everywhere below is
 #     ftilde(x) = ||x-p||^2 - alpha^2 ||x-E||^2 - r^2 - 2 alpha r ||x-E||
-# which is positive exactly where the original potential f is.
+# which is positive exactly where the original potential f is.  It is
+# evaluated only inside the barrier evaluators below, so a point is strictly
+# feasible exactly when its barrier value exists.
 #
 # For positive capture radii the final term puts a cone kink at the evader
 # position, and for small barrier weights the barrier minimum can sit
@@ -267,27 +272,7 @@ def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
                         + alpha * math.sqrt(yy)) - r
 
 
-def _ftilde(con: _Con, evader_pos: Vec, x: Vec, mu2: float = 0.0) -> float:
-    p, alpha, r = con
-    d_e2 = (
-        (x[0] - evader_pos[0]) ** 2
-        + (x[1] - evader_pos[1]) ** 2
-        + (x[2] - evader_pos[2]) ** 2
-    )
-    d_p2 = (x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 + (x[2] - p[2]) ** 2
-    return (d_p2 - alpha * alpha * d_e2 - r * r
-            - 2.0 * alpha * r * math.sqrt(d_e2 + mu2))
-
-
-def _strictly_feasible(cons, evader_pos: Vec, ball: Ball | None, x: Vec,
-                       mu2: float = 0.0) -> bool:
-    if ball is not None and ball.g(x) <= 0.0:
-        return False
-    return all(_ftilde(con, evader_pos, x, mu2) > 0.0 for con in cons)
-
-
-def _initial_point(cons, evader_pos: Vec, ball: Ball | None,
-                   mu2: float = 0.0) -> Vec:
+def _initial_point(cons, evader_pos: Vec, ball: Ball | None, mu2: float) -> Vec:
     """Strictly feasible start near the evader position.
 
     The evader itself is strictly feasible for every race constraint, but
@@ -299,8 +284,8 @@ def _initial_point(cons, evader_pos: Vec, ball: Ball | None,
     needs_offset = any(con[2] > 0.0 for con in cons)
     if ball is not None and ball.g(evader_pos) <= 0.0:
         needs_offset = True
-    if not needs_offset and _strictly_feasible(cons, evader_pos, ball,
-                                               evader_pos, mu2):
+    if not needs_offset and _barrier_value(cons, evader_pos, ball, evader_pos,
+                                           0.0, mu2) is not None:
         return evader_pos
 
     directions: list[Vec] = []
@@ -317,7 +302,8 @@ def _initial_point(cons, evader_pos: Vec, ball: Ball | None,
             candidate = la.add(evader_pos, la.scale(direction, delta))
             if (
                 la.dist(candidate, evader_pos) > 0.0
-                and _strictly_feasible(cons, evader_pos, ball, candidate, mu2)
+                and _barrier_value(cons, evader_pos, ball, candidate,
+                                   0.0, mu2) is not None
             ):
                 return candidate
     raise SolverFailure("could not construct a strictly feasible starting point")
@@ -336,7 +322,7 @@ def _slide_down(cons, evader_pos: Vec, ball: Ball | None, x0: Vec,
     reach = 0.0
     for _ in range(80):
         candidate = (x0[0], x0[1], x0[2] - (reach + step))
-        if not _strictly_feasible(cons, evader_pos, ball, candidate, mu2):
+        if _barrier_value(cons, evader_pos, ball, candidate, 0.0, mu2) is None:
             break
         reach += step
         step *= 2.0
@@ -366,12 +352,12 @@ def _barrier_value(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
         dpy = x[1] - p[1]
         dpz = x[2] - p[2]
         ft = (dpx * dpx + dpy * dpy + dpz * dpz) - a * a * d_e2 - r * r - 2.0 * a * r * ds
-        if ft <= 0.0:
+        if not ft > 0.0:
             return None
         value -= math.log(ft)
     if ball is not None:
         g = ball.g(x)
-        if g <= 0.0:
+        if not g > 0.0:
             return None
         value -= math.log(g)
     return value
@@ -452,9 +438,9 @@ _NEWTON_MAX_ITER = 3000
 
 
 def _newton_center(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
-                   mu2: float, max_iter: int = _NEWTON_MAX_ITER) -> Vec:
+                   mu2: float) -> Vec:
     previous_decrement = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         value, grad, hess = _barrier_step(cons, epos, ball, x, t, mu2)
         try:
             dx = la.solve_sym3(*hess, -grad[0], -grad[1], -grad[2])
@@ -497,13 +483,13 @@ def _newton_center(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
 
 
 def _barrier_solve(cons, epos: Vec, ball: Ball | None, x0: Vec,
-                   mu2: float, gap: float = _BARRIER_GAP) -> Vec:
+                   mu2: float) -> Vec:
     m = len(cons) + (1 if ball is not None else 0)
     t = 1.0
     x = x0
     while True:
         x = _newton_center(cons, epos, ball, x, t, mu2)
-        if m / t <= gap:
+        if m / t <= _BARRIER_GAP:
             return x
         t *= 10.0
 
@@ -846,8 +832,6 @@ def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
 
 # --------------------------------------------------------------------------
 # direct certification of the minimizer
-#
-# Constraints are numbered by position: members 0..n-1, then the ball as n.
 
 
 def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
@@ -896,40 +880,34 @@ def _certify(cons, epos: Vec, ball: Ball | None, x: Vec,
     ``values`` are the constraint values at ``x``.  The active constraints
     must lie within ``ACTIVE_TOLERANCE`` of their boundary and every other
     one strictly beyond it; the multipliers come from the Gram system and
-    the KKT certificate must pass.  Returns ``(lam, lam_g, stationarity,
-    slackness)`` or None.
+    the KKT certificate must pass.  Every test fails on NaN.  Returns
+    ``(lam, stationarity, slackness)`` with ``lam`` keyed by constraint, or
+    None.
     """
     for j, value in enumerate(values):
         if j in active:
-            if abs(value) > ACTIVE_TOLERANCE:
+            if not abs(value) <= ACTIVE_TOLERANCE:
                 return None
-        elif value <= ACTIVE_TOLERANCE:
+        elif not value > ACTIVE_TOLERANCE:
             return None
-    region = len(cons)
     grads = []
     residuals = []
     for j in active:
-        if j == region:
-            grads.append(la.scale(la.sub(x, ball.center), -2.0))
-            residuals.append(ball.g(x))
-        else:
-            f, grad, _ = _f_grad_hess(cons[j], epos, x, hessian=False)
-            grads.append(grad)
-            residuals.append(f)
+        value, grad, _ = _grad_hess(cons, epos, ball, j, x, hessian=False)
+        grads.append(grad)
+        residuals.append(value)
     multipliers = _gram_multipliers(grads)
     if multipliers is None:
         return None
     stationarity, slack = _residuals(zip(multipliers, grads, residuals))
-    if stationarity > KKT_TOLERANCE or slack > KKT_TOLERANCE:
+    if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         return None
-    lam = {j: value for j, value in zip(active, multipliers) if j != region}
-    lam_g = multipliers[-1] if region in active else 0.0
-    return lam, lam_g, stationarity, slack
+    return dict(zip(active, multipliers)), stationarity, slack
 
 
 def _direct(cons, epos: Vec, ball: Ball | None):
     """The minimizer certified directly from one to three active
-    constraints, as ``(x, active, certificate)``, or None.
+    constraints, as ``(x, lam, stationarity, slackness)``, or None.
 
     Tries each constraint's own lowest point (likely highest first), then
     pairs of members, then a member with the ball, then triples (lowest
@@ -956,7 +934,7 @@ def _direct(cons, epos: Vec, ball: Ball | None):
         values = _constraint_values(cons, epos, ball, x)
         certificate = _certify(cons, epos, ball, x, (j,), values)
         if certificate is not None:
-            return x, (j,), certificate
+            return (x, *certificate)
         values_at_low[j] = values
     if count == 1:
         return None
@@ -981,7 +959,7 @@ def _direct(cons, epos: Vec, ball: Ball | None):
             values = _constraint_values(cons, epos, ball, x)
             certificate = _certify(cons, epos, ball, x, subset, values)
             if certificate is not None:
-                return x, subset, certificate
+                return (x, *certificate)
     return None
 
 
@@ -1019,60 +997,55 @@ def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
     return f, grad, h
 
 
-def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
-                active: tuple[int, ...], region_active: bool,
-                lam0: dict[int, float] | None = None):
-    """Newton-refine the active-set KKT system; returns (x, lam, lam_g) or None.
+_BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
 
-    ``active`` holds positions into ``cons``.  The system solved is
-    stationarity plus f_i(x) = 0 on the active set (and g(x) = 0 when the
-    region is active); quadratic convergence from the barrier output.
+
+def _grad_hess(cons, epos: Vec, ball: Ball | None, j: int, x: Vec,
+               hessian: bool = True):
+    """Value, gradient and packed Hessian (None unless ``hessian``) of
+    constraint ``j``: member ``j``'s ``f``, or the ball's ``g`` for
+    ``j == len(cons)``."""
+    if j < len(cons):
+        return _f_grad_hess(cons[j], epos, x, hessian)
+    grad = la.scale(la.sub(x, ball.center), -2.0)
+    return ball.g(x), grad, _BALL_HESSIAN if hessian else None
+
+
+def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
+                active: tuple[int, ...]):
+    """Newton-refine the active-set KKT system; returns (x, lam) or None.
+
+    ``active`` holds constraint positions.  The system solved is
+    stationarity plus each active constraint at zero; quadratic
+    convergence from the barrier output.
 
     Multipliers start from a least-squares fit of stationarity: with all
     of them zero the bordered Jacobian has a vanishing curvature block and
     is singular whenever fewer than three constraints are active.
     """
-    k = len(active)
-    extra = 1 if region_active else 0
-    n = 3 + k + extra
-    if lam0 is None:
-        lam_seed, lam_g = _lstsq_multipliers(cons, epos, ball, x, active,
-                                             region_active)
-        lam = [lam_seed.get(idx, 0.0) for idx in active]
-    else:
-        lam = [lam0.get(idx, 0.0) for idx in active]
-        lam_g = lam0.get(-1, 0.0)
+    n = 3 + len(active)
+    seed = _lstsq_multipliers(cons, epos, ball, x, active)
+    lam = [seed[j] for j in active]
     xc = x
     for _ in range(20):
-        f_vals = []
+        values = []
         grads = []
         w11 = w12 = w13 = w22 = w23 = w33 = 0.0
-        for j, idx in enumerate(active):
-            f, grad, hess = _f_grad_hess(cons[idx], epos, xc)
-            f_vals.append(f)
+        for lj, j in zip(lam, active):
+            value, grad, hess = _grad_hess(cons, epos, ball, j, xc)
+            values.append(value)
             grads.append(grad)
-            lj = lam[j]
             w11 += lj * hess[0]
             w12 += lj * hess[1]
             w13 += lj * hess[2]
             w22 += lj * hess[3]
             w23 += lj * hess[4]
             w33 += lj * hess[5]
-        if region_active:
-            gb = ball.g(xc)
-            grad_g = la.scale(la.sub(xc, ball.center), -2.0)
-            w11 += lam_g * -2.0
-            w22 += lam_g * -2.0
-            w33 += lam_g * -2.0
-        # residual of stationarity: sum lam grad f + lam_g grad g - (0,0,-1)
-        r0 = sum(lam[j] * grads[j][0] for j in range(k))
-        r1 = sum(lam[j] * grads[j][1] for j in range(k))
-        r2 = sum(lam[j] * grads[j][2] for j in range(k)) + 1.0
-        if region_active:
-            r0 += lam_g * grad_g[0]
-            r1 += lam_g * grad_g[1]
-            r2 += lam_g * grad_g[2]
-        residual = [r0, r1, r2] + f_vals + ([gb] if region_active else [])
+        # residual of stationarity: sum lam grad - (0, 0, -1)
+        r0 = sum(lj * grad[0] for lj, grad in zip(lam, grads))
+        r1 = sum(lj * grad[1] for lj, grad in zip(lam, grads))
+        r2 = sum(lj * grad[2] for lj, grad in zip(lam, grads)) + 1.0
+        residual = [r0, r1, r2] + values
         if max(abs(v) for v in residual) < 1e-13:
             break
         matrix = [[0.0] * n for _ in range(n)]
@@ -1085,60 +1058,39 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
         matrix[2][0] = w13
         matrix[2][1] = w23
         matrix[2][2] = w33
-        for j in range(k):
-            g = grads[j]
+        for j, grad in enumerate(grads):
             for axis in range(3):
-                matrix[axis][3 + j] = g[axis]
-                matrix[3 + j][axis] = g[axis]
-        if region_active:
-            for axis in range(3):
-                matrix[axis][3 + k] = grad_g[axis]
-                matrix[3 + k][axis] = grad_g[axis]
+                matrix[axis][3 + j] = grad[axis]
+                matrix[3 + j][axis] = grad[axis]
         rhs = [-v for v in residual]
         try:
             delta = la.gauss_solve(matrix, rhs)
         except ValueError:
             return None
         xc = (xc[0] + delta[0], xc[1] + delta[1], xc[2] + delta[2])
-        for j in range(k):
+        for j in range(len(active)):
             lam[j] += delta[3 + j]
-        if region_active:
-            lam_g += delta[3 + k]
     else:
         return None
-    return xc, dict(zip(active, lam)), lam_g
+    return xc, dict(zip(active, lam))
 
 
-def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec,
-                       active, region_active: bool):
-    """Polish one active-set guess, shedding wrong-sign multipliers.
+def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec, active):
+    """Polish one active-set guess, shedding the most positive multiplier
+    until none is above 1e-10.
 
-    Returns ``(x, lam, lam_g)`` or None when the guess cannot be made
-    consistent.
+    Returns ``(x, lam)`` or None when the guess cannot be made consistent.
     """
-    polish_active = list(active)
-    polish_region = region_active
-    for _ in range(len(cons) + 2):
-        if not polish_active and not polish_region:
-            return None
-        polished = _polish_kkt(cons, epos, ball, x, tuple(polish_active),
-                               polish_region)
+    active = list(active)
+    while active:
+        polished = _polish_kkt(cons, epos, ball, x, tuple(active))
         if polished is None:
             return None
-        x_new, lam_new, lam_g_new = polished
-        offender = None
-        worst = 1e-10
-        for idx, value in lam_new.items():
-            if value > worst:
-                worst = value
-                offender = idx
-        if offender is not None:
-            polish_active.remove(offender)
-            continue
-        if polish_region and lam_g_new > 1e-10:
-            polish_region = False
-            continue
-        return x_new, lam_new, lam_g_new
+        lam = polished[1]
+        offender = max(active, key=lam.__getitem__)
+        if lam[offender] <= 1e-10:
+            return polished
+        active.remove(offender)
     return None
 
 
@@ -1157,35 +1109,28 @@ def _residuals(terms):
 
 
 def _certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
-                 lam: dict[int, float], lam_g: float):
+                 lam: dict[int, float]):
     """Stationarity and complementary-slackness residuals at (x, lam)."""
     terms = []
-    for idx, con in enumerate(cons):
-        f, grad, _ = _f_grad_hess(con, epos, x, hessian=False)
-        terms.append((lam.get(idx, 0.0), grad, f))
-    if ball is not None:
-        terms.append((lam_g, la.scale(la.sub(x, ball.center), -2.0), ball.g(x)))
+    for j in range(len(cons) + (ball is not None)):
+        value, grad, _ = _grad_hess(cons, epos, ball, j, x, hessian=False)
+        terms.append((lam.get(j, 0.0), grad, value))
     return _residuals(terms)
 
 
 def _lstsq_multipliers(cons, epos: Vec, ball: Ball | None, x: Vec,
-                       active: tuple[int, ...], region_active: bool):
+                       active: tuple[int, ...]) -> dict[int, float]:
     """Least-squares multipliers on the active gradients (fallback path)."""
-    columns = [
-        np.array(_f_grad_hess(cons[idx], epos, x, hessian=False)[1])
-        for idx in active
-    ]
-    if region_active:
-        columns.append(np.array(la.scale(la.sub(x, ball.center), -2.0)))
-    if not columns:
-        return {}, 0.0
-    matrix = np.column_stack(columns)
+    if not active:
+        return {}
+    matrix = np.column_stack([
+        np.array(_grad_hess(cons, epos, ball, j, x, hessian=False)[1])
+        for j in active
+    ])
     target = np.array([0.0, 0.0, -1.0])
     coef, *_ = np.linalg.lstsq(matrix, target, rcond=None)
     coef = np.minimum(coef, 0.0)
-    lam = {idx: float(coef[j]) for j, idx in enumerate(active)}
-    lam_g = float(coef[len(active)]) if region_active else 0.0
-    return lam, lam_g
+    return {j: float(value) for j, value in zip(active, coef)}
 
 
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
@@ -1203,9 +1148,7 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
     if initial_point is None:
         direct = _direct(cons, epos, ball)
         if direct is not None:
-            x, active, (lam, lam_g, stationarity, slack) = direct
-            return _result(members, x, lam, lam_g, len(cons) in active,
-                           stationarity, slack)
+            return _result(members, *direct)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
@@ -1217,7 +1160,7 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         )
     else:
         start = la.as_vec(initial_point)
-        if not _strictly_feasible(cons, epos, ball, start, mu2):
+        if _barrier_value(cons, epos, ball, start, 0.0, mu2) is None:
             raise ValueError("initial point must be strictly feasible")
     x = _barrier_solve(cons, epos, ball, start, mu2)
 
@@ -1225,73 +1168,63 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
     # truly active can still show a residual slightly above any single
     # threshold.  Try active-set hypotheses from tight to loose and keep the
     # first whose polished point verifies.
-    f_at = [_f_original(con, epos, x) for con in cons]
-    hypotheses: list[tuple[tuple[int, ...], bool]] = []
+    values = _constraint_values(cons, epos, ball, x)
+    hypotheses: list[tuple[int, ...]] = []
     for tol in (ACTIVE_TOLERANCE, 1e-5, 1e-3):
-        candidate = (
-            tuple(j for j, f in enumerate(f_at) if abs(f) <= tol),
-            ball is not None and abs(ball.boundary_distance(x)) <= tol,
-        )
+        candidate = tuple(j for j, v in enumerate(values) if abs(v) <= tol)
         if candidate not in hypotheses:
             hypotheses.append(candidate)
 
     best: tuple | None = None
-    for active0, region0 in hypotheses:
-        outcome = _polish_hypothesis(cons, epos, ball, x, active0, region0)
+    for active in hypotheses:
+        outcome = _polish_hypothesis(cons, epos, ball, x, active)
         if outcome is None:
             continue
-        x_new, lam_new, lam_g_new = outcome
-        stationarity, slack = _certificate(cons, epos, ball, x_new, lam_new, lam_g_new)
-        f_new = [_f_original(con, epos, x_new) for con in cons]
-        feasible = all(f >= -1e-8 for f in f_new)
-        if ball is not None:
-            feasible &= ball.boundary_distance(x_new) >= -1e-8
+        x_new, lam_new = outcome
+        stationarity, slack = _certificate(cons, epos, ball, x_new, lam_new)
+        feasible = all(v >= -1e-8
+                       for v in _constraint_values(cons, epos, ball, x_new))
         if stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE and feasible:
-            best = (x_new, lam_new, lam_g_new, stationarity, slack)
+            best = outcome
             break
     if best is None:
         # Degenerate actives (dependent gradients): keep the barrier point
         # and report sign-clamped least-squares multipliers.
-        active0 = tuple(j for j, f in enumerate(f_at) if abs(f) <= 1e-5)
-        region0 = ball is not None and abs(ball.boundary_distance(x)) <= 1e-5
-        lam, lam_g = _lstsq_multipliers(cons, epos, ball, x, active0, region0)
-        stationarity, slack = _certificate(cons, epos, ball, x, lam, lam_g)
-        best = (x, lam, lam_g, stationarity, slack)
+        active = tuple(j for j, v in enumerate(values) if abs(v) <= 1e-5)
+        best = x, _lstsq_multipliers(cons, epos, ball, x, active)
 
-    x, lam, lam_g, _, _ = best
-    f_final = [_f_original(con, epos, x) for con in cons]
-    if any(f < -1e-8 for f in f_final):
+    x, lam = best
+    values = _constraint_values(cons, epos, ball, x)
+    if not all(v >= -1e-8 for v in values[:len(cons)]):
         raise SolverFailure("polished point violates a race constraint")
-    active_positions = tuple(
-        j for j, f in enumerate(f_final) if abs(f) <= ACTIVE_TOLERANCE
-    )
-    region_active = ball is not None and abs(ball.boundary_distance(x)) <= ACTIVE_TOLERANCE
     # Report multipliers only on the reported active set and certify with
     # exactly those values, so the certificate is reproducible from the
     # result fields alone.
-    lam = {j: lam.get(j, 0.0) for j in active_positions}
-    lam_g = lam_g if region_active else 0.0
-    stationarity, slack = _certificate(cons, epos, ball, x, lam, lam_g)
-    if stationarity > KKT_TOLERANCE or slack > KKT_TOLERANCE:
+    lam = {j: lam.get(j, 0.0) for j, v in enumerate(values)
+           if abs(v) <= ACTIVE_TOLERANCE}
+    stationarity, slack = _certificate(cons, epos, ball, x, lam)
+    if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         raise SolverFailure(
             f"KKT certificate out of tolerance (stationarity {stationarity:.3e}, "
             f"slackness {slack:.3e})"
         )
-    return _result(members, x, lam, lam_g, region_active, stationarity, slack)
+    return _result(members, x, lam, stationarity, slack)
 
 
-def _result(members: Coalition, x: Vec, lam: dict[int, float], lam_g: float,
-            region_active: bool, stationarity: float,
-            slack: float) -> InterceptionResult:
-    """Result whose active set is the members with a multiplier in ``lam``."""
+def _result(members: Coalition, x: Vec, lam: dict[int, float],
+            stationarity: float, slack: float) -> InterceptionResult:
+    """Result whose active set is the constraints with a multiplier in
+    ``lam``; the ball's entry, keyed ``len(members)``, fills the region
+    fields."""
+    region = len(members)
     return InterceptionResult(
         coalition=members,
         point=x,
         value=x[2],
-        active_set=tuple([members[j] for j in sorted(lam)]),
-        multipliers=tuple([lam.get(j, 0.0) for j in range(len(members))]),
-        region_active=region_active,
-        region_multiplier=lam_g,
+        active_set=tuple([members[j] for j in sorted(lam) if j < region]),
+        multipliers=tuple([lam.get(j, 0.0) for j in range(region)]),
+        region_active=region in lam,
+        region_multiplier=lam.get(region, 0.0),
         status=SolveStatus.SOLVED,
         kkt_residual=stationarity,
         slackness_residual=slack,

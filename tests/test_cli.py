@@ -105,9 +105,12 @@ def test_cmd_kind_missing_file():
     assert main(["kind", "--scenario", "/nonexistent.json", "--coalition", "0"]) == 2
 
 
-def test_cmd_kind_bad_evader_index(tmp_path):
+def test_cmd_kind_bad_evader_index(tmp_path, capsys):
     path = write(tmp_path, "win.json", COLLINEAR_WIN)
-    assert main(["kind", "--scenario", path, "--coalition", "0", "--evader", "5"]) == 2
+    for index in ("5", "-1"):
+        assert main(["kind", "--scenario", path, "--coalition", "0",
+                     "--evader", index]) == 2
+        assert "--evader" in capsys.readouterr().err
 
 
 def test_cmd_intercept(tmp_path, capsys):

@@ -240,6 +240,11 @@ def test_validate_scenario_errors():
     validate_scenario(good)
     with pytest.raises(ScenarioError, match="dt"):
         validate_scenario(simple_scenario(dt=0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match="dt"):
+            validate_scenario(simple_scenario(dt=bad))
+        with pytest.raises(ScenarioError, match="max_time"):
+            validate_scenario(simple_scenario(max_time=bad))
     with pytest.raises(ScenarioError, match="policy"):
         validate_scenario(simple_scenario(evader_policies=("teleport",)))
     with pytest.raises(ScenarioError, match="speed"):

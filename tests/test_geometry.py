@@ -39,6 +39,13 @@ def test_spec_validation():
         PursuerSpec(position=(0, 0), speed=1.0)
     with pytest.raises(ValueError):
         EvaderSpec(position=(0, 0, float("nan")), speed=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="speed"):
+            PursuerSpec(position=(0, 0, 0), speed=bad)
+        with pytest.raises(ValueError, match="capture radius"):
+            PursuerSpec(position=(0, 0, 0), speed=1.0, capture_radius=bad)
+        with pytest.raises(ValueError, match="speed"):
+            EvaderSpec(position=(0, 0, 0), speed=bad)
     assert speed_ratio(P_AXIS, E_AXIS) == 2.0
 
 

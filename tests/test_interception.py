@@ -61,6 +61,9 @@ def test_ball_validation():
         Ball(center=(0, 0, 5), radius=2.0)  # no exit disk
     with pytest.raises(ValueError):
         Ball(center=(0, 0, 0), radius=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            Ball(center=(0, 0, 0), radius=bad)
 
 
 def test_collinear_fixture_no_radius():

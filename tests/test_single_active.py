@@ -31,8 +31,9 @@ AGREEMENT = 1e-7
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of polish hypotheses tried, angle-kernel evaluations, barrier
-    runs, pair seeds climbed onto their curve and single lowest points."""
+    """Counts of polish hypotheses tried, polish runs, angle-kernel
+    evaluations, barrier runs, pair seeds climbed onto their curve and single
+    lowest points."""
     counts = Counter()
 
     def counted(name):
@@ -45,6 +46,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(interception, name, wrapper)
 
     counted("_polish_hypothesis")
+    counted("_polish_kkt")
     counted("_section_altitude")
     counted("_barrier_solve")
     counted("_climb")
@@ -355,6 +357,49 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
     assert barrier_runs(calls, (0, 1), evader, pursuers) == 1
     result = solve_interception((0, 1), evader, pursuers)
     assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
+
+
+def _shed_to_first_member(calls, cons, evader, ball):
+    """Polish the guess that constraints 0 and 1 bind, where only member 0
+    does: constraint 1 must be shed and the point come out at (0, 0, 7/3)."""
+    low = (0.0, 0.0, 7.0 / 3.0)
+    start = (0.01, 0.0, 7.0 / 3.0 - 0.01)
+    calls.clear()
+    outcome = interception._polish_hypothesis(cons, evader.position, ball,
+                                              start, (0, 1))
+    assert outcome is not None
+    point, lam = outcome
+    assert calls["_polish_kkt"] == 2
+    assert list(lam) == [0]
+    assert lam[0] == pytest.approx(-1.0 / 3.0, abs=1e-9)
+    assert math.dist(point, low) <= 1e-9
+
+
+def test_polish_sheds_inactive_member(calls):
+    # Pursuer 1 is 0.999 times the speed that would put (0, 0, 7/3) on its
+    # boundary, so it clears that point and its multiplier has the wrong sign.
+    evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
+    low = (0.0, 0.0, 7.0 / 3.0)
+    second_position = (2.0, 0.0, 2.0)
+    tangent = math.dist(low, second_position) / math.dist(low, evader.position)
+    pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
+                PursuerSpec(second_position, 0.999 * tangent)]
+    cons = interception._constraints((0, 1), evader, pursuers)
+    _shed_to_first_member(calls, cons, evader, None)
+
+
+def test_polish_sheds_inactive_ball(calls):
+    # The ball is constraint 1 (after the one member), and (0, 0, 7/3) lies
+    # 1e-3 inside its sphere.
+    evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
+    radius = 6.0
+    tilt = math.radians(60.0)
+    inside = radius - 1e-3
+    ball = Ball((inside * math.sin(tilt), 0.0, 7.0 / 3.0 + inside * math.cos(tilt)),
+                radius)
+    cons = interception._constraints((0,), evader,
+                                     [PursuerSpec((0.0, 0.0, 1.0), 2.0)])
+    _shed_to_first_member(calls, cons, evader, ball)
 
 
 # Three barely faster pursuers and a ball of radius 169 whose sphere cuts the
