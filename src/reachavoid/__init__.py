@@ -36,6 +36,7 @@ from .interception import (
     InterceptionResult,
     Region,
     SolveStatus,
+    SolveTable,
     SolverFailure,
     UNBOUNDED,
     Unbounded,

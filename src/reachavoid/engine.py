@@ -221,16 +221,15 @@ def capture_check(prev_positions, new_positions, pursuers, evaders, *,
         evader_ids = tuple(range(len(evaders)))
     exit_kind = ESCAPED if isinstance(region, Ball) else REACHED_GOAL
     events: list[Event] = []
+    segments = [(la.as_vec(prev_p[ip]), la.as_vec(new_p[ip]), pursuer.capture_radius)
+                for ip, pursuer in enumerate(pursuers)]
     for je, ej in enumerate(evader_ids):
         e0 = la.as_vec(prev_e[je])
         e1 = la.as_vec(new_e[je])
         capture_tau: float | None = None
         capture_by: int | None = None
-        for ip, pursuer in enumerate(pursuers):
-            tau = _earliest_capture(
-                e0, e1, la.as_vec(prev_p[ip]), la.as_vec(new_p[ip]),
-                pursuer.capture_radius,
-            )
+        for ip, (p0, p1, radius) in enumerate(segments):
+            tau = _earliest_capture(e0, e1, p0, p1, radius)
             if tau is not None and (capture_tau is None or tau < capture_tau):
                 capture_tau = tau
                 capture_by = ip

@@ -55,6 +55,14 @@ minimizer, so the order below changes only the cost:
   is kept with sign-clamped least-squares multipliers, and the final
   certificate decides whether it stands.
 
+Solves against one evader share their single-, pair- and triple-level work
+through a :class:`SolveTable`: forms, own lowest points, candidate points,
+constraint values there and each point's certificate; only the check that
+a coalition's other constraints lie strictly beyond ``ACTIVE_TOLERANCE`` is
+per coalition.  Entries are keyed by exactly their inputs, so a table
+reused with moved players can only miss.  The graph build makes one table
+per evader per call; a solve given none uses a private one.
+
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
 members that pin down the interception point, and cross-checks
@@ -186,13 +194,15 @@ class InterceptionResult:
 def validate_coalition(members, num_pursuers: int | None = None,
                        max_size: int | None = _COALITION_MAX) -> Coalition:
     """Check strictly increasing indices and size bounds; returns a tuple."""
-    out = tuple(int(i) for i in members)
+    out = tuple(map(int, members))
     if not out:
         raise ValueError("coalition must contain at least one pursuer index")
     if max_size is not None and len(out) > max_size:
         raise ValueError(f"coalition size {len(out)} exceeds maximum {max_size}")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError(f"coalition indices must be strictly increasing, got {out}")
+    for a, b in zip(out, out[1:]):
+        if b <= a:
+            raise ValueError(
+                f"coalition indices must be strictly increasing, got {out}")
     if out[0] < 0:
         raise ValueError(f"coalition indices must be non-negative, got {out}")
     if num_pursuers is not None and out[-1] >= num_pursuers:
@@ -526,30 +536,33 @@ def _solve_single(con: _Con, epos: Vec) -> Vec:
     else:
         phat = (1.0, 0.0, 0.0)
         qp = 0.0
-    section = (qp, q[2], a * r, a2m1, a2m1 * (d * d - r * r))
+    qz = q[2]
+    ar = a * r
+    const = a2m1 * (d * d - r * r)
 
     # The altitude along the closed convex section is circularly unimodal,
     # so a half circle whose ends slope down and up holds the minimum.  The
     # lowest point of the Apollonius sphere (the body when r = 0) is the
     # centre of the first try; a coarse scan brackets it otherwise.
-    phi = math.atan2(-qp, q[2] + a * d)
+    phi = math.atan2(-qp, qz + a * d)
     lo = phi - 0.5 * math.pi
     hi = phi + 0.5 * math.pi
-    if not (_section_altitude(lo, *section)[1] < 0.0
-            < _section_altitude(hi, *section)[1]):
+    if not (_section_altitude(lo, qp, qz, ar, a2m1, const)[1] < 0.0
+            < _section_altitude(hi, qp, qz, ar, a2m1, const)[1]):
         n = 16
         best_k = 0
         best_z = math.inf
         two_pi = 2.0 * math.pi
         for k in range(n):
-            z = _section_altitude(-math.pi + two_pi * k / n, *section)[0]
+            z = _section_altitude(-math.pi + two_pi * k / n,
+                                  qp, qz, ar, a2m1, const)[0]
             if z < best_z:
                 best_z = z
                 best_k = k
         lo = -math.pi + two_pi * (best_k - 1) / n
         hi = -math.pi + two_pi * (best_k + 1) / n
         phi = -math.pi + two_pi * best_k / n
-    state = _section_altitude(phi, *section)
+    state = _section_altitude(phi, qp, qz, ar, a2m1, const)
     for _ in range(100):
         z, z_d, z_dd, rho, s, c = state
         if abs(z_d) <= 1e-14 * max(1.0, rho):
@@ -565,7 +578,7 @@ def _solve_single(con: _Con, epos: Vec) -> Vec:
         else:
             candidate = 0.5 * (lo + hi)
         phi = candidate
-        state = _section_altitude(phi, *section)
+        state = _section_altitude(phi, qp, qz, ar, a2m1, const)
     _, _, _, rho, s, c = state
     return (
         epos[0] + rho * s * phat[0],
@@ -594,20 +607,19 @@ class _Form(NamedTuple):
     far: float
 
 
-def _forms(cons, epos: Vec, ball: Ball | None) -> list[_Form]:
-    """The members' boundary forms, then the ball sphere's when there is one."""
-    forms = []
-    for p, a, r in cons:
-        q = la.sub(p, epos)
-        d = la.norm(q)
-        forms.append(_Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
-                           (d - r) / (a + 1.0), (d - r) / (a - 1.0)))
-    if ball is not None:
-        c = la.sub(ball.center, epos)
-        d = la.norm(c)
-        forms.append(_Form(c, 1.0, 0.0, (d - ball.radius) * (d + ball.radius),
-                           ball.radius - d, ball.radius + d))
-    return forms
+def _member_form(con: _Con, epos: Vec) -> _Form:
+    p, a, r = con
+    q = la.sub(p, epos)
+    d = la.norm(q)
+    return _Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
+                 (d - r) / (a + 1.0), (d - r) / (a - 1.0))
+
+
+def _ball_form(ball: Ball, epos: Vec) -> _Form:
+    c = la.sub(ball.center, epos)
+    d = la.norm(c)
+    return _Form(c, 1.0, 0.0, (d - ball.radius) * (d + ball.radius),
+                 ball.radius - d, ball.radius + d)
 
 
 def _dropped_sphere(form: _Form) -> tuple[Vec, float]:
@@ -843,26 +855,25 @@ def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
     """
     if len(grads) == 1:
         (a,) = grads
-        lam = [-a[2] / la.dot(a, a)]
-    elif len(grads) == 2:
+        return [min(-a[2] / la.dot(a, a), 0.0)]
+    if len(grads) == 2:
         a, b = grads
         normal = la.cross(a, b)
         volume = la.dot(normal, normal)
         if volume <= 1e-12 * la.dot(a, a) * la.dot(b, b):
             return None
         # (0, 0, -1) x b and a x (0, 0, -1), dotted with a x b
-        lam = [(b[1] * normal[0] - b[0] * normal[1]) / volume,
-               (a[0] * normal[1] - a[1] * normal[0]) / volume]
-    else:
-        a, b, c = grads
-        bc = la.cross(b, c)
-        ca = la.cross(c, a)
-        ab = la.cross(a, b)
-        volume = la.dot(a, bc)
-        if abs(volume) <= 1e-6 * la.norm(a) * la.norm(b) * la.norm(c):
-            return None
-        lam = [-bc[2] / volume, -ca[2] / volume, -ab[2] / volume]
-    return [min(value, 0.0) for value in lam]
+        return [min((b[1] * normal[0] - b[0] * normal[1]) / volume, 0.0),
+                min((a[0] * normal[1] - a[1] * normal[0]) / volume, 0.0)]
+    a, b, c = grads
+    bc = la.cross(b, c)
+    ca = la.cross(c, a)
+    ab = la.cross(a, b)
+    volume = la.dot(a, bc)
+    if abs(volume) <= 1e-6 * la.norm(a) * la.norm(b) * la.norm(c):
+        return None
+    return [min(-bc[2] / volume, 0.0), min(-ca[2] / volume, 0.0),
+            min(-ab[2] / volume, 0.0)]
 
 
 def _constraint_values(cons, epos: Vec, ball: Ball | None, x: Vec) -> list[float]:
@@ -873,23 +884,135 @@ def _constraint_values(cons, epos: Vec, ball: Ball | None, x: Vec) -> list[float
     return values
 
 
-def _certify(cons, epos: Vec, ball: Ball | None, x: Vec,
-             active: tuple[int, ...], values: list[float]):
-    """Certify ``x`` as the minimizer with exactly ``active`` binding.
+# What the solves against one evader share.  Each candidate point belongs
+# to one active set (a constraint's own lowest point to that constraint, a
+# pair's or triple's points to that pair or triple), so a point holds one
+# certificate, and only the check that the rest of a coalition lies
+# strictly beyond ACTIVE_TOLERANCE is redone per coalition.
 
-    ``values`` are the constraint values at ``x``.  The active constraints
-    must lie within ``ACTIVE_TOLERANCE`` of their boundary and every other
-    one strictly beyond it; the multipliers come from the Gram system and
-    the KKT certificate must pass.  Every test fails on NaN.  Returns
-    ``(lam, stationarity, slackness)`` with ``lam`` keyed by constraint, or
-    None.
+_UNTRIED = object()
+
+
+class _Point:
+    """A candidate point, the constraint values there (keyed by
+    :class:`_Constraint`, computed on first use) and the certificate of its
+    active set once tried: None when it failed."""
+
+    __slots__ = ("x", "values", "certificate")
+
+    def __init__(self, x: Vec) -> None:
+        self.x = x
+        self.values: dict[_Constraint, float] = {}
+        self.certificate = _UNTRIED
+
+
+class _Constraint(_Point):
+    """A member ``(position, alpha, r)`` or the ball.  As a point it is the
+    constraint's own lowest point, found by :meth:`lowest`; it also keeps
+    its boundary form and the altitude of its dropped sphere's lowest point,
+    both set by :meth:`shape`."""
+
+    __slots__ = ("key", "member", "form", "low_z")
+
+    def __init__(self, key, member: bool) -> None:
+        # Every single solve makes one, so _Point.__init__ is not called.
+        self.x = None
+        self.values = {}
+        self.certificate = _UNTRIED
+        self.key = key
+        self.member = member
+        self.form: _Form | None = None
+        self.low_z = 0.0
+
+    def lowest(self, epos: Vec) -> _Constraint:
+        if self.x is None:
+            if self.member:
+                self.x = _solve_single(self.key, epos)
+            else:
+                centre = self.key.center
+                self.x = (centre[0], centre[1], centre[2] - self.key.radius)
+        return self
+
+    def shape(self, epos: Vec) -> None:
+        if self.form is None:
+            self.form = (_member_form(self.key, epos) if self.member
+                         else _ball_form(self.key, epos))
+            self.low_z = _sphere_low_z(self.form)
+
+
+class SolveTable:
+    """The work that solves against one evader share.
+
+    Coalitions of one evader share their members, so their solves share
+    each member's (and the ball's) boundary form and own lowest point, each
+    pair's and triple's candidate points, every constraint value at those
+    points and each point's Gram-multiplier certificate.  A solve given a
+    table takes all of these from it and adds what it computes.  Entries
+    are keyed by exactly the inputs they were computed from: a member by its
+    ``(position, alpha, r)``, the ball by its centre and radius, all at the
+    evader position the table holds; a solve against another evader
+    position empties the table first.  A table passed with moved players can
+    therefore only miss, never answer stale, and results are bit-identical
+    to solves without a table.
     """
-    for j, value in enumerate(values):
-        if j in active:
-            if not abs(value) <= ACTIVE_TOLERANCE:
-                return None
-        elif not value > ACTIVE_TOLERANCE:
-            return None
+
+    __slots__ = ("evader_position", "constraints", "candidates")
+
+    def __init__(self) -> None:
+        self.evader_position: Vec | None = None
+        self.constraints: dict = {}
+        self.candidates: dict[tuple[_Constraint, ...], list[_Point]] = {}
+
+    def _group(self, cons, epos: Vec, ball: Ball | None) -> list[_Constraint]:
+        """The entries of ``cons``, then of the ball when there is one."""
+        if self.evader_position != epos:
+            self.evader_position = epos
+            self.constraints.clear()
+            self.candidates.clear()
+        shared = self.constraints
+        group = []
+        for con in cons:
+            c = shared.get(con)
+            if c is None:
+                c = shared[con] = _Constraint(con, True)
+            group.append(c)
+        if ball is not None:
+            # Ball's generated __hash__ and __eq__ run in Python; its fields
+            # are the same key at a fraction of the cost.
+            key = (ball.center, ball.radius)
+            c = shared.get(key)
+            if c is None:
+                c = shared[key] = _Constraint(ball, False)
+            group.append(c)
+        return group
+
+    def _candidates(self, subset: tuple[_Constraint, ...],
+                    epos: Vec) -> list[_Point]:
+        """The candidate points of two or three shaped constraints."""
+        points = self.candidates.get(subset)
+        if points is None:
+            if len(subset) == 2:
+                ys = _pair_points(subset[0].form, subset[1].form)
+            else:
+                ys = _triple_points(*(c.form for c in subset)) or []
+            points = self.candidates[subset] = [_Point(la.add(epos, y)) for y in ys]
+        return points
+
+
+def _value(point: _Point, c: _Constraint, epos: Vec) -> float:
+    """Member ``f`` or ball boundary distance of ``c`` at ``point``."""
+    value = point.values.get(c)
+    if value is None:
+        value = point.values[c] = (_f_original(c.key, epos, point.x) if c.member
+                                   else c.key.boundary_distance(point.x))
+    return value
+
+
+def _gram_certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
+                      active: tuple[int, ...]):
+    """Gram-system multipliers of the ``active`` constraints at ``x`` with
+    the stationarity and slackness residuals they leave, or None when the
+    multipliers are not unique or the KKT certificate fails."""
     grads = []
     residuals = []
     for j in active:
@@ -902,10 +1025,47 @@ def _certify(cons, epos: Vec, ball: Ball | None, x: Vec,
     stationarity, slack = _residuals(zip(multipliers, grads, residuals))
     if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         return None
+    return multipliers, stationarity, slack
+
+
+def _certify(cons, epos: Vec, ball: Ball | None, group: list[_Constraint],
+             point: _Point, active: tuple[int, ...]):
+    """Certify ``point`` as the minimizer with exactly the constraints at
+    positions ``active`` of ``group`` binding.
+
+    The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
+    boundary and every other one strictly beyond it; the multipliers come
+    from the Gram system and the KKT certificate must pass.  Every test
+    fails on NaN.  Returns ``(lam, stationarity, slackness)`` with ``lam``
+    keyed by position, or None.
+    """
+    for j, c in enumerate(group):
+        value = _value(point, c, epos)
+        if j in active:
+            if not abs(value) <= ACTIVE_TOLERANCE:
+                return None
+        elif not value > ACTIVE_TOLERANCE:
+            return None
+    certificate = point.certificate
+    if certificate is _UNTRIED:
+        certificate = point.certificate = _gram_certificate(
+            cons, epos, ball, point.x, active)
+    if certificate is None:
+        return None
+    multipliers, stationarity, slack = certificate
     return dict(zip(active, multipliers)), stationarity, slack
 
 
-def _direct(cons, epos: Vec, ball: Ball | None):
+def _redundant(group: list[_Constraint], subset: tuple[int, ...],
+               epos: Vec) -> bool:
+    """Whether one constraint of ``subset`` has its own lowest point strictly
+    inside all the others: that point is then the subset's minimizer and
+    leaves them inactive."""
+    return any(all(_value(group[i], group[j], epos) > ACTIVE_TOLERANCE
+                   for j in subset if j != i) for i in subset)
+
+
+def _direct(cons, epos: Vec, ball: Ball | None, table: SolveTable):
     """The minimizer certified directly from one to three active
     constraints, as ``(x, lam, stationarity, slackness)``, or None.
 
@@ -913,53 +1073,40 @@ def _direct(cons, epos: Vec, ball: Ball | None):
     pairs of members, then a member with the ball, then triples (lowest
     candidate first).  A certified KKT point of this strictly convex
     program is its unique minimizer, so the order only affects cost.  A set
-    is skipped when one of its constraints' own lowest point strictly
-    satisfies all the others: that point is then the set's minimizer and
-    leaves them inactive.
+    is skipped when it is :func:`_redundant`.  Every point, value and
+    certificate comes from ``table`` when it is there.
     """
+    group = table._group(cons, epos, ball)
     n = len(cons)
-    count = n + (ball is not None)
+    count = len(group)
     order = range(count)
     if count > 1:
-        forms = _forms(cons, epos, ball)
+        for c in group:
+            c.shape(epos)
         # A single-active minimizer is the highest of the constraints' own
         # lowest points, which their dropped spheres approximate.
-        order = sorted(order, key=lambda j: _sphere_low_z(forms[j]), reverse=True)
-    values_at_low: dict[int, list[float]] = {}
+        order = sorted(order, key=[c.low_z for c in group].__getitem__,
+                       reverse=True)
     for j in order:
-        if j < n:
-            x = _solve_single(cons[j], epos)
-        else:
-            x = (ball.center[0], ball.center[1], ball.center[2] - ball.radius)
-        values = _constraint_values(cons, epos, ball, x)
-        certificate = _certify(cons, epos, ball, x, (j,), values)
+        low = group[j].lowest(epos)
+        certificate = _certify(cons, epos, ball, group, low, (j,))
         if certificate is not None:
-            return (x, *certificate)
-        values_at_low[j] = values
+            return (low.x, *certificate)
     if count == 1:
         return None
-
-    def redundant(subset):
-        return any(all(values_at_low[i][j] > ACTIVE_TOLERANCE
-                       for j in subset if j != i) for i in subset)
 
     subsets = list(itertools.combinations(range(n), 2))
     if ball is not None:
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
-        if redundant(subset):
+        if _redundant(group, subset, epos):
             continue
-        if len(subset) == 2:
-            points = _pair_points(forms[subset[0]], forms[subset[1]])
-        else:
-            points = _triple_points(*(forms[j] for j in subset)) or []
-        for y in points:
-            x = la.add(epos, y)
-            values = _constraint_values(cons, epos, ball, x)
-            certificate = _certify(cons, epos, ball, x, subset, values)
+        points = table._candidates(tuple([group[j] for j in subset]), epos)
+        for point in points:
+            certificate = _certify(cons, epos, ball, group, point, subset)
             if certificate is not None:
-                return (x, *certificate)
+                return (point.x, *certificate)
     return None
 
 
@@ -970,21 +1117,34 @@ def _direct(cons, epos: Vec, ball: Ball | None):
 def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
     """Race potential, its gradient and (unless ``hessian`` is false, when
     None stands in) its packed symmetric Hessian at ``x``."""
-    p, a, r = con
-    dpv = la.sub(x, p)
-    dev = la.sub(x, epos)
-    d_p = la.norm(dpv)
-    d_e = la.norm(dev)
-    q = la.sub(p, epos)
-    numerator = _race_numerator(a, la.dot(dev, dev), la.dot(dev, q), la.dot(q, q))
+    (px, py, pz), a, r = con
+    ex, ey, ez = epos
+    x0, x1, x2 = x
+    # Written out on scalars: a single's certificate evaluates this once per
+    # solve, and the vector helpers' calls cost as much as the arithmetic.
+    dp0 = x0 - px
+    dp1 = x1 - py
+    dp2 = x2 - pz
+    de0 = x0 - ex
+    de1 = x1 - ey
+    de2 = x2 - ez
+    q0 = px - ex
+    q1 = py - ey
+    q2 = pz - ez
+    d_p = math.sqrt(dp0 * dp0 + dp1 * dp1 + dp2 * dp2)
+    ee = de0 * de0 + de1 * de1 + de2 * de2
+    d_e = math.sqrt(ee)
+    numerator = _race_numerator(a, ee, de0 * q0 + de1 * q1 + de2 * q2,
+                                q0 * q0 + q1 * q1 + q2 * q2)
     f = numerator / (d_p + a * d_e) - r
-    u = la.scale(dpv, 1.0 / d_p)
-    w = la.scale(dev, 1.0 / d_e)
-    grad = la.sub(u, la.scale(w, a))
+    ip = 1.0 / d_p
+    iw = 1.0 / d_e
+    u = (dp0 * ip, dp1 * ip, dp2 * ip)
+    w = (de0 * iw, de1 * iw, de2 * iw)
+    grad = (u[0] - w[0] * a, u[1] - w[1] * a, u[2] - w[2] * a)
     if not hessian:
         return f, grad, None
     # Hessian (I - u u^T)/d_p - a (I - w w^T)/d_e, packed symmetric.
-    ip = 1.0 / d_p
     ie = a / d_e
     h = (
         ip * (1.0 - u[0] * u[0]) - ie * (1.0 - w[0] * w[0]),
@@ -1134,7 +1294,8 @@ def _lstsq_multipliers(cons, epos: Vec, ball: Ball | None, x: Vec,
 
 
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
-           region: Region, initial_point: Vec | None = None) -> InterceptionResult:
+           region: Region, initial_point: Vec | None = None,
+           table: SolveTable | None = None) -> InterceptionResult:
     cons = _constraints(members, evader, pursuers)
     epos = evader.position
     ball = region if isinstance(region, Ball) else None
@@ -1146,7 +1307,8 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
             raise ValueError("evader lies outside the ball play region")
 
     if initial_point is None:
-        direct = _direct(cons, epos, ball)
+        direct = _direct(cons, epos, ball,
+                         SolveTable() if table is None else table)
         if direct is not None:
             return _result(members, *direct)
 
@@ -1217,12 +1379,18 @@ def _result(members: Coalition, x: Vec, lam: dict[int, float],
     ``lam``; the ball's entry, keyed ``len(members)``, fills the region
     fields."""
     region = len(members)
+    active_set = []
+    multipliers = [0.0] * region
+    for j in sorted(lam):
+        if j < region:
+            active_set.append(members[j])
+            multipliers[j] = lam[j]
     return InterceptionResult(
         coalition=members,
         point=x,
         value=x[2],
-        active_set=tuple([members[j] for j in sorted(lam) if j < region]),
-        multipliers=tuple([lam.get(j, 0.0) for j in range(region)]),
+        active_set=tuple(active_set),
+        multipliers=tuple(multipliers),
         region_active=region in lam,
         region_multiplier=lam.get(region, 0.0),
         status=SolveStatus.SOLVED,
@@ -1233,18 +1401,23 @@ def _result(members: Coalition, x: Vec, lam: dict[int, float],
 
 def solve_interception(coalition, evader: EvaderSpec, pursuers,
                        region: Region = UNBOUNDED, *,
-                       initial_point=None) -> InterceptionResult:
+                       initial_point=None,
+                       table: SolveTable | None = None) -> InterceptionResult:
     """Solve the interception program for a coalition against one evader.
 
     Returns the unique lowest-altitude point of the evader's evasion-space
     closure (intersected with the ball region when given) together with a
     KKT certificate.  ``initial_point`` optionally forces the barrier
     continuation to start from a given strictly feasible point, which is
-    useful for verifying uniqueness of the minimizer.
+    useful for verifying uniqueness of the minimizer.  ``table`` shares the
+    single-, pair- and triple-level work between the solves of several
+    coalitions against one evader (see :class:`SolveTable`); without it a
+    solve uses a private table.  The result does not depend on it.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     start = la.as_vec(initial_point) if initial_point is not None else None
-    return _solve(members, evader, pursuers, region, initial_point=start)
+    return _solve(members, evader, pursuers, region, initial_point=start,
+                  table=table)
 
 
 def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarray]:
@@ -1262,7 +1435,7 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarra
         raise ValueError("triple candidates require a coalition of exactly 3")
     cons = _constraints(members, evader, pursuers)
     epos = evader.position
-    points = _triple_points(*_forms(cons, epos, None))
+    points = _triple_points(*(_member_form(con, epos) for con in cons))
     if points is None:
         raise CoplanarConfigurationError(
             "evader and pursuers are coplanar; boundary intersections are "

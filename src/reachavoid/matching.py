@@ -22,6 +22,7 @@ from .interception import (
     GameKind,
     InterceptionResult,
     Region,
+    SolveTable,
     UNBOUNDED,
     classify_result,
     solve_interception,
@@ -158,11 +159,16 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     results: dict[tuple[Coalition, int], InterceptionResult] = {}
     edges: list[tuple[int, int]] = []
     for evader, ej in zip(evaders, evader_ids):
+        # The evader's coalitions share their members' geometry; the table
+        # lives for this call only.
+        table = SolveTable()
+
         def kind_of(members: Coalition) -> GameKind:
             key = (members, ej)
             result = results.get(key)
             if result is None:
-                result = solve_interception(members, evader, pursuers, region)
+                result = solve_interception(members, evader, pursuers, region,
+                                            table=table)
                 results[key] = result
             return classify_result(result, evader, pursuers, region)
 

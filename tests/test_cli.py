@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reachavoid import random_scenario
+from reachavoid import SolverFailure, random_scenario
 from reachavoid.cli import (
     main,
     scenario_from_json,
@@ -181,6 +181,36 @@ def test_cmd_simulate_capture_and_escape(tmp_path, capsys):
     escape = write(tmp_path, "escape.json", ESCAPE_RUN)
     assert main(["simulate", "--scenario", escape]) == 0
     assert "reached_goal=1" in capsys.readouterr().out
+
+
+def test_cmd_simulate_solver_failure_writes_partial_trace(tmp_path, monkeypatch,
+                                                         capsys):
+    # A failing solve aborts the game: the trace up to the failing frame goes
+    # to --out with an empty summary, no --csv is written, and the exit code
+    # is 3.
+    import reachavoid.engine as engine
+
+    original = engine.build_graph_with_results
+    calls = []
+
+    def failing_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverFailure("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_graph_with_results", failing_third_call)
+    capture = write(tmp_path, "capture.json", CAPTURE_RUN)
+    out_path = tmp_path / "trace.jsonl"
+    csv_path = tmp_path / "positions.csv"
+    code = main(["simulate", "--scenario", capture,
+                 "--out", str(out_path), "--csv", str(csv_path)])
+    assert code == 3
+    assert "solver failure: frame 2" in capsys.readouterr().err
+    lines = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [frame["t"] for frame in lines[:-1]] == [0.0, 0.01]
+    assert lines[-1] == {"summary": {}, "events": []}
+    assert not csv_path.exists()
 
 
 def test_cmd_simulate_zero_evaders(tmp_path, capsys):
