@@ -1337,6 +1337,17 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         if candidate not in hypotheses:
             hypotheses.append(candidate)
 
+    try:
+        return _certify_reference(members, cons, epos, ball, x, values,
+                                  hypotheses)
+    except ZeroDivisionError:
+        # An active member's gradient is undefined at the evader itself,
+        # where the barrier can stop when the evader grazes a capture sphere.
+        raise SolverFailure("an active gradient is singular at the barrier "
+                            "point") from None
+
+
+def _certify_reference(members, cons, epos, ball, x, values, hypotheses):
     best: tuple | None = None
     for active in hypotheses:
         outcome = _polish_hypothesis(cons, epos, ball, x, active)

@@ -213,6 +213,25 @@ def test_cmd_simulate_solver_failure_writes_partial_trace(tmp_path, monkeypatch,
     assert not csv_path.exists()
 
 
+def test_cmd_simulate_singular_barrier_point_exits_3(tmp_path, capsys):
+    # The evader starts 3.4e-9 outside the capture sphere, and the barrier
+    # fallback stops exactly at the evader, where the pursuer's gradient is
+    # undefined: the solve fails cleanly and the empty trace is written.
+    scenario = write(tmp_path, "grazing.json", {
+        "pursuers": [{"pos": [-1.5818969052004106, 2.47670087514601,
+                              3.0922631503086793],
+                      "speed": 2.9922231120232143,
+                      "radius": 1.9093227707935416}],
+        "evaders": [{"pos": [-0.6539106332197921, 0.9146254987274798,
+                             2.505513243376262], "speed": 1.0}],
+    })
+    out_path = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--scenario", scenario, "--out", str(out_path)]) == 3
+    assert "solver failure: frame 0" in capsys.readouterr().err
+    lines = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert lines == [{"summary": {}, "events": []}]
+
+
 def test_cmd_simulate_zero_evaders(tmp_path, capsys):
     doc = {"pursuers": [{"pos": [0, 0, 1], "speed": 2.0}], "evaders": []}
     path = write(tmp_path, "empty.json", doc)

@@ -1,0 +1,170 @@
+"""A seeded corpus of degenerate interception inputs.
+
+Six regimes, each drawn 500 times with coalitions of one, two and three
+members in turn:
+
+- **barely-faster**: every member has ``alpha - 1 = 10^U(-6, -3)``;
+- **near-sphere**: member 0 has ``r = d - 10^U(-9, -4)``, so the evader
+  sits 1e-9 to 1e-4 outside its capture sphere;
+- **coplanar**: the pursuers are projected into a random plane through the
+  evader;
+- **coaxial**: the pursuers lie on one random line through the evader;
+- **ball-boundary**: the evader lies on the sphere of a ball region of
+  radius 3.5 to 6;
+- **plain**: generic draws.
+
+Every solve must either return a result whose KKT certificate holds or
+raise :class:`SolverFailure`; any other exception is a defect.  The number
+of certified solves per regime may not fall below the counts pinned in
+``CERTIFIED``; a change that certifies more raises them.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from reachavoid import (
+    Ball,
+    EvaderSpec,
+    PursuerSpec,
+    SolverFailure,
+    solve_interception,
+)
+from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
+
+SEED = 7
+DRAWS = 500
+REGIMES = ("barely-faster", "near-sphere", "coplanar", "coaxial",
+           "ball-boundary", "plain")
+
+# Certified solves out of DRAWS per regime; none may be lost.
+CERTIFIED = {
+    "barely-faster": 432,
+    "near-sphere": 395,
+    "coplanar": 500,
+    "coaxial": 500,
+    "ball-boundary": 500,
+    "plain": 500,
+}
+
+# Kept regression inputs: ``(members, evader, pursuers, region)``.
+KEPT = [
+    # The evader sits 3.4e-9 outside the capture sphere; the barrier stops
+    # exactly at the evader, where the member's gradient is undefined, and
+    # the polish seed divided by zero there.
+    ((0,), EvaderSpec((-0.6539106332197921, 0.9146254987274798,
+                       2.505513243376262), 1.0),
+     [PursuerSpec((-1.5818969052004106, 2.47670087514601, 3.0922631503086793),
+                  2.9922231120232143, 1.9093227707935416)],
+     UNBOUNDED),
+]
+
+
+def _unit(rng: random.Random):
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        length = math.sqrt(sum(c * c for c in v))
+        if length > 1e-3:
+            return tuple(c / length for c in v)
+
+
+def _offset(origin, direction, distance: float):
+    return tuple(o + distance * d for o, d in zip(origin, direction))
+
+
+def _scale(v, s: float):
+    return tuple(s * c for c in v)
+
+
+def _dot(a, b) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _unit_of(v):
+    length = math.sqrt(_dot(v, v))
+    return tuple(c / length for c in v)
+
+
+def _evader(rng: random.Random) -> EvaderSpec:
+    return EvaderSpec(
+        (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)),
+        rng.uniform(0.8, 1.2))
+
+
+def _speed_and_radius(rng: random.Random, evader: EvaderSpec, distance: float,
+                      regime: str):
+    if regime == "barely-faster":
+        alpha = 1.0 + 10.0 ** rng.uniform(-6.0, -3.0)
+    else:
+        alpha = rng.uniform(1.05, 3.0)
+    radius = distance * rng.choice([0.0, rng.uniform(0.0, 0.5),
+                                    rng.uniform(0.9, 0.99)])
+    return alpha * evader.speed, radius
+
+
+def draw(rng: random.Random, regime: str, n: int):
+    """One ``(members, evader, pursuers, region)`` input of ``regime``."""
+    evader = _evader(rng)
+    region = UNBOUNDED
+    if regime == "ball-boundary":
+        radius = rng.uniform(3.5, 6.0)
+        centre = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(-0.8, 0.8) * radius)
+        region = Ball(centre, radius)
+        evader = EvaderSpec(_offset(centre, _unit(rng), radius), evader.speed)
+    directions = [_unit(rng) for _ in range(n)]
+    if regime == "coplanar":
+        normal = _unit(rng)
+        directions = [_unit_of(_offset(u, normal, -_dot(u, normal)))
+                      for u in directions]
+    elif regime == "coaxial":
+        axis = directions[0]
+        directions = [_scale(axis, rng.choice((-1.0, 1.0))) for _ in range(n)]
+    elif regime == "ball-boundary":
+        # Point each pursuer into the ball, then pull it in until inside.
+        inward = _offset(region.center, evader.position, -1.0)
+        directions = [u if _dot(u, inward) > 0.0 else _scale(u, -1.0)
+                      for u in directions]
+    pursuers = []
+    for j, direction in enumerate(directions):
+        distance = rng.uniform(0.5, 3.0)
+        while isinstance(region, Ball) and region.g(
+                _offset(evader.position, direction, distance)) < 0.0:
+            distance *= 0.5
+        speed, radius = _speed_and_radius(rng, evader, distance, regime)
+        if regime == "near-sphere" and j == 0:
+            radius = distance - 10.0 ** rng.uniform(-9.0, -4.0)
+        pursuers.append(PursuerSpec(_offset(evader.position, direction, distance),
+                                    speed, radius))
+    return tuple(range(n)), evader, pursuers, region
+
+
+def corpus(regime: str, seed: int = SEED, size: int = DRAWS):
+    rng = random.Random(f"{seed}-{regime}")
+    for k in range(size):
+        yield draw(rng, regime, 1 + k % 3)
+
+
+def outcome(members, evader, pursuers, region):
+    """The certified result, or None on :class:`SolverFailure`."""
+    try:
+        result = solve_interception(members, evader, pursuers, region)
+    except SolverFailure:
+        return None
+    assert result.kkt_residual <= KKT_TOLERANCE
+    assert result.slackness_residual <= KKT_TOLERANCE
+    return result
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_degenerate_regime_certifies_or_fails_cleanly(regime):
+    certified = sum(outcome(*case) is not None for case in corpus(regime))
+    assert certified >= CERTIFIED[regime], (regime, certified)
+
+
+def test_kept_inputs_certify_or_fail_cleanly():
+    for case in KEPT:
+        outcome(*case)
