@@ -12,9 +12,6 @@ import math
 
 Vec = tuple[float, float, float]
 
-ZERO: Vec = (0.0, 0.0, 0.0)
-Z_AXIS: Vec = (0.0, 0.0, 1.0)
-
 
 def as_vec(value) -> Vec:
     """Coerce a length-3 sequence into a float tuple, rejecting non-finite entries."""

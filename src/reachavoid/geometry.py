@@ -112,6 +112,87 @@ def _check_not_captured(pursuer: PursuerSpec, evader: EvaderSpec) -> float:
     return separation
 
 
+# A pursuer as the race potential sees it: ``(x_P, alpha, r)``.
+_Con = tuple[Vec, float, float]
+
+
+def _race_numerator(alpha: float, yy: float, yq: float, qq: float) -> float:
+    """``||y - q||^2 - alpha^2 ||y||^2`` from ``y.y``, ``y.q`` and ``q.q``.
+
+    With ``y = x - x_E`` and ``q = x_P - x_E`` this equals
+    ``(d_p - alpha d_e)(d_p + alpha d_e)``, so dividing by the second factor
+    gives ``d_p - alpha d_e`` without subtracting two large distances: far
+    below a barely-faster pursuer both are huge and nearly equal.
+    """
+    return -(alpha - 1.0) * (alpha + 1.0) * yy - 2.0 * yq + qq
+
+
+def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
+    p, alpha, r = con
+    ex, ey, ez = evader_pos
+    y0 = x[0] - ex
+    y1 = x[1] - ey
+    y2 = x[2] - ez
+    q0 = p[0] - ex
+    q1 = p[1] - ey
+    q2 = p[2] - ez
+    d0 = x[0] - p[0]
+    d1 = x[1] - p[1]
+    d2 = x[2] - p[2]
+    yy = y0 * y0 + y1 * y1 + y2 * y2
+    numerator = _race_numerator(alpha, yy, y0 * q0 + y1 * q1 + y2 * q2,
+                                q0 * q0 + q1 * q1 + q2 * q2)
+    return numerator / (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+                        + alpha * math.sqrt(yy)) - r
+
+
+def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
+    """Race potential, its gradient and (unless ``hessian`` is false, when
+    None stands in) its packed symmetric Hessian at ``x``."""
+    (px, py, pz), a, r = con
+    ex, ey, ez = epos
+    x0, x1, x2 = x
+    # Written out on scalars: a single's certificate evaluates this once per
+    # solve, and the vector helpers' calls cost as much as the arithmetic.
+    dp0 = x0 - px
+    dp1 = x1 - py
+    dp2 = x2 - pz
+    de0 = x0 - ex
+    de1 = x1 - ey
+    de2 = x2 - ez
+    q0 = px - ex
+    q1 = py - ey
+    q2 = pz - ez
+    d_p = math.sqrt(dp0 * dp0 + dp1 * dp1 + dp2 * dp2)
+    ee = de0 * de0 + de1 * de1 + de2 * de2
+    d_e = math.sqrt(ee)
+    numerator = _race_numerator(a, ee, de0 * q0 + de1 * q1 + de2 * q2,
+                                q0 * q0 + q1 * q1 + q2 * q2)
+    f = numerator / (d_p + a * d_e) - r
+    ip = 1.0 / d_p
+    iw = 1.0 / d_e
+    u = (dp0 * ip, dp1 * ip, dp2 * ip)
+    w = (de0 * iw, de1 * iw, de2 * iw)
+    grad = (u[0] - w[0] * a, u[1] - w[1] * a, u[2] - w[2] * a)
+    if not hessian:
+        return f, grad, None
+    # Hessian (I - u u^T)/d_p - a (I - w w^T)/d_e, packed symmetric.
+    ie = a / d_e
+    h = (
+        ip * (1.0 - u[0] * u[0]) - ie * (1.0 - w[0] * w[0]),
+        ip * (-u[0] * u[1]) - ie * (-w[0] * w[1]),
+        ip * (-u[0] * u[2]) - ie * (-w[0] * w[2]),
+        ip * (1.0 - u[1] * u[1]) - ie * (1.0 - w[1] * w[1]),
+        ip * (-u[1] * u[2]) - ie * (-w[1] * w[2]),
+        ip * (1.0 - u[2] * u[2]) - ie * (1.0 - w[2] * w[2]),
+    )
+    return f, grad, h
+
+
+def _race(pursuer: PursuerSpec, evader: EvaderSpec) -> _Con:
+    return pursuer.position, speed_ratio(pursuer, evader), pursuer.capture_radius
+
+
 def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:
     """Race potential ``||x - x_P|| - alpha*||x - x_E|| - r`` at point ``x``.
 
@@ -120,13 +201,7 @@ def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:
     in which the evader is already captured.
     """
     _check_not_captured(pursuer, evader)
-    point = la.as_vec(x)
-    alpha = speed_ratio(pursuer, evader)
-    return (
-        la.dist(point, pursuer.position)
-        - alpha * la.dist(point, evader.position)
-        - pursuer.capture_radius
-    )
+    return _f_original(_race(pursuer, evader), evader.position, la.as_vec(x))
 
 
 def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> np.ndarray:
@@ -135,16 +210,12 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> np.ndarra
     Singular at the player positions themselves.
     """
     point = la.as_vec(x)
-    d_p = la.dist(point, pursuer.position)
-    d_e = la.dist(point, evader.position)
-    if d_p == 0.0 or d_e == 0.0:
+    if (la.dist(point, pursuer.position) == 0.0
+            or la.dist(point, evader.position) == 0.0):
         raise SingularPointError("gradient is undefined at a player position")
-    alpha = speed_ratio(pursuer, evader)
-    g = la.sub(
-        la.scale(la.sub(point, pursuer.position), 1.0 / d_p),
-        la.scale(la.sub(point, evader.position), alpha / d_e),
-    )
-    return np.array(g)
+    _, grad, _ = _f_grad_hess(_race(pursuer, evader), evader.position, point,
+                              hessian=False)
+    return np.array(grad)
 
 
 def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,

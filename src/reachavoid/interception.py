@@ -27,12 +27,15 @@ with (q, k, l, m) = (x_P - x_E, 1 - alpha^2, alpha r, ||q||^2 - r^2) for
 f_i = 0 and (c - x_E, 1, 0, ||c - x_E||^2 - R^2) for the ball sphere.
 
 Every solve returns a point certified on the original Karush-Kuhn-Tucker
-system of f_i.  In 3D at most three constraints pin the point down, so a
-default solve first tries the candidate points of one, two and three
-active constraints and certifies the first whose other constraints all hold
-strictly, with multipliers from the Gram system of the active gradients.
-A certified KKT point of this strictly convex program is its unique
-minimizer, so the order below changes only the cost:
+system of f_i, by one certificate: multipliers from the Gram system of the
+active gradients (their minimum-norm least-squares fit when the gradients
+are dependent), clamped to <= 0, must leave stationarity and
+complementary slackness within ``KKT_TOLERANCE``.  In 3D at most three
+constraints pin the point down, so a default solve first tries the
+candidate points of one, two and three active constraints and certifies
+the first whose other constraints all hold strictly.  A certified KKT
+point of this strictly convex program is its unique minimizer, so the
+order below changes only the cost:
 
 - **single**: each member's body alone has its lowest point found by a
   Newton search over one angle (the body is one of revolution about the
@@ -49,11 +52,10 @@ minimizer, so the order below changes only the cost:
   quartic in rho; its real roots are tried lowest point first.
 - **barrier + polish**: when no candidate certifies (parallel axes,
   dependent gradients, or an ``initial_point`` given) a log-barrier
-  continuation finds the point, and a Newton polish of the KKT system on
-  active-set hypotheses from tight to loose refines it and its multipliers.
-- **degenerate fallback**: when no hypothesis certifies, the barrier point
-  is kept with sign-clamped least-squares multipliers, and the final
-  certificate decides whether it stands.
+  continuation finds the point, and a Newton polish of the KKT system
+  refines it on active-set hypotheses from tight to loose.  The first
+  polished point that certifies is returned, else the barrier point itself
+  if it does.
 
 Solves against one evader share their single-, pair- and triple-level work
 through a :class:`SolveTable`: forms, own lowest points, candidate points,
@@ -86,6 +88,9 @@ from .geometry import (
     AssumptionViolation,
     CapturedConfigurationError,
     EvaderSpec,
+    _Con,
+    _f_grad_hess,
+    _f_original,
     radial_derivatives,
 )
 
@@ -120,8 +125,6 @@ class CoplanarConfigurationError(ValueError):
 
 class SolveStatus(enum.Enum):
     SOLVED = "solved"
-    INFEASIBLE = "infeasible"
-    EVASION_REACHES_GOAL = "evasion_reaches_goal"
 
 
 class GameKind(enum.Enum):
@@ -230,9 +233,6 @@ def validate_coalition(members, num_pursuers: int | None = None,
 # and the KKT polish on the unsmoothed constraints removes the O(mu)
 # perturbation afterwards.
 
-_Con = tuple[Vec, float, float]
-
-
 def _constraints(members: Coalition, evader: EvaderSpec,
                  pursuers) -> list[_Con]:
     cons: list[_Con] = []
@@ -250,36 +250,6 @@ def _constraints(members: Coalition, evader: EvaderSpec,
             )
         cons.append((p.position, alpha, p.capture_radius))
     return cons
-
-
-def _race_numerator(alpha: float, yy: float, yq: float, qq: float) -> float:
-    """``||y - q||^2 - alpha^2 ||y||^2`` from ``y.y``, ``y.q`` and ``q.q``.
-
-    With ``y = x - x_E`` and ``q = x_P - x_E`` this equals
-    ``(d_p - alpha d_e)(d_p + alpha d_e)``, so dividing by the second factor
-    gives ``d_p - alpha d_e`` without subtracting two large distances: far
-    below a barely-faster pursuer both are huge and nearly equal.
-    """
-    return -(alpha - 1.0) * (alpha + 1.0) * yy - 2.0 * yq + qq
-
-
-def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
-    p, alpha, r = con
-    ex, ey, ez = evader_pos
-    y0 = x[0] - ex
-    y1 = x[1] - ey
-    y2 = x[2] - ez
-    q0 = p[0] - ex
-    q1 = p[1] - ey
-    q2 = p[2] - ez
-    d0 = x[0] - p[0]
-    d1 = x[1] - p[1]
-    d2 = x[2] - p[2]
-    yy = y0 * y0 + y1 * y1 + y2 * y2
-    numerator = _race_numerator(alpha, yy, y0 * q0 + y1 * q1 + y2 * q2,
-                                q0 * q0 + q1 * q1 + q2 * q2)
-    return numerator / (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-                        + alpha * math.sqrt(yy)) - r
 
 
 def _initial_point(cons, evader_pos: Vec, ball: Ball | None, mu2: float) -> Vec:
@@ -847,11 +817,40 @@ def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
 
 
 def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
+    """Multipliers of ``(0, 0, -1)`` on the gradients, clamped to <= 0.
+
+    They are the minimum-norm least-squares fit.  For k <= 3 independent
+    gradients that is :func:`_unique_multipliers`.  Otherwise parallel
+    gradients give ``-g_j,z / sum |g_i|^2``, and any other set gives
+    ``g_j . z`` with ``(sum g g^T) z = (0, 0, -1)``.  None means the fit is
+    not available (no gradients, or that system is singular), and so the
+    point is not certifiable.
+    """
+    if not grads:
+        return None
+    if len(grads) <= 3:
+        multipliers = _unique_multipliers(grads)
+        if multipliers is not None:
+            return multipliers
+    if all(_unique_multipliers((grads[0], g)) is None for g in grads[1:]):
+        total = sum(la.dot(g, g) for g in grads)
+        return [min(-g[2] / total, 0.0) for g in grads]
+    gram = [sum(g[r] * g[c] for g in grads)
+            for r, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    try:
+        z = la.solve_sym3(*gram, 0.0, 0.0, -1.0)
+    except ValueError:
+        return None
+    return [min(la.dot(g, z), 0.0) for g in grads]
+
+
+def _unique_multipliers(grads) -> list[float] | None:
     """Multipliers of ``(0, 0, -1)`` on k <= 3 gradients, clamped to <= 0.
 
     They solve the k x k Gram system of the least-squares fit, written with
-    cross products so that no Gram matrix is formed; None when the
-    gradients are nearly dependent and the multipliers are not unique.
+    cross products so that no Gram matrix is formed; None when the pair or
+    triple volume test finds the gradients dependent, so that the
+    multipliers are not unique.
     """
     if len(grads) == 1:
         (a,) = grads
@@ -1011,18 +1010,27 @@ def _value(point: _Point, c: _Constraint, epos: Vec) -> float:
 def _gram_certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
                       active: tuple[int, ...]):
     """Gram-system multipliers of the ``active`` constraints at ``x`` with
-    the stationarity and slackness residuals they leave, or None when the
-    multipliers are not unique or the KKT certificate fails."""
+    the stationarity and complementary-slackness residuals they leave, or
+    None when :func:`_gram_multipliers` has no fit or the KKT certificate
+    fails.  Both solver paths certify only through this."""
     grads = []
-    residuals = []
+    values = []
     for j in active:
         value, grad, _ = _grad_hess(cons, epos, ball, j, x, hessian=False)
         grads.append(grad)
-        residuals.append(value)
+        values.append(value)
     multipliers = _gram_multipliers(grads)
     if multipliers is None:
         return None
-    stationarity, slack = _residuals(zip(multipliers, grads, residuals))
+    r0 = r1 = 0.0
+    r2 = 1.0
+    slack = 0.0
+    for lj, grad, value in zip(multipliers, grads, values):
+        r0 += lj * grad[0]
+        r1 += lj * grad[1]
+        r2 += lj * grad[2]
+        slack = max(slack, abs(lj * value))
+    stationarity = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
     if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         return None
     return multipliers, stationarity, slack
@@ -1114,49 +1122,6 @@ def _direct(cons, epos: Vec, ball: Ball | None, table: SolveTable):
 # KKT polish on the original constraint functions
 
 
-def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
-    """Race potential, its gradient and (unless ``hessian`` is false, when
-    None stands in) its packed symmetric Hessian at ``x``."""
-    (px, py, pz), a, r = con
-    ex, ey, ez = epos
-    x0, x1, x2 = x
-    # Written out on scalars: a single's certificate evaluates this once per
-    # solve, and the vector helpers' calls cost as much as the arithmetic.
-    dp0 = x0 - px
-    dp1 = x1 - py
-    dp2 = x2 - pz
-    de0 = x0 - ex
-    de1 = x1 - ey
-    de2 = x2 - ez
-    q0 = px - ex
-    q1 = py - ey
-    q2 = pz - ez
-    d_p = math.sqrt(dp0 * dp0 + dp1 * dp1 + dp2 * dp2)
-    ee = de0 * de0 + de1 * de1 + de2 * de2
-    d_e = math.sqrt(ee)
-    numerator = _race_numerator(a, ee, de0 * q0 + de1 * q1 + de2 * q2,
-                                q0 * q0 + q1 * q1 + q2 * q2)
-    f = numerator / (d_p + a * d_e) - r
-    ip = 1.0 / d_p
-    iw = 1.0 / d_e
-    u = (dp0 * ip, dp1 * ip, dp2 * ip)
-    w = (de0 * iw, de1 * iw, de2 * iw)
-    grad = (u[0] - w[0] * a, u[1] - w[1] * a, u[2] - w[2] * a)
-    if not hessian:
-        return f, grad, None
-    # Hessian (I - u u^T)/d_p - a (I - w w^T)/d_e, packed symmetric.
-    ie = a / d_e
-    h = (
-        ip * (1.0 - u[0] * u[0]) - ie * (1.0 - w[0] * w[0]),
-        ip * (-u[0] * u[1]) - ie * (-w[0] * w[1]),
-        ip * (-u[0] * u[2]) - ie * (-w[0] * w[2]),
-        ip * (1.0 - u[1] * u[1]) - ie * (1.0 - w[1] * w[1]),
-        ip * (-u[1] * u[2]) - ie * (-w[1] * w[2]),
-        ip * (1.0 - u[2] * u[2]) - ie * (1.0 - w[2] * w[2]),
-    )
-    return f, grad, h
-
-
 _BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
 
 
@@ -1179,14 +1144,16 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
     stationarity plus each active constraint at zero; quadratic
     convergence from the barrier output.
 
-    Multipliers start from a least-squares fit of stationarity: with all
-    of them zero the bordered Jacobian has a vanishing curvature block and
-    is singular whenever fewer than three constraints are active.
+    Multipliers start from the Gram fit of stationarity: with all of them
+    zero the bordered Jacobian has a vanishing curvature block and is
+    singular whenever fewer than three constraints are active.
     """
-    n = 3 + len(active)
-    seed = _lstsq_multipliers(cons, epos, ball, x, active)
-    lam = [seed[j] for j in active]
+    lam = _gram_multipliers([_grad_hess(cons, epos, ball, j, x, hessian=False)[1]
+                             for j in active])
+    if lam is None:
+        return None
     xc = x
+    best = (math.inf, xc, lam)
     for _ in range(20):
         values = []
         grads = []
@@ -1206,22 +1173,16 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
         r1 = sum(lj * grad[1] for lj, grad in zip(lam, grads))
         r2 = sum(lj * grad[2] for lj, grad in zip(lam, grads)) + 1.0
         residual = [r0, r1, r2] + values
-        if max(abs(v) for v in residual) < 1e-13:
+        size = max(abs(v) for v in residual)
+        if size < best[0]:
+            best = (size, xc, lam[:])
+        if size < 1e-13:
             break
-        matrix = [[0.0] * n for _ in range(n)]
-        matrix[0][0] = w11
-        matrix[0][1] = w12
-        matrix[0][2] = w13
-        matrix[1][0] = w12
-        matrix[1][1] = w22
-        matrix[1][2] = w23
-        matrix[2][0] = w13
-        matrix[2][1] = w23
-        matrix[2][2] = w33
-        for j, grad in enumerate(grads):
-            for axis in range(3):
-                matrix[axis][3 + j] = grad[axis]
-                matrix[3 + j][axis] = grad[axis]
+        # Bordered Jacobian: the weighted Hessian, bordered by the gradients.
+        matrix = [[w11, w12, w13] + [grad[0] for grad in grads],
+                  [w12, w22, w23] + [grad[1] for grad in grads],
+                  [w13, w23, w33] + [grad[2] for grad in grads]]
+        matrix += [list(grad) + [0.0] * len(grads) for grad in grads]
         rhs = [-v for v in residual]
         try:
             delta = la.gauss_solve(matrix, rhs)
@@ -1231,7 +1192,9 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
         for j in range(len(active)):
             lam[j] += delta[3 + j]
     else:
-        return None
+        # Far from the origin rounding can hold the residual above 1e-13;
+        # the certificate judges the best iterate.
+        _, xc, lam = best
     return xc, dict(zip(active, lam))
 
 
@@ -1243,7 +1206,13 @@ def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec, active):
     """
     active = list(active)
     while active:
-        polished = _polish_kkt(cons, epos, ball, x, tuple(active))
+        try:
+            polished = _polish_kkt(cons, epos, ball, x, tuple(active))
+        except ZeroDivisionError:
+            # An active member's gradient is undefined at the evader itself,
+            # where the barrier can stop when the evader grazes a capture
+            # sphere.
+            return None
         if polished is None:
             return None
         lam = polished[1]
@@ -1252,45 +1221,6 @@ def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec, active):
             return polished
         active.remove(offender)
     return None
-
-
-def _residuals(terms):
-    """Stationarity and complementary-slackness residuals of
-    ``(multiplier, gradient, constraint value)`` terms."""
-    r0 = r1 = 0.0
-    r2 = 1.0
-    slack = 0.0
-    for lj, grad, value in terms:
-        r0 += lj * grad[0]
-        r1 += lj * grad[1]
-        r2 += lj * grad[2]
-        slack = max(slack, abs(lj * value))
-    return math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), slack
-
-
-def _certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
-                 lam: dict[int, float]):
-    """Stationarity and complementary-slackness residuals at (x, lam)."""
-    terms = []
-    for j in range(len(cons) + (ball is not None)):
-        value, grad, _ = _grad_hess(cons, epos, ball, j, x, hessian=False)
-        terms.append((lam.get(j, 0.0), grad, value))
-    return _residuals(terms)
-
-
-def _lstsq_multipliers(cons, epos: Vec, ball: Ball | None, x: Vec,
-                       active: tuple[int, ...]) -> dict[int, float]:
-    """Least-squares multipliers on the active gradients (fallback path)."""
-    if not active:
-        return {}
-    matrix = np.column_stack([
-        np.array(_grad_hess(cons, epos, ball, j, x, hessian=False)[1])
-        for j in active
-    ])
-    target = np.array([0.0, 0.0, -1.0])
-    coef, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    coef = np.minimum(coef, 0.0)
-    return {j: float(value) for j, value in zip(active, coef)}
 
 
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
@@ -1328,60 +1258,46 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
-    # threshold.  Try active-set hypotheses from tight to loose and keep the
-    # first whose polished point verifies.
+    # threshold.  Polish active-set hypotheses from tight to loose, and
+    # return the first polished point that certifies, else the barrier
+    # point itself if it does.
     values = _constraint_values(cons, epos, ball, x)
     hypotheses: list[tuple[int, ...]] = []
     for tol in (ACTIVE_TOLERANCE, 1e-5, 1e-3):
         candidate = tuple(j for j, v in enumerate(values) if abs(v) <= tol)
         if candidate not in hypotheses:
             hypotheses.append(candidate)
-
-    try:
-        return _certify_reference(members, cons, epos, ball, x, values,
-                                  hypotheses)
-    except ZeroDivisionError:
-        # An active member's gradient is undefined at the evader itself,
-        # where the barrier can stop when the evader grazes a capture sphere.
-        raise SolverFailure("an active gradient is singular at the barrier "
-                            "point") from None
-
-
-def _certify_reference(members, cons, epos, ball, x, values, hypotheses):
-    best: tuple | None = None
     for active in hypotheses:
-        outcome = _polish_hypothesis(cons, epos, ball, x, active)
-        if outcome is None:
-            continue
-        x_new, lam_new = outcome
-        stationarity, slack = _certificate(cons, epos, ball, x_new, lam_new)
-        feasible = all(v >= -1e-8
-                       for v in _constraint_values(cons, epos, ball, x_new))
-        if stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE and feasible:
-            best = outcome
-            break
-    if best is None:
-        # Degenerate actives (dependent gradients): keep the barrier point
-        # and report sign-clamped least-squares multipliers.
-        active = tuple(j for j, v in enumerate(values) if abs(v) <= 1e-5)
-        best = x, _lstsq_multipliers(cons, epos, ball, x, active)
+        polished = _polish_hypothesis(cons, epos, ball, x, active)
+        if polished is not None:
+            certified = _certify_point(cons, epos, ball, polished[0])
+            if certified is not None:
+                return _result(members, *certified)
+    certified = _certify_point(cons, epos, ball, x)
+    if certified is None:
+        raise SolverFailure("no KKT certificate at the barrier point or a "
+                            "polished one")
+    return _result(members, *certified)
 
-    x, lam = best
+
+def _certify_point(cons, epos: Vec, ball: Ball | None, x: Vec):
+    """Certify ``x`` with the constraints within ``ACTIVE_TOLERANCE`` of
+    their boundary as its active set, as ``(x, lam, stationarity,
+    slackness)``, or None when a constraint is violated by more than 1e-8
+    or the Gram certificate fails."""
     values = _constraint_values(cons, epos, ball, x)
-    if not all(v >= -1e-8 for v in values[:len(cons)]):
-        raise SolverFailure("polished point violates a race constraint")
-    # Report multipliers only on the reported active set and certify with
-    # exactly those values, so the certificate is reproducible from the
-    # result fields alone.
-    lam = {j: lam.get(j, 0.0) for j, v in enumerate(values)
-           if abs(v) <= ACTIVE_TOLERANCE}
-    stationarity, slack = _certificate(cons, epos, ball, x, lam)
-    if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
-        raise SolverFailure(
-            f"KKT certificate out of tolerance (stationarity {stationarity:.3e}, "
-            f"slackness {slack:.3e})"
-        )
-    return _result(members, x, lam, stationarity, slack)
+    if not all(v >= -1e-8 for v in values):
+        return None
+    active = tuple(j for j, v in enumerate(values) if abs(v) <= ACTIVE_TOLERANCE)
+    try:
+        certificate = _gram_certificate(cons, epos, ball, x, active)
+    except ZeroDivisionError:
+        # An active member's gradient is undefined at the evader itself.
+        return None
+    if certificate is None:
+        return None
+    multipliers, stationarity, slack = certificate
+    return x, dict(zip(active, multipliers)), stationarity, slack
 
 
 def _result(members: Coalition, x: Vec, lam: dict[int, float],
@@ -1462,16 +1378,6 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarra
     return unique
 
 
-def _gradients_dependent(cons, epos: Vec, x: Vec, active_positions) -> bool:
-    if len(active_positions) < 2:
-        return False
-    grads = np.array([
-        _f_grad_hess(cons[j], epos, x, hessian=False)[1] for j in active_positions
-    ])
-    singular_values = np.linalg.svd(grads, compute_uv=False)
-    return bool(singular_values[-1] <= 1e-10 * singular_values[0])
-
-
 def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
                      region: Region = UNBOUNDED) -> Coalition:
     """Smallest subcoalition that pins down the same interception point.
@@ -1490,9 +1396,9 @@ def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
             # Only the region constraint binds; any single member certifies
             # the same point.  Keep the lowest index.
             return (current[0],)
-        cons = _constraints(current, evader, pursuers)
-        positions = [current.index(i) for i in active]
-        if not _gradients_dependent(cons, evader.position, result.point, positions):
+        grads = [_f_grad_hess(con, evader.position, result.point, hessian=False)[1]
+                 for con in _constraints(active, evader, pursuers)]
+        if len(grads) <= 3 and _unique_multipliers(grads) is not None:
             return tuple(active)
         dropped = False
         for drop in sorted(active, reverse=True):

@@ -20,7 +20,7 @@ from reachavoid import (
     Ball,
     EvaderSpec,
     PursuerSpec,
-    SolverFailure,
+    in_closure,
     solve_interception,
 )
 from reachavoid import interception
@@ -145,8 +145,8 @@ def symmetric_corpus(rng: random.Random, size: int):
     unbounded minimizer, shifted sideways so that its sphere cuts the edge
     where the boundaries meet; the scene is moved down so that the ball
     meets the exit plane.  Barely faster groups get no ball: theirs would
-    reach hundreds of units down, where the barrier + polish reference
-    fails (see test_forced_barrier_on_large_ball)."""
+    reach hundreds of units down (see test_forced_barrier_on_large_ball,
+    where the two paths agree only to about 1e-8)."""
     for k in range(size):
         n = 2 + k % 2
         evader = EvaderSpec(
@@ -276,19 +276,29 @@ def test_scan_fallback_when_seed_does_not_bracket(calls):
     assert assert_paths_agree((0,), evader, [pursuer]).active_set == (0,)
 
 
+# A barely faster pursuer whose body's lowest point sits near z = -1.2e4,
+# where d_p and alpha*d_e are both about 1.2e4.
+FAR_LOW_EVADER = EvaderSpec(
+    (0.974083920916762, -0.8571461430218021, 2.0409641122544158), 1.0)
+FAR_LOW_PURSUER = PursuerSpec(
+    (-2.82390921181133, -2.589746585341727, 0.6797835441392379), 1.0001264, 0.0)
+
+
 def test_barely_faster_far_low_point_certifies():
-    # The body's lowest point sits near z = -1.2e4, where d_p and alpha*d_e
-    # are both about 1.2e4; evaluating f as their difference left the
+    # Evaluating f as the difference of the two distances left the
     # slackness at 1.7e-8, above the certificate tolerance.
-    evader = EvaderSpec(
-        (0.974083920916762, -0.8571461430218021, 2.0409641122544158), 1.0)
-    pursuer = PursuerSpec(
-        (-2.82390921181133, -2.589746585341727, 0.6797835441392379),
-        1.0001264, 0.0)
-    result = solve_interception((0,), evader, [pursuer])
+    result = solve_interception((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER])
     assert result.value < -1e4
     assert result.kkt_residual <= KKT_TOLERANCE
     assert result.slackness_residual <= KKT_TOLERANCE
+
+
+def test_barely_faster_far_low_point_lies_in_closure():
+    # geometry.potential shares the solver's cancellation-free race
+    # potential, so in_closure holds at the certified point; the difference
+    # of the two distances read -3.6e-12 there, below -CLOSURE_TOLERANCE.
+    result = solve_interception((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER])
+    assert in_closure((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER], result.point)
 
 
 def test_second_active_member_certifies_directly(calls):
@@ -431,8 +441,11 @@ def test_direct_path_certifies_where_barrier_fails(calls):
     assert result.region_multiplier < 0.0
 
 
-@pytest.mark.xfail(raises=SolverFailure, strict=True,
-                   reason="barrier + polish stops at stationarity 1.4e-3 here")
 def test_forced_barrier_on_large_ball():
-    solve_interception((0, 1, 2), LARGE_BALL_EVADER, LARGE_BALL_PURSUERS,
-                       LARGE_BALL, initial_point=LARGE_BALL_EVADER.position)
+    # The barrier + polish used to stop at stationarity 1.4e-3 here; its
+    # polished point now certifies with the same Gram multipliers as the
+    # direct path.
+    result = assert_paths_agree((0, 1, 2), LARGE_BALL_EVADER,
+                                LARGE_BALL_PURSUERS, LARGE_BALL)
+    assert result.active_set == (0, 1)
+    assert result.region_active
