@@ -1,9 +1,10 @@
 """Fixed-size vector and linear-system helpers on plain float tuples.
 
 The interception solver and the simulation loop evaluate these thousands of
-times per simulated game; at size 3, tuple arithmetic beats numpy arrays by
-an order of magnitude, so the hot paths stay allocation-light.  Public
-modules convert to numpy at their boundaries.
+times per simulated game; at size 3, tuple arithmetic beats array
+libraries by an order of magnitude.  ``Vec`` is the package's one vector
+type: every module computes on it and the public helpers return it, so the
+package has no runtime dependency and converts between no vector types.
 """
 
 from __future__ import annotations

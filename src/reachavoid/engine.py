@@ -1,12 +1,13 @@
 """Discrete-time receding-horizon game loop.
 
-Each frame the live players are rematched (coalition-evader graph plus the
-sequential or exact matcher), but a new matching is adopted only when it is
-strictly larger or a capture happened since the last adoption.  Matched
-pursuers race straight at their coalition's current interception point;
-everyone else follows a configured policy.  Motion integrates straight
-lines exactly, and captures and exit crossings are resolved at sub-frame
-times by closed-form interpolation along those lines.
+Every ``rematch_every`` frames the live players are rematched
+(coalition-evader graph plus the sequential or exact matcher), but a new
+matching is adopted only when it is strictly larger or a capture happened
+since the last adoption.  Matched pursuers race straight at their
+coalition's current interception point, unmatched pursuers chase the
+nearest live evader, and each evader follows its configured policy.  Motion
+integrates straight lines exactly, and captures and exit crossings are
+resolved at sub-frame times by closed-form interpolation along those lines.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .matching import (
 from .strategy import HOLD, evader_optimal_heading, pursuer_heading
 
 EVADER_POLICIES = ("straight", "optimal", "random-walk")
-PURSUER_POLICIES = ("nearest", "hold")
 
 CAPTURED = "captured"
 REACHED_GOAL = "reached_goal"
@@ -57,7 +57,6 @@ class Scenario:
     seed: int = 0
     max_time: float = 20.0
     evader_policies: tuple[str, ...] = ()
-    unmatched_pursuer_policy: str = "nearest"
     matcher: str = "sma"
     rematch_every: int = 1
 
@@ -117,11 +116,6 @@ def validate_scenario(scenario: Scenario) -> None:
         )
     if scenario.matcher not in ("sma", "exact"):
         raise ScenarioError(f"matcher: unknown matcher {scenario.matcher!r}")
-    if scenario.unmatched_pursuer_policy not in PURSUER_POLICIES:
-        raise ScenarioError(
-            "unmatched_pursuer_policy: unknown policy "
-            f"{scenario.unmatched_pursuer_policy!r}"
-        )
     if len(scenario.evader_policies) != len(scenario.evaders):
         raise ScenarioError(
             f"evader_policies: expected {len(scenario.evaders)} entries, "
@@ -353,19 +347,16 @@ def run(scenario: Scenario) -> Trace:
                 intercept_points[ej] = result.point
                 for i in members:
                     matched_pursuers.add(i)
-                    p_head[i] = tuple(pursuer_heading(p_pos[i], result.point))
+                    p_head[i] = pursuer_heading(p_pos[i], result.point)
         except SolverFailure as exc:
             failure = SolverFailure(f"frame {frame_idx} (t={now:g}): {exc}")
             failure.partial_trace = trace
             raise failure from exc
-        if scenario.unmatched_pursuer_policy == "nearest":
-            for i in range(len(pursuers)):
-                if i in matched_pursuers:
-                    continue
-                target = min(
-                    live, key=lambda j: (la.dist(p_pos[i], e_pos[j]), j)
-                )
-                p_head[i] = tuple(pursuer_heading(p_pos[i], e_pos[target]))
+        for i in range(len(pursuers)):
+            if i in matched_pursuers:
+                continue
+            target = min(live, key=lambda j: (la.dist(p_pos[i], e_pos[j]), j))
+            p_head[i] = pursuer_heading(p_pos[i], e_pos[target])
 
         e_head: dict[int, Vec] = {}
         for j in live:
@@ -378,12 +369,10 @@ def run(scenario: Scenario) -> Trace:
                         break
                 e_head[j] = la.scale(raw, 1.0 / n)
             elif policy == "optimal" and j in intercept_points:
-                e_head[j] = tuple(
-                    evader_optimal_heading(e_pos[j], intercept_points[j])
-                )
+                e_head[j] = evader_optimal_heading(e_pos[j], intercept_points[j])
             else:
-                e_head[j] = tuple(
-                    evader_optimal_heading(e_pos[j], _nearest_exit_point(region, e_pos[j]))
+                e_head[j] = evader_optimal_heading(
+                    e_pos[j], _nearest_exit_point(region, e_pos[j])
                 )
 
         new_p = step(p_pos, p_head, [p.speed for p in pursuers], dt)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _linalg as la
 from ._linalg import Vec
 
@@ -204,7 +202,7 @@ def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:
     return _f_original(_race(pursuer, evader), evader.position, la.as_vec(x))
 
 
-def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> np.ndarray:
+def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> Vec:
     """Gradient of :func:`potential` with respect to the evaluation point.
 
     Singular at the player positions themselves.
@@ -215,7 +213,7 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> np.ndarra
         raise SingularPointError("gradient is undefined at a player position")
     _, grad, _ = _f_grad_hess(_race(pursuer, evader), evader.position, point,
                               hessian=False)
-    return np.array(grad)
+    return grad
 
 
 def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,
@@ -271,11 +269,11 @@ def boundary_radius(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> floa
     return (h1 + math.sqrt(h1 * h1 + const)) / (alpha * alpha - 1.0)
 
 
-def boundary_point(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> np.ndarray:
+def boundary_point(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> Vec:
     """Boundary point of the evasion space along a unit ``direction``."""
     e = la.as_vec(direction)
     rho = boundary_radius(pursuer, evader, e)
-    return np.array(la.add(evader.position, la.scale(e, rho)))
+    return la.add(evader.position, la.scale(e, rho))
 
 
 def in_closure(coalition, evader: EvaderSpec, pursuers, x) -> bool:
@@ -294,16 +292,16 @@ def in_closure(coalition, evader: EvaderSpec, pursuers, x) -> bool:
     )
 
 
-def polar_direction(frame: PolarFrame, theta: float, psi: float) -> np.ndarray:
+def polar_direction(frame: PolarFrame, theta: float, psi: float) -> Vec:
     """Unit direction for angles ``(theta, psi)`` in the frame's rotated polar
     coordinates."""
     t = theta + frame.theta0
     p = psi + frame.psi0
-    return np.array((
+    return (
         math.cos(p) * math.cos(t),
         math.cos(p) * math.sin(t),
         math.sin(p),
-    ))
+    )
 
 
 def _rho_of_psi(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,

@@ -80,8 +80,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from . import _linalg as la
 from ._linalg import Vec
 from .geometry import (
@@ -756,12 +754,60 @@ def _climb(state, rho: float, lo: float, hi: float) -> float | None:
     return None
 
 
+def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
+    """Real roots in ``[lo, hi]`` of the polynomial with ``coeffs``, highest
+    power first, in ascending order.
+
+    The derivative's roots split the range into monotone pieces, and each
+    piece whose ends differ in sign holds one root, found by Newton's
+    method safeguarded by bisection.
+    """
+    degree = len(coeffs) - 1
+    if degree < 1 or not lo < hi:
+        return []
+    slope = [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
+
+    def value(cs, x):
+        acc = 0.0
+        for c in cs:
+            acc = acc * x + c
+        return acc
+
+    ends = [lo, *_real_roots(slope, lo, hi), hi]
+    roots = []
+    for a, b in zip(ends, ends[1:]):
+        a_negative = value(coeffs, a) < 0.0
+        if a_negative == (value(coeffs, b) < 0.0):
+            continue
+        x = 0.5 * (a + b)
+        for _ in range(100):
+            fx = value(coeffs, x)
+            if (fx < 0.0) == a_negative:
+                a = x
+            else:
+                b = x
+            dx = value(slope, x)
+            step = fx / dx if dx != 0.0 else math.inf
+            # A Newton step this small leaves x exact to rounding once taken.
+            if abs(step) <= 1e-12 * abs(x):
+                x -= step
+                break
+            trial = x - step if a < x - step < b else 0.5 * (a + b)
+            if trial == x:
+                break
+            x = trial
+        roots.append(x)
+    return roots
+
+
 def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
     """Common points of three boundaries relative to the evader, lowest
     first, or None when their axes ``q`` are coplanar.
 
     For each rho the forms are a linear system in y with solution
     ``y = U rho^2 + V rho + W``, and ``||y||^2 = rho^2`` is a quartic in rho.
+    Its roots are sought in ``[max near, min far]``, the only range where a
+    point of all three boundaries can lie.
     """
     cab = la.cross(fb.q, fc.q)
     cbc = la.cross(fc.q, fa.q)
@@ -785,11 +831,10 @@ def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
         2.0 * la.dot(v, w),
         la.dot(w, w),
     ]
+    lo = max(fa.near, fb.near, fc.near)
+    hi = min(fa.far, fb.far, fc.far)
     points = []
-    for root in np.roots(coeffs):
-        if abs(root.imag) > 1e-8:
-            continue
-        rho = float(root.real)
+    for rho in _real_roots(coeffs, lo, hi):
         # Newton on ||y(rho)||^2 - rho^2 evaluated through y, which keeps
         # the digits the expanded coefficients lose.
         for _ in range(6):
@@ -1347,7 +1392,7 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
                   table=table)
 
 
-def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarray]:
+def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
     """All common points of three evasion-space boundaries.
 
     Eliminating the radial coordinate from the three boundary equations
@@ -1368,13 +1413,13 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[np.ndarra
             "evader and pursuers are coplanar; boundary intersections are "
             "not isolated points"
         )
-    unique: list[np.ndarray] = []
+    unique: list[Vec] = []
     for y in points:
         point = la.add(epos, y)
         if max(abs(_f_original(con, epos, point)) for con in cons) > 1e-7:
             continue
         if all(la.dist(point, other) > 1e-8 for other in unique):
-            unique.append(np.array(point))
+            unique.append(point)
     return unique
 
 

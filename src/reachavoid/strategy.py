@@ -9,9 +9,8 @@ off the solver.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _linalg as la
+from ._linalg import Vec
 from .geometry import EvaderSpec
 from .interception import (
     GOAL_TOLERANCE,
@@ -34,17 +33,17 @@ def is_hold(heading) -> bool:
     return la.norm(la.as_vec(heading)) <= _DEGENERATE_DISTANCE
 
 
-def _heading_toward(source, target) -> np.ndarray:
+def _heading_toward(source, target) -> Vec:
     src = la.as_vec(source)
     dst = la.as_vec(target)
     offset = la.sub(dst, src)
     distance = la.norm(offset)
     if distance <= _DEGENERATE_DISTANCE:
-        return np.array(HOLD)
-    return np.array(la.scale(offset, 1.0 / distance))
+        return HOLD
+    return la.scale(offset, 1.0 / distance)
 
 
-def pursuer_heading(pursuer_position, interception_point) -> np.ndarray:
+def pursuer_heading(pursuer_position, interception_point) -> Vec:
     """Unit heading from a pursuer straight at the interception point.
 
     Returns the hold sentinel when the pursuer already sits there.
@@ -52,7 +51,7 @@ def pursuer_heading(pursuer_position, interception_point) -> np.ndarray:
     return _heading_toward(pursuer_position, interception_point)
 
 
-def evader_optimal_heading(evader_position, interception_point) -> np.ndarray:
+def evader_optimal_heading(evader_position, interception_point) -> Vec:
     """The evader's altitude-optimal heading, straight at the interception point."""
     return _heading_toward(evader_position, interception_point)
 

@@ -1,5 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +15,20 @@ from reachavoid import (
     PursuerSpec,
     Scenario,
     ScenarioError,
+    SizeGuardExceeded,
+    build_graph,
     capture_check,
+    exact_mbmc,
+    pursuer_heading,
     random_scenario,
     run,
+    sequential_matching,
+    solve_interception,
     step,
     validate_scenario,
 )
 from reachavoid.engine import CAPTURED, ESCAPED, REACHED_GOAL
+from reachavoid.matching import EXACT_EDGE_GUARD
 
 
 def simple_scenario(**overrides):
@@ -301,3 +314,89 @@ def test_exact_matcher_scenario():
     scenario = simple_scenario(matcher="exact")
     trace = run(scenario)
     assert trace.summary["captured"] == 1
+
+
+def test_exact_matcher_falls_back_above_size_guard():
+    # Nine fast pursuers under a row of eight evaders: every evader has
+    # several winning singles and pairs, so the graph exceeds the exact
+    # matcher's guard and the frame takes the sequential matching.
+    pursuers = tuple(
+        PursuerSpec(position=(0.9 * k - 3.6, 0.0, 0.5), speed=3.0,
+                    capture_radius=0.1)
+        for k in range(9)
+    )
+    evaders = tuple(
+        EvaderSpec(position=(0.9 * k - 3.2, 0.5, 2.0), speed=1.0)
+        for k in range(8)
+    )
+    graph = build_graph(list(pursuers), list(evaders))
+    assert len(graph.edges) > EXACT_EDGE_GUARD
+    with pytest.raises(SizeGuardExceeded):
+        exact_mbmc(graph)
+    expected = tuple(sorted(
+        (graph.coalitions[ci], ej) for ci, ej in sequential_matching(graph)
+    ))
+    trace = run(Scenario(pursuers=pursuers, evaders=evaders, matcher="exact",
+                         max_time=0.05))
+    assert trace.frames[0].matching == expected
+
+
+def test_rematch_every_two_keeps_matching_and_resolves_it():
+    scenario = replace(random_scenario(7), rematch_every=2)
+    trace = run(scenario)
+    fresh = 0
+    for k in range(1, len(trace.frames) - 1, 2):
+        before, frame = trace.frames[k - 1], trace.frames[k]
+        # An odd frame does not rematch: it keeps the adopted matching,
+        # less the evaders that left the game.
+        evader_at = dict(frame.evader_positions)
+        assert frame.matching == tuple(m for m in before.matching
+                                       if m[1] in evader_at)
+        # Its matched pursuers race at a fresh solve of their coalition at
+        # the frame's positions.
+        pursuers = [replace(p, position=pos) for p, pos
+                    in zip(scenario.pursuers, frame.pursuer_positions)]
+        for members, ej in frame.matching:
+            evader = replace(scenario.evaders[ej], position=evader_at[ej])
+            point = solve_interception(members, evader, pursuers,
+                                       scenario.region).point
+            for i in members:
+                assert frame.pursuer_headings[i] == pursuer_heading(
+                    frame.pursuer_positions[i], point)
+            fresh += 1
+    assert fresh > 0
+
+
+def test_game_path_does_not_load_numpy():
+    script = textwrap.dedent("""
+        import math
+        import sys
+
+        from reachavoid import (EvaderSpec, PursuerSpec, interception,
+                                random_scenario, run, triple_candidates)
+
+        kernel = interception._triple_points
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        interception._triple_points = counted
+        run(random_scenario(5, max_pursuers=8, max_evaders=8))
+        game_calls = len(calls)
+        ring = [PursuerSpec(position=(1.5 * math.cos(2 * math.pi * k / 3),
+                                      1.5 * math.sin(2 * math.pi * k / 3),
+                                      0.0), speed=2.0)
+                for k in range(3)]
+        evader = EvaderSpec(position=(0.0, 0.0, 2.0), speed=1.0)
+        assert triple_candidates((0, 1, 2), evader, ring)
+        print(game_calls, "numpy" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    game_calls, numpy_loaded = done.stdout.split()
+    assert int(game_calls) > 0  # the game solved triples
+    assert numpy_loaded == "False"

@@ -142,7 +142,7 @@ def test_boundary_radius_axis_fixtures(pursuer, direction, expected):
 
 def test_boundary_radius_up_axis_point_is_apollonius():
     # The point (0,0,5) is twice as far from the evader as from the pursuer.
-    point = boundary_point(P_AXIS, E_AXIS, (0, 0, 1))
+    point = np.asarray(boundary_point(P_AXIS, E_AXIS, (0, 0, 1)))
     assert np.allclose(point, (0, 0, 5))
     assert abs(np.linalg.norm(point - (0, 0, 1)) - 2.0 * np.linalg.norm(point - (0, 0, 3))) < 1e-12
 

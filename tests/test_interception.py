@@ -20,6 +20,7 @@ from reachavoid import (
     triple_candidates,
     validate_coalition,
 )
+from reachavoid.interception import _gram_multipliers
 
 import oracles
 
@@ -344,3 +345,18 @@ def test_assumption_errors():
     touching = PursuerSpec(position=(0, 0, 2.8), speed=2.0, capture_radius=0.5)
     with pytest.raises(Exception):
         solve_interception((0,), E_AXIS, [touching])
+
+
+def test_gram_multipliers_are_clamped_minimum_norm_fit():
+    # Four gradients of rank 3 take the Gram-system branch; its multipliers
+    # are the minimum-norm least-squares fit of (0, 0, -1), clamped to <= 0.
+    rng = random.Random(29)
+    for _ in range(200):
+        grads = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(4)]
+        matrix = np.array(grads).T
+        assert np.linalg.matrix_rank(matrix) == 3
+        fit = np.linalg.lstsq(matrix, (0.0, 0.0, -1.0), rcond=None)[0]
+        expected = np.minimum(fit, 0.0)
+        assert np.allclose(_gram_multipliers(grads), expected,
+                           rtol=1e-9, atol=1e-9 * np.abs(fit).max())
+    assert _gram_multipliers([]) is None

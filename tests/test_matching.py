@@ -24,7 +24,7 @@ from reachavoid import (
     reduce_3dm,
     sequential_matching,
 )
-from reachavoid.matching import all_coalitions
+from reachavoid.matching import EXACT_EDGE_GUARD, all_coalitions
 
 import oracles
 
@@ -156,6 +156,27 @@ def test_sequential_matching_conflict_free_and_deterministic():
         pairs = sequential_matching(graph)
         assert is_conflict_free(graph, pairs)
         assert pairs == sequential_matching(graph)
+
+
+def test_sequential_matching_greedy_stage_above_guard():
+    # Twelve pursuers form 66 pair coalitions; with two evaders each and no
+    # single edges, the pair stage has more edges than the exact search
+    # accepts and takes the greedy maximal matching instead.
+    rng = random.Random(11)
+    coalitions = tuple(itertools.combinations(range(12), 2))
+    edges = [(ci, ej) for ci in range(len(coalitions))
+             for ej in rng.sample(range(8), 2)]
+    graph = GameGraph(coalitions=coalitions, evaders=tuple(range(8)),
+                      edges=tuple(edges))
+    assert len(graph.edges) > EXACT_EDGE_GUARD
+    pairs = sequential_matching(graph)
+    assert pairs
+    assert is_conflict_free(graph, pairs)
+    used_pursuers = {i for ci, _ in pairs for i in graph.coalitions[ci]}
+    used_evaders = {ej for _, ej in pairs}
+    for ci, ej in graph.edges:
+        assert ej in used_evaders or set(graph.coalitions[ci]) & used_pursuers
+    assert sequential_matching(graph) == pairs
 
 
 def test_approximation_bounds_random_instances():

@@ -34,7 +34,7 @@ def test_heading_identity_random_pairs():
         target = tuple(rng.uniform(-5, 5) for _ in range(3))
         if math.dist(source, target) <= 1e-9:
             continue
-        heading = pursuer_heading(source, target)
+        heading = np.asarray(pursuer_heading(source, target))
         assert np.linalg.norm(heading) == pytest.approx(1.0, abs=1e-12)
         rebuilt = np.asarray(source) + math.dist(source, target) * heading
         assert np.allclose(rebuilt, target, atol=1e-10)
