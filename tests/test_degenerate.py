@@ -1,6 +1,6 @@
 """A seeded corpus of degenerate interception inputs.
 
-Six regimes, each drawn 500 times with coalitions of one, two and three
+Seven regimes, each drawn 500 times with coalitions of one, two and three
 members in turn:
 
 - **barely-faster**: every member has ``alpha - 1 = 10^U(-6, -3)``;
@@ -11,6 +11,10 @@ members in turn:
 - **coaxial**: the pursuers lie on one random line through the evader;
 - **ball-boundary**: the evader lies on the sphere of a ball region of
   radius 3.5 to 6;
+- **ball-coaxial**: as ball-boundary, with the pursuers on the ray from the
+  evader through the ball's centre, so that every pair of constraints has
+  parallel axes and the solve falls to the barrier, which must start inside
+  the ball;
 - **plain**: generic draws.
 
 Every solve must either return a result whose KKT certificate holds or
@@ -38,7 +42,7 @@ from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
 SEED = 7
 DRAWS = 500
 REGIMES = ("barely-faster", "near-sphere", "coplanar", "coaxial",
-           "ball-boundary", "plain")
+           "ball-boundary", "ball-coaxial", "plain")
 
 # Certified solves out of DRAWS per regime; none may be lost.
 CERTIFIED = {
@@ -47,6 +51,7 @@ CERTIFIED = {
     "coplanar": 500,
     "coaxial": 500,
     "ball-boundary": 500,
+    "ball-coaxial": 491,
     "plain": 500,
 }
 
@@ -109,7 +114,7 @@ def draw(rng: random.Random, regime: str, n: int):
     """One ``(members, evader, pursuers, region)`` input of ``regime``."""
     evader = _evader(rng)
     region = UNBOUNDED
-    if regime == "ball-boundary":
+    if regime in ("ball-boundary", "ball-coaxial"):
         radius = rng.uniform(3.5, 6.0)
         centre = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                   rng.uniform(-0.8, 0.8) * radius)
@@ -123,11 +128,13 @@ def draw(rng: random.Random, regime: str, n: int):
     elif regime == "coaxial":
         axis = directions[0]
         directions = [_scale(axis, rng.choice((-1.0, 1.0))) for _ in range(n)]
-    elif regime == "ball-boundary":
+    elif regime in ("ball-boundary", "ball-coaxial"):
         # Point each pursuer into the ball, then pull it in until inside.
         inward = _offset(region.center, evader.position, -1.0)
         directions = [u if _dot(u, inward) > 0.0 else _scale(u, -1.0)
                       for u in directions]
+        if regime == "ball-coaxial":
+            directions = [_unit_of(inward)] * n
     pursuers = []
     for j, direction in enumerate(directions):
         distance = rng.uniform(0.5, 3.0)
