@@ -110,7 +110,9 @@ def _check_not_captured(pursuer: PursuerSpec, evader: EvaderSpec) -> float:
     return separation
 
 
-# A pursuer as the race potential sees it: ``(x_P, alpha, r)``.
+# A pursuer as the race potential sees it, in the frame centred on the
+# evader: ``(x_P - x_E, alpha, r)``.  Points are passed as ``y = x - x_E``,
+# which keeps their digits next to the evader.
 _Con = tuple[Vec, float, float]
 
 
@@ -125,18 +127,12 @@ def _race_numerator(alpha: float, yy: float, yq: float, qq: float) -> float:
     return -(alpha - 1.0) * (alpha + 1.0) * yy - 2.0 * yq + qq
 
 
-def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
-    p, alpha, r = con
-    ex, ey, ez = evader_pos
-    y0 = x[0] - ex
-    y1 = x[1] - ey
-    y2 = x[2] - ez
-    q0 = p[0] - ex
-    q1 = p[1] - ey
-    q2 = p[2] - ez
-    d0 = x[0] - p[0]
-    d1 = x[1] - p[1]
-    d2 = x[2] - p[2]
+def _f_original(con: _Con, y: Vec) -> float:
+    (q0, q1, q2), alpha, r = con
+    y0, y1, y2 = y
+    d0 = y0 - q0
+    d1 = y1 - q1
+    d2 = y2 - q2
     yy = y0 * y0 + y1 * y1 + y2 * y2
     numerator = _race_numerator(alpha, yy, y0 * q0 + y1 * q1 + y2 * q2,
                                 q0 * q0 + q1 * q1 + q2 * q2)
@@ -144,33 +140,26 @@ def _f_original(con: _Con, evader_pos: Vec, x: Vec) -> float:
                         + alpha * math.sqrt(yy)) - r
 
 
-def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
+def _f_grad_hess(con: _Con, y: Vec, hessian: bool = True):
     """Race potential, its gradient and (unless ``hessian`` is false, when
-    None stands in) its packed symmetric Hessian at ``x``."""
-    (px, py, pz), a, r = con
-    ex, ey, ez = epos
-    x0, x1, x2 = x
+    None stands in) its packed symmetric Hessian at ``y``."""
+    (q0, q1, q2), a, r = con
+    y0, y1, y2 = y
     # Written out on scalars: a single's certificate evaluates this once per
     # solve, and the vector helpers' calls cost as much as the arithmetic.
-    dp0 = x0 - px
-    dp1 = x1 - py
-    dp2 = x2 - pz
-    de0 = x0 - ex
-    de1 = x1 - ey
-    de2 = x2 - ez
-    q0 = px - ex
-    q1 = py - ey
-    q2 = pz - ez
+    dp0 = y0 - q0
+    dp1 = y1 - q1
+    dp2 = y2 - q2
     d_p = math.sqrt(dp0 * dp0 + dp1 * dp1 + dp2 * dp2)
-    ee = de0 * de0 + de1 * de1 + de2 * de2
+    ee = y0 * y0 + y1 * y1 + y2 * y2
     d_e = math.sqrt(ee)
-    numerator = _race_numerator(a, ee, de0 * q0 + de1 * q1 + de2 * q2,
+    numerator = _race_numerator(a, ee, y0 * q0 + y1 * q1 + y2 * q2,
                                 q0 * q0 + q1 * q1 + q2 * q2)
     f = numerator / (d_p + a * d_e) - r
     ip = 1.0 / d_p
     iw = 1.0 / d_e
     u = (dp0 * ip, dp1 * ip, dp2 * ip)
-    w = (de0 * iw, de1 * iw, de2 * iw)
+    w = (y0 * iw, y1 * iw, y2 * iw)
     grad = (u[0] - w[0] * a, u[1] - w[1] * a, u[2] - w[2] * a)
     if not hessian:
         return f, grad, None
@@ -188,7 +177,8 @@ def _f_grad_hess(con: _Con, epos: Vec, x: Vec, hessian: bool = True):
 
 
 def _race(pursuer: PursuerSpec, evader: EvaderSpec) -> _Con:
-    return pursuer.position, speed_ratio(pursuer, evader), pursuer.capture_radius
+    return (la.sub(pursuer.position, evader.position),
+            speed_ratio(pursuer, evader), pursuer.capture_radius)
 
 
 def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:
@@ -199,7 +189,8 @@ def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:
     in which the evader is already captured.
     """
     _check_not_captured(pursuer, evader)
-    return _f_original(_race(pursuer, evader), evader.position, la.as_vec(x))
+    return _f_original(_race(pursuer, evader),
+                       la.sub(la.as_vec(x), evader.position))
 
 
 def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> Vec:
@@ -211,8 +202,8 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> Vec:
     if (la.dist(point, pursuer.position) == 0.0
             or la.dist(point, evader.position) == 0.0):
         raise SingularPointError("gradient is undefined at a player position")
-    _, grad, _ = _f_grad_hess(_race(pursuer, evader), evader.position, point,
-                              hessian=False)
+    _, grad, _ = _f_grad_hess(_race(pursuer, evader),
+                              la.sub(point, evader.position), hessian=False)
     return grad
 
 

@@ -18,8 +18,15 @@ the equivalent concave form
 
     f_i(x) >= 0  <=>  ||x - x_P||^2 - (alpha ||x - x_E|| + r)^2 >= 0,
 
-which makes the log-barrier strictly convex.  With y = x - x_E and
-rho = ||y||, every boundary also has the one form
+which makes the log-barrier strictly convex.
+
+The solver works in the evader's frame, as the evasion spaces are built:
+its one coordinate is y = x - x_E, each member enters as
+(x_P - x_E, alpha, r) and the ball as the sphere (c - x_E, R).  Only the
+entry to a solve and its result see absolute points, and the digits next
+to the evader, where the bodies of nearly captured evaders are small, are
+not lost to absolute coordinates.  With rho = ||y|| every boundary has the
+one form
 
     y . q = (k rho^2 - 2 l rho + m) / 2,
 
@@ -55,15 +62,16 @@ order below changes only the cost:
   continuation finds the point, and a Newton polish of the KKT system
   refines it on active-set hypotheses from tight to loose.  The first
   polished point that certifies is returned, else the barrier point itself
-  if it does.
+  if it does.  These points certify like the candidates above, with the
+  constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
 
 Solves against one evader share their single-, pair- and triple-level work
 through a :class:`SolveTable`: forms, own lowest points, candidate points,
 constraint values there and each point's certificate; only the check that
 a coalition's other constraints lie strictly beyond ``ACTIVE_TOLERANCE`` is
-per coalition.  Entries are keyed by exactly their inputs, so a table
-reused with moved players can only miss.  The graph build makes one table
-per evader per call; a solve given none uses a private one.
+per coalition.  Entries are keyed by exactly their inputs in the evader's
+frame, so a table reused with moved players can only miss.  The graph build
+makes one table per evader per call; a solve given none uses a private one.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
@@ -159,10 +167,6 @@ class Ball:
         dz = point[2] - self.center[2]
         return self.radius * self.radius - (dx * dx + dy * dy + dz * dz)
 
-    def boundary_distance(self, point: Vec) -> float:
-        """Signed distance to the sphere (positive inside)."""
-        return self.radius - la.dist(point, self.center)
-
 
 Region = Unbounded | Ball
 UNBOUNDED = Unbounded()
@@ -216,20 +220,24 @@ def validate_coalition(members, num_pursuers: int | None = None,
 # --------------------------------------------------------------------------
 # constraint bookkeeping
 #
-# Each coalition member contributes the tuple (p, alpha, r); the concave
+# Every function below works in the evader's frame: a point is y = x - x_E.
+# Each coalition member contributes the tuple (q, alpha, r) with
+# q = x_P - x_E, and the ball region the sphere (c - x_E, R); the concave
 # form evaluated everywhere below is
-#     ftilde(x) = ||x-p||^2 - alpha^2 ||x-E||^2 - r^2 - 2 alpha r ||x-E||
+#     ftilde(y) = ||y-q||^2 - alpha^2 ||y||^2 - r^2 - 2 alpha r ||y||
 # which is positive exactly where the original potential f is.  It is
 # evaluated only inside the barrier evaluators below, so a point is strictly
 # feasible exactly when its barrier value exists.
 #
-# For positive capture radii the final term puts a cone kink at the evader
-# position, and for small barrier weights the barrier minimum can sit
-# exactly on that kink, trapping Newton.  The barrier phase therefore works
-# with ||x-E|| replaced by sqrt(||x-E||^2 + mu^2) for a tiny mu: the
-# smoothed set lies strictly inside the true one, the barrier becomes C^2,
-# and the KKT polish on the unsmoothed constraints removes the O(mu)
-# perturbation afterwards.
+# For positive capture radii the final term puts a cone kink at the evader,
+# and for small barrier weights the barrier minimum can sit exactly on that
+# kink, trapping Newton.  The barrier phase therefore works with ||y|| replaced
+# by sqrt(||y||^2 + mu^2) for a tiny mu: the smoothed set lies strictly inside
+# the true one, the barrier becomes C^2, and the KKT polish on the
+# unsmoothed constraints removes the O(mu) perturbation afterwards.
+
+_Sphere = tuple[Vec, float]
+
 
 def _constraints(members: Coalition, evader: EvaderSpec,
                  pursuers) -> list[_Con]:
@@ -241,17 +249,25 @@ def _constraints(members: Coalition, evader: EvaderSpec,
             raise AssumptionViolation(
                 f"pursuer {i} is not faster than the evader (alpha={alpha})"
             )
-        separation = la.dist(p.position, evader.position)
-        if separation <= p.capture_radius:
+        q = la.sub(p.position, evader.position)
+        if la.norm(q) <= p.capture_radius:
             raise CapturedConfigurationError(
                 f"evader is already within capture radius of pursuer {i}"
             )
-        cons.append((p.position, alpha, p.capture_radius))
+        cons.append((q, alpha, p.capture_radius))
     return cons
 
 
-def _initial_point(cons, evader_pos: Vec, ball: Ball | None, mu2: float) -> Vec:
-    """Strictly feasible start near the evader position.
+def _ball_g(ball: _Sphere, y: Vec) -> float:
+    (c0, c1, c2), radius = ball
+    d0 = y[0] - c0
+    d1 = y[1] - c1
+    d2 = y[2] - c2
+    return radius * radius - (d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def _initial_point(cons, ball: _Sphere | None, mu2: float) -> Vec:
+    """Strictly feasible start near the evader.
 
     The evader itself is strictly feasible for every race constraint, but
     with positive capture radii the barrier has a cone kink there whose
@@ -259,36 +275,33 @@ def _initial_point(cons, evader_pos: Vec, ball: Ball | None, mu2: float) -> Vec:
     fraction of the feasibility margin away from it (and move inward when
     the evader sits on the ball boundary).
     """
+    origin = (0.0, 0.0, 0.0)
     needs_offset = any(con[2] > 0.0 for con in cons)
-    if ball is not None and ball.g(evader_pos) <= 0.0:
+    if ball is not None and _ball_g(ball, origin) <= 0.0:
         needs_offset = True
-    if not needs_offset and _barrier_value(cons, evader_pos, ball, evader_pos,
-                                           0.0, mu2) is not None:
-        return evader_pos
+    if not needs_offset and _barrier_value(cons, ball, origin, 0.0,
+                                           mu2) is not None:
+        return origin
 
     directions: list[Vec] = []
-    if ball is not None:
-        toward_center = la.sub(ball.center, evader_pos)
-        if la.norm(toward_center) > 0.0:
-            directions.append(la.unit(toward_center))
+    if ball is not None and la.norm(ball[0]) > 0.0:
+        directions.append(la.unit(ball[0]))
     directions.extend([(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
 
-    margin = min(la.dist(con[0], evader_pos) - con[2] for con in cons)
+    margin = min(la.norm(con[0]) - con[2] for con in cons)
     for exponent in (2, 3, 4, 6, 9, 12):
         delta = margin * 10.0 ** (-exponent)
         for direction in directions:
-            candidate = la.add(evader_pos, la.scale(direction, delta))
+            candidate = la.scale(direction, delta)
             if (
-                la.dist(candidate, evader_pos) > 0.0
-                and _barrier_value(cons, evader_pos, ball, candidate,
-                                   0.0, mu2) is not None
+                la.norm(candidate) > 0.0
+                and _barrier_value(cons, ball, candidate, 0.0, mu2) is not None
             ):
                 return candidate
     raise SolverFailure("could not construct a strictly feasible starting point")
 
 
-def _slide_down(cons, evader_pos: Vec, ball: Ball | None, x0: Vec,
-                mu2: float) -> Vec:
+def _slide_down(cons, ball: _Sphere | None, y0: Vec, mu2: float) -> Vec:
     """Move the start down the vertical feasible ray, most of the way.
 
     Slow pursuers make the feasible body enormous compared to the scene,
@@ -296,71 +309,63 @@ def _slide_down(cons, evader_pos: Vec, ball: Ball | None, x0: Vec,
     Newton steps traversing it; a doubling search along -z removes that
     travel for the cost of a few feasibility evaluations.
     """
-    step = 1e-3 * (1.0 + abs(x0[2]))
+    step = 1e-3 * (1.0 + abs(y0[2]))
     reach = 0.0
     for _ in range(80):
-        candidate = (x0[0], x0[1], x0[2] - (reach + step))
-        if _barrier_value(cons, evader_pos, ball, candidate, 0.0, mu2) is None:
+        candidate = (y0[0], y0[1], y0[2] - (reach + step))
+        if _barrier_value(cons, ball, candidate, 0.0, mu2) is None:
             break
         reach += step
         step *= 2.0
     else:
         raise SolverFailure("feasible region appears unbounded below")
     if reach == 0.0:
-        return x0
-    return (x0[0], x0[1], x0[2] - 0.9 * reach)
+        return y0
+    return (y0[0], y0[1], y0[2] - 0.9 * reach)
 
 
 # --------------------------------------------------------------------------
 # log-barrier Newton continuation
 
 
-def _barrier_value(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
+def _barrier_value(cons, ball: _Sphere | None, y: Vec, t: float,
                    mu2: float) -> float | None:
-    """Smoothed barrier objective, or None when x is not strictly feasible."""
-    value = t * x[2]
-    ex, ey, ez = epos
-    dex = x[0] - ex
-    dey = x[1] - ey
-    dez = x[2] - ez
-    d_e2 = dex * dex + dey * dey + dez * dez
+    """Smoothed barrier objective, or None when y is not strictly feasible."""
+    value = t * y[2]
+    d_e2 = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
     ds = math.sqrt(d_e2 + mu2)
-    for p, a, r in cons:
-        dpx = x[0] - p[0]
-        dpy = x[1] - p[1]
-        dpz = x[2] - p[2]
+    for q, a, r in cons:
+        dpx = y[0] - q[0]
+        dpy = y[1] - q[1]
+        dpz = y[2] - q[2]
         ft = (dpx * dpx + dpy * dpy + dpz * dpz) - a * a * d_e2 - r * r - 2.0 * a * r * ds
         if not ft > 0.0:
             return None
         value -= math.log(ft)
     if ball is not None:
-        g = ball.g(x)
+        g = _ball_g(ball, y)
         if not g > 0.0:
             return None
         value -= math.log(g)
     return value
 
 
-def _barrier_step(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
-                  mu2: float):
-    """Value, gradient and Hessian of the smoothed barrier at a feasible x."""
-    ex, ey, ez = epos
-    dex = x[0] - ex
-    dey = x[1] - ey
-    dez = x[2] - ez
+def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
+    """Value, gradient and Hessian of the smoothed barrier at a feasible y."""
+    dex, dey, dez = y
     d_e2 = dex * dex + dey * dey + dez * dez
     ds = math.sqrt(d_e2 + mu2)
     if ds < 1e-150:
         ds = 1e-150
-    value = t * x[2]
+    value = t * y[2]
     g0 = 0.0
     g1 = 0.0
     g2 = t
     h11 = h12 = h13 = h22 = h23 = h33 = 0.0
-    for p, a, r in cons:
-        dpx = x[0] - p[0]
-        dpy = x[1] - p[1]
-        dpz = x[2] - p[2]
+    for q, a, r in cons:
+        dpx = dex - q[0]
+        dpy = dey - q[1]
+        dpz = dez - q[2]
         a2 = a * a
         ft = (dpx * dpx + dpy * dpy + dpz * dpz) - a2 * d_e2 - r * r - 2.0 * a * r * ds
         if ft <= 0.0:
@@ -387,13 +392,13 @@ def _barrier_step(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
         h13 += inv2 * gf0 * gf2 - inv * (cw * dex * dez)
         h23 += inv2 * gf1 * gf2 - inv * (cw * dey * dez)
     if ball is not None:
-        g = ball.g(x)
+        g = _ball_g(ball, y)
         if g <= 0.0:
             raise SolverFailure("barrier evaluated outside the play region")
         value -= math.log(g)
-        bx = x[0] - ball.center[0]
-        by = x[1] - ball.center[1]
-        bz = x[2] - ball.center[2]
+        bx = dex - ball[0][0]
+        by = dey - ball[0][1]
+        bz = dez - ball[0][2]
         inv = 1.0 / g
         inv2 = inv * inv
         g0 += 2.0 * bx * inv
@@ -415,11 +420,11 @@ def _barrier_step(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
 _NEWTON_MAX_ITER = 3000
 
 
-def _newton_center(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
+def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
                    mu2: float) -> Vec:
     previous_decrement = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        value, grad, hess = _barrier_step(cons, epos, ball, x, t, mu2)
+        value, grad, hess = _barrier_step(cons, ball, y, t, mu2)
         try:
             dx = la.solve_sym3(*hess, -grad[0], -grad[1], -grad[2])
         except ValueError:
@@ -428,47 +433,46 @@ def _newton_center(cons, epos: Vec, ball: Ball | None, x: Vec, t: float,
         # The barrier gradient is a difference of terms of order t times the
         # coordinate scale, so its rounding noise (and hence the reachable
         # decrement floor) grows with both; the stopping tolerance scales to
-        # match.  Steps at the resolution floor of x and decrements that stop
+        # match.  Steps at the resolution floor of y and decrements that stop
         # shrinking are the same noise floor in disguise.  The KKT polish
         # restores full precision afterwards.
-        noise_scale = t * (1.0 + la.norm(x))
+        noise_scale = t * (1.0 + la.norm(y))
         tol = max(_NEWTON_DECREMENT_TOL, 4e-16 * noise_scale)
         if decrement <= 2.0 * tol:
-            return x
-        if la.norm(dx) <= 1e-11 * (1.0 + la.norm(x)):
-            return x
+            return y
+        if la.norm(dx) <= 1e-11 * (1.0 + la.norm(y)):
+            return y
         if decrement < 1e-2 and decrement >= 0.9 * previous_decrement:
-            return x
+            return y
         previous_decrement = decrement
         slope = -decrement
         step = 1.0
         moved = 0.0
         for _ in range(60):
-            candidate = (x[0] + step * dx[0], x[1] + step * dx[1], x[2] + step * dx[2])
-            cand_value = _barrier_value(cons, epos, ball, candidate, t, mu2)
+            candidate = (y[0] + step * dx[0], y[1] + step * dx[1], y[2] + step * dx[2])
+            cand_value = _barrier_value(cons, ball, candidate, t, mu2)
             if cand_value is not None and cand_value <= value + 0.25 * step * slope:
                 moved = step * la.norm(dx)
-                x = candidate
+                y = candidate
                 break
             step *= 0.5
         else:
             if decrement <= max(2e-9, 4e-14 * noise_scale):
-                return x
+                return y
             raise SolverFailure("barrier line search failed to make progress")
-        if moved <= 1e-13 * (1.0 + la.norm(x)):
-            return x
+        if moved <= 1e-13 * (1.0 + la.norm(y)):
+            return y
     raise SolverFailure("Newton iteration budget exhausted")
 
 
-def _barrier_solve(cons, epos: Vec, ball: Ball | None, x0: Vec,
-                   mu2: float) -> Vec:
+def _barrier_solve(cons, ball: _Sphere | None, y0: Vec, mu2: float) -> Vec:
     m = len(cons) + (1 if ball is not None else 0)
     t = 1.0
-    x = x0
+    y = y0
     while True:
-        x = _newton_center(cons, epos, ball, x, t, mu2)
+        y = _newton_center(cons, ball, y, t, mu2)
         if m / t <= _BARRIER_GAP:
-            return x
+            return y
         t *= 10.0
 
 
@@ -493,9 +497,8 @@ def _section_altitude(phi: float, qp: float, qz: float, ar: float,
             -rho_dd * c + 2.0 * rho_d * s + rho * c, rho, s, c)
 
 
-def _solve_single(con: _Con, epos: Vec) -> Vec:
-    p, a, r = con
-    q = la.sub(p, epos)
+def _solve_single(con: _Con) -> Vec:
+    q, a, r = con
     d = la.norm(q)
     a2m1 = a * a - 1.0
     qp = math.hypot(q[0], q[1])
@@ -548,11 +551,7 @@ def _solve_single(con: _Con, epos: Vec) -> Vec:
         phi = candidate
         state = _section_altitude(phi, qp, qz, ar, a2m1, const)
     _, _, _, rho, s, c = state
-    return (
-        epos[0] + rho * s * phat[0],
-        epos[1] + rho * s * phat[1],
-        epos[2] - rho * c,
-    )
+    return (rho * s * phat[0], rho * s * phat[1], -rho * c)
 
 
 # --------------------------------------------------------------------------
@@ -575,19 +574,17 @@ class _Form(NamedTuple):
     far: float
 
 
-def _member_form(con: _Con, epos: Vec) -> _Form:
-    p, a, r = con
-    q = la.sub(p, epos)
+def _member_form(con: _Con) -> _Form:
+    q, a, r = con
     d = la.norm(q)
     return _Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
                  (d - r) / (a + 1.0), (d - r) / (a - 1.0))
 
 
-def _ball_form(ball: Ball, epos: Vec) -> _Form:
-    c = la.sub(ball.center, epos)
+def _ball_form(ball: _Sphere) -> _Form:
+    c, radius = ball
     d = la.norm(c)
-    return _Form(c, 1.0, 0.0, (d - ball.radius) * (d + ball.radius),
-                 ball.radius - d, ball.radius + d)
+    return _Form(c, 1.0, 0.0, (d - radius) * (d + radius), radius - d, radius + d)
 
 
 def _dropped_sphere(form: _Form) -> tuple[Vec, float]:
@@ -920,14 +917,6 @@ def _unique_multipliers(grads) -> list[float] | None:
             min(-ab[2] / volume, 0.0)]
 
 
-def _constraint_values(cons, epos: Vec, ball: Ball | None, x: Vec) -> list[float]:
-    """Each member's ``f`` at ``x``, then the ball's boundary distance."""
-    values = [_f_original(con, epos, x) for con in cons]
-    if ball is not None:
-        values.append(ball.boundary_distance(x))
-    return values
-
-
 # What the solves against one evader share.  Each candidate point belongs
 # to one active set (a constraint's own lowest point to that constraint, a
 # pair's or triple's points to that pair or triple), so a point holds one
@@ -938,20 +927,20 @@ _UNTRIED = object()
 
 
 class _Point:
-    """A candidate point, the constraint values there (keyed by
+    """A candidate point ``y``, the constraint values there (keyed by
     :class:`_Constraint`, computed on first use) and the certificate of its
     active set once tried: None when it failed."""
 
-    __slots__ = ("x", "values", "certificate")
+    __slots__ = ("y", "values", "certificate")
 
-    def __init__(self, x: Vec) -> None:
-        self.x = x
+    def __init__(self, y: Vec) -> None:
+        self.y = y
         self.values: dict[_Constraint, float] = {}
         self.certificate = _UNTRIED
 
 
 class _Constraint(_Point):
-    """A member ``(position, alpha, r)`` or the ball.  As a point it is the
+    """A member ``(q, alpha, r)`` or the ball's sphere.  As a point it is the
     constraint's own lowest point, found by :meth:`lowest`; it also keeps
     its boundary form and the altitude of its dropped sphere's lowest point,
     both set by :meth:`shape`."""
@@ -960,7 +949,7 @@ class _Constraint(_Point):
 
     def __init__(self, key, member: bool) -> None:
         # Every single solve makes one, so _Point.__init__ is not called.
-        self.x = None
+        self.y = None
         self.values = {}
         self.certificate = _UNTRIED
         self.key = key
@@ -968,19 +957,19 @@ class _Constraint(_Point):
         self.form: _Form | None = None
         self.low_z = 0.0
 
-    def lowest(self, epos: Vec) -> _Constraint:
-        if self.x is None:
+    def lowest(self) -> _Constraint:
+        if self.y is None:
             if self.member:
-                self.x = _solve_single(self.key, epos)
+                self.y = _solve_single(self.key)
             else:
-                centre = self.key.center
-                self.x = (centre[0], centre[1], centre[2] - self.key.radius)
+                centre, radius = self.key
+                self.y = (centre[0], centre[1], centre[2] - radius)
         return self
 
-    def shape(self, epos: Vec) -> None:
+    def shape(self) -> None:
         if self.form is None:
-            self.form = (_member_form(self.key, epos) if self.member
-                         else _ball_form(self.key, epos))
+            self.form = (_member_form(self.key) if self.member
+                         else _ball_form(self.key))
             self.low_z = _sphere_low_z(self.form)
 
 
@@ -991,47 +980,33 @@ class SolveTable:
     each member's (and the ball's) boundary form and own lowest point, each
     pair's and triple's candidate points, every constraint value at those
     points and each point's Gram-multiplier certificate.  A solve given a
-    table takes all of these from it and adds what it computes.  Entries
-    are keyed by exactly the inputs they were computed from: a member by its
-    ``(position, alpha, r)``, the ball by its centre and radius, all at the
-    evader position the table holds; a solve against another evader
-    position empties the table first.  A table passed with moved players can
-    therefore only miss, never answer stale, and results are bit-identical
-    to solves without a table.
+    table takes all of these from it and adds what it computes.  Everything
+    is computed in the evader's frame, and entries are keyed by exactly the
+    inputs they were computed from: a member by its ``(x_P - x_E, alpha,
+    r)``, the ball by its ``(c - x_E, R)``.  A table passed with moved players
+    can therefore only miss, never answer stale, and results are
+    bit-identical to solves without a table.
     """
 
-    __slots__ = ("evader_position", "constraints", "candidates")
+    __slots__ = ("constraints", "candidates")
 
     def __init__(self) -> None:
-        self.evader_position: Vec | None = None
         self.constraints: dict = {}
         self.candidates: dict[tuple[_Constraint, ...], list[_Point]] = {}
 
-    def _group(self, cons, epos: Vec, ball: Ball | None) -> list[_Constraint]:
+    def _group(self, cons, ball: _Sphere | None) -> list[_Constraint]:
         """The entries of ``cons``, then of the ball when there is one."""
-        if self.evader_position != epos:
-            self.evader_position = epos
-            self.constraints.clear()
-            self.candidates.clear()
         shared = self.constraints
         group = []
-        for con in cons:
-            c = shared.get(con)
-            if c is None:
-                c = shared[con] = _Constraint(con, True)
-            group.append(c)
-        if ball is not None:
-            # Ball's generated __hash__ and __eq__ run in Python; its fields
-            # are the same key at a fraction of the cost.
-            key = (ball.center, ball.radius)
+        for key in cons if ball is None else [*cons, ball]:
             c = shared.get(key)
             if c is None:
-                c = shared[key] = _Constraint(ball, False)
+                # A member's key is (q, alpha, r), the ball's (c, R).
+                c = shared[key] = _Constraint(key, len(key) == 3)
             group.append(c)
         return group
 
-    def _candidates(self, subset: tuple[_Constraint, ...],
-                    epos: Vec) -> list[_Point]:
+    def _candidates(self, subset: tuple[_Constraint, ...]) -> list[_Point]:
         """The candidate points of two or three shaped constraints."""
         points = self.candidates.get(subset)
         if points is None:
@@ -1039,20 +1014,24 @@ class SolveTable:
                 ys = _pair_points(subset[0].form, subset[1].form)
             else:
                 ys = _triple_points(*(c.form for c in subset)) or []
-            points = self.candidates[subset] = [_Point(la.add(epos, y)) for y in ys]
+            points = self.candidates[subset] = [_Point(y) for y in ys]
         return points
 
 
-def _value(point: _Point, c: _Constraint, epos: Vec) -> float:
+def _value(point: _Point, c: _Constraint) -> float:
     """Member ``f`` or ball boundary distance of ``c`` at ``point``."""
     value = point.values.get(c)
     if value is None:
-        value = point.values[c] = (_f_original(c.key, epos, point.x) if c.member
-                                   else c.key.boundary_distance(point.x))
+        if c.member:
+            value = _f_original(c.key, point.y)
+        else:
+            centre, radius = c.key
+            value = radius - la.dist(point.y, centre)
+        point.values[c] = value
     return value
 
 
-def _gram_certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
+def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
                       active: tuple[int, ...]):
     """Gram-system multipliers of the ``active`` constraints at ``x`` with
     the stationarity and complementary-slackness residuals they leave, or
@@ -1061,7 +1040,7 @@ def _gram_certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
     grads = []
     values = []
     for j in active:
-        value, grad, _ = _grad_hess(cons, epos, ball, j, x, hessian=False)
+        value, grad, _ = _grad_hess(cons, ball, j, y, hessian=False)
         grads.append(grad)
         values.append(value)
     multipliers = _gram_multipliers(grads)
@@ -1081,7 +1060,7 @@ def _gram_certificate(cons, epos: Vec, ball: Ball | None, x: Vec,
     return multipliers, stationarity, slack
 
 
-def _certify(cons, epos: Vec, ball: Ball | None, group: list[_Constraint],
+def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
              point: _Point, active: tuple[int, ...]):
     """Certify ``point`` as the minimizer with exactly the constraints at
     positions ``active`` of ``group`` binding.
@@ -1093,7 +1072,7 @@ def _certify(cons, epos: Vec, ball: Ball | None, group: list[_Constraint],
     keyed by position, or None.
     """
     for j, c in enumerate(group):
-        value = _value(point, c, epos)
+        value = _value(point, c)
         if j in active:
             if not abs(value) <= ACTIVE_TOLERANCE:
                 return None
@@ -1102,49 +1081,49 @@ def _certify(cons, epos: Vec, ball: Ball | None, group: list[_Constraint],
     certificate = point.certificate
     if certificate is _UNTRIED:
         certificate = point.certificate = _gram_certificate(
-            cons, epos, ball, point.x, active)
+            cons, ball, point.y, active)
     if certificate is None:
         return None
     multipliers, stationarity, slack = certificate
     return dict(zip(active, multipliers)), stationarity, slack
 
 
-def _redundant(group: list[_Constraint], subset: tuple[int, ...],
-               epos: Vec) -> bool:
+def _redundant(group: list[_Constraint], subset: tuple[int, ...]) -> bool:
     """Whether one constraint of ``subset`` has its own lowest point strictly
     inside all the others: that point is then the subset's minimizer and
     leaves them inactive."""
-    return any(all(_value(group[i], group[j], epos) > ACTIVE_TOLERANCE
+    return any(all(_value(group[i], group[j]) > ACTIVE_TOLERANCE
                    for j in subset if j != i) for i in subset)
 
 
-def _direct(cons, epos: Vec, ball: Ball | None, table: SolveTable):
+def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
+            table: SolveTable):
     """The minimizer certified directly from one to three active
-    constraints, as ``(x, lam, stationarity, slackness)``, or None.
+    constraints, as ``(y, lam, stationarity, slackness)``, or None.
 
     Tries each constraint's own lowest point (likely highest first), then
     pairs of members, then a member with the ball, then triples (lowest
     candidate first).  A certified KKT point of this strictly convex
     program is its unique minimizer, so the order only affects cost.  A set
-    is skipped when it is :func:`_redundant`.  Every point, value and
+    is skipped when it is :func:`_redundant`.  ``group`` holds the entries
+    of ``table`` for the constraints, and every point, value and
     certificate comes from ``table`` when it is there.
     """
-    group = table._group(cons, epos, ball)
     n = len(cons)
     count = len(group)
     order = range(count)
     if count > 1:
         for c in group:
-            c.shape(epos)
+            c.shape()
         # A single-active minimizer is the highest of the constraints' own
         # lowest points, which their dropped spheres approximate.
         order = sorted(order, key=[c.low_z for c in group].__getitem__,
                        reverse=True)
     for j in order:
-        low = group[j].lowest(epos)
-        certificate = _certify(cons, epos, ball, group, low, (j,))
+        low = group[j].lowest()
+        certificate = _certify(cons, ball, group, low, (j,))
         if certificate is not None:
-            return (low.x, *certificate)
+            return (low.y, *certificate)
     if count == 1:
         return None
 
@@ -1153,13 +1132,13 @@ def _direct(cons, epos: Vec, ball: Ball | None, table: SolveTable):
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
-        if _redundant(group, subset, epos):
+        if _redundant(group, subset):
             continue
-        points = table._candidates(tuple([group[j] for j in subset]), epos)
+        points = table._candidates(tuple([group[j] for j in subset]))
         for point in points:
-            certificate = _certify(cons, epos, ball, group, point, subset)
+            certificate = _certify(cons, ball, group, point, subset)
             if certificate is not None:
-                return (point.x, *certificate)
+                return (point.y, *certificate)
     return None
 
 
@@ -1170,20 +1149,19 @@ def _direct(cons, epos: Vec, ball: Ball | None, table: SolveTable):
 _BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
 
 
-def _grad_hess(cons, epos: Vec, ball: Ball | None, j: int, x: Vec,
+def _grad_hess(cons, ball: _Sphere | None, j: int, y: Vec,
                hessian: bool = True):
     """Value, gradient and packed Hessian (None unless ``hessian``) of
     constraint ``j``: member ``j``'s ``f``, or the ball's ``g`` for
     ``j == len(cons)``."""
     if j < len(cons):
-        return _f_grad_hess(cons[j], epos, x, hessian)
-    grad = la.scale(la.sub(x, ball.center), -2.0)
-    return ball.g(x), grad, _BALL_HESSIAN if hessian else None
+        return _f_grad_hess(cons[j], y, hessian)
+    grad = la.scale(la.sub(y, ball[0]), -2.0)
+    return _ball_g(ball, y), grad, _BALL_HESSIAN if hessian else None
 
 
-def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
-                active: tuple[int, ...]):
-    """Newton-refine the active-set KKT system; returns (x, lam) or None.
+def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
+    """Newton-refine the active-set KKT system; returns (y, lam) or None.
 
     ``active`` holds constraint positions.  The system solved is
     stationarity plus each active constraint at zero; quadratic
@@ -1193,18 +1171,18 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
     zero the bordered Jacobian has a vanishing curvature block and is
     singular whenever fewer than three constraints are active.
     """
-    lam = _gram_multipliers([_grad_hess(cons, epos, ball, j, x, hessian=False)[1]
+    lam = _gram_multipliers([_grad_hess(cons, ball, j, y, hessian=False)[1]
                              for j in active])
     if lam is None:
         return None
-    xc = x
-    best = (math.inf, xc, lam)
+    yc = y
+    best = (math.inf, yc, lam)
     for _ in range(20):
         values = []
         grads = []
         w11 = w12 = w13 = w22 = w23 = w33 = 0.0
         for lj, j in zip(lam, active):
-            value, grad, hess = _grad_hess(cons, epos, ball, j, xc)
+            value, grad, hess = _grad_hess(cons, ball, j, yc)
             values.append(value)
             grads.append(grad)
             w11 += lj * hess[0]
@@ -1220,7 +1198,7 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
         residual = [r0, r1, r2] + values
         size = max(abs(v) for v in residual)
         if size < best[0]:
-            best = (size, xc, lam[:])
+            best = (size, yc, lam[:])
         if size < 1e-13:
             break
         # Bordered Jacobian: the weighted Hessian, bordered by the gradients.
@@ -1233,26 +1211,26 @@ def _polish_kkt(cons, epos: Vec, ball: Ball | None, x: Vec,
             delta = la.gauss_solve(matrix, rhs)
         except ValueError:
             return None
-        xc = (xc[0] + delta[0], xc[1] + delta[1], xc[2] + delta[2])
+        yc = (yc[0] + delta[0], yc[1] + delta[1], yc[2] + delta[2])
         for j in range(len(active)):
             lam[j] += delta[3 + j]
     else:
         # Far from the origin rounding can hold the residual above 1e-13;
         # the certificate judges the best iterate.
-        _, xc, lam = best
-    return xc, dict(zip(active, lam))
+        _, yc, lam = best
+    return yc, dict(zip(active, lam))
 
 
-def _polish_hypothesis(cons, epos: Vec, ball: Ball | None, x: Vec, active):
+def _polish_hypothesis(cons, ball: _Sphere | None, y: Vec, active):
     """Polish one active-set guess, shedding the most positive multiplier
     until none is above 1e-10.
 
-    Returns ``(x, lam)`` or None when the guess cannot be made consistent.
+    Returns ``(y, lam)`` or None when the guess cannot be made consistent.
     """
     active = list(active)
     while active:
         try:
-            polished = _polish_kkt(cons, epos, ball, x, tuple(active))
+            polished = _polish_kkt(cons, ball, y, tuple(active))
         except ZeroDivisionError:
             # An active member's gradient is undefined at the evader itself,
             # where the barrier can stop when the evader grazes a capture
@@ -1273,83 +1251,71 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
            table: SolveTable | None = None) -> InterceptionResult:
     cons = _constraints(members, evader, pursuers)
     epos = evader.position
-    ball = region if isinstance(region, Ball) else None
-    if ball is not None:
+    ball = None
+    if isinstance(region, Ball):
         for i in members:
-            if ball.g(pursuers[i].position) < -1e-9:
+            if region.g(pursuers[i].position) < -1e-9:
                 raise ValueError(f"pursuer {i} lies outside the ball play region")
-        if ball.g(epos) < -1e-9:
+        if region.g(epos) < -1e-9:
             raise ValueError("evader lies outside the ball play region")
+        ball = (la.sub(region.center, epos), region.radius)
+    if table is None:
+        table = SolveTable()
+    group = table._group(cons, ball)
 
     if initial_point is None:
-        direct = _direct(cons, epos, ball,
-                         SolveTable() if table is None else table)
+        direct = _direct(cons, ball, group, table)
         if direct is not None:
-            return _result(members, *direct)
+            return _result(members, epos, *direct)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
-    margin = min(la.dist(con[0], epos) - con[2] for con in cons)
+    margin = min(la.norm(con[0]) - con[2] for con in cons)
     mu2 = (1e-7 * margin) ** 2 if any(con[2] > 0.0 for con in cons) else 0.0
     if initial_point is None:
-        start = _slide_down(
-            cons, epos, ball, _initial_point(cons, epos, ball, mu2), mu2
-        )
+        start = _slide_down(cons, ball, _initial_point(cons, ball, mu2), mu2)
     else:
-        start = la.as_vec(initial_point)
-        if _barrier_value(cons, epos, ball, start, 0.0, mu2) is None:
+        start = la.sub(initial_point, epos)
+        if _barrier_value(cons, ball, start, 0.0, mu2) is None:
             raise ValueError("initial point must be strictly feasible")
-    x = _barrier_solve(cons, epos, ball, start, mu2)
+    barrier = _Point(_barrier_solve(cons, ball, start, mu2))
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
     # threshold.  Polish active-set hypotheses from tight to loose, and
     # return the first polished point that certifies, else the barrier
-    # point itself if it does.
-    values = _constraint_values(cons, epos, ball, x)
+    # point itself if it does.  Each takes as active the constraints within
+    # ACTIVE_TOLERANCE of their boundary.
+    values = [_value(barrier, c) for c in group]
     hypotheses: list[tuple[int, ...]] = []
     for tol in (ACTIVE_TOLERANCE, 1e-5, 1e-3):
         candidate = tuple(j for j, v in enumerate(values) if abs(v) <= tol)
         if candidate not in hypotheses:
             hypotheses.append(candidate)
-    for active in hypotheses:
-        polished = _polish_hypothesis(cons, epos, ball, x, active)
-        if polished is not None:
-            certified = _certify_point(cons, epos, ball, polished[0])
-            if certified is not None:
-                return _result(members, *certified)
-    certified = _certify_point(cons, epos, ball, x)
-    if certified is None:
-        raise SolverFailure("no KKT certificate at the barrier point or a "
-                            "polished one")
-    return _result(members, *certified)
+    polished = (_polish_hypothesis(cons, ball, barrier.y, active)
+                for active in hypotheses)
+    for point in itertools.chain(
+            (_Point(found[0]) for found in polished if found is not None),
+            (barrier,)):
+        active = tuple(j for j, c in enumerate(group)
+                       if abs(_value(point, c)) <= ACTIVE_TOLERANCE)
+        try:
+            certificate = _certify(cons, ball, group, point, active)
+        except ZeroDivisionError:
+            # An active member's gradient is undefined at the evader itself.
+            continue
+        if certificate is not None:
+            return _result(members, epos, point.y, *certificate)
+    raise SolverFailure("no KKT certificate at the barrier point or a "
+                        "polished one")
 
 
-def _certify_point(cons, epos: Vec, ball: Ball | None, x: Vec):
-    """Certify ``x`` with the constraints within ``ACTIVE_TOLERANCE`` of
-    their boundary as its active set, as ``(x, lam, stationarity,
-    slackness)``, or None when a constraint is violated by more than 1e-8
-    or the Gram certificate fails."""
-    values = _constraint_values(cons, epos, ball, x)
-    if not all(v >= -1e-8 for v in values):
-        return None
-    active = tuple(j for j, v in enumerate(values) if abs(v) <= ACTIVE_TOLERANCE)
-    try:
-        certificate = _gram_certificate(cons, epos, ball, x, active)
-    except ZeroDivisionError:
-        # An active member's gradient is undefined at the evader itself.
-        return None
-    if certificate is None:
-        return None
-    multipliers, stationarity, slack = certificate
-    return x, dict(zip(active, multipliers)), stationarity, slack
-
-
-def _result(members: Coalition, x: Vec, lam: dict[int, float],
+def _result(members: Coalition, epos: Vec, y: Vec, lam: dict[int, float],
             stationarity: float, slack: float) -> InterceptionResult:
-    """Result whose active set is the constraints with a multiplier in
-    ``lam``; the ball's entry, keyed ``len(members)``, fills the region
-    fields."""
+    """Result at ``x_E + y`` whose active set is the constraints with a
+    multiplier in ``lam``; the ball's entry, keyed ``len(members)``, fills
+    the region fields."""
+    x = la.add(epos, y)
     region = len(members)
     active_set = []
     multipliers = [0.0] * region
@@ -1406,8 +1372,7 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
     if len(members) != 3:
         raise ValueError("triple candidates require a coalition of exactly 3")
     cons = _constraints(members, evader, pursuers)
-    epos = evader.position
-    points = _triple_points(*(_member_form(con, epos) for con in cons))
+    points = _triple_points(*(_member_form(con) for con in cons))
     if points is None:
         raise CoplanarConfigurationError(
             "evader and pursuers are coplanar; boundary intersections are "
@@ -1415,9 +1380,9 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
         )
     unique: list[Vec] = []
     for y in points:
-        point = la.add(epos, y)
-        if max(abs(_f_original(con, epos, point)) for con in cons) > 1e-7:
+        if max(abs(_f_original(con, y)) for con in cons) > 1e-7:
             continue
+        point = la.add(evader.position, y)
         if all(la.dist(point, other) > 1e-8 for other in unique):
             unique.append(point)
     return unique
@@ -1441,7 +1406,8 @@ def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
             # Only the region constraint binds; any single member certifies
             # the same point.  Keep the lowest index.
             return (current[0],)
-        grads = [_f_grad_hess(con, evader.position, result.point, hessian=False)[1]
+        y = la.sub(result.point, evader.position)
+        grads = [_f_grad_hess(con, y, hessian=False)[1]
                  for con in _constraints(active, evader, pursuers)]
         if len(grads) <= 3 and _unique_multipliers(grads) is not None:
             return tuple(active)
@@ -1489,11 +1455,11 @@ def classify_result(result: InterceptionResult, evader: EvaderSpec, pursuers,
             # The segment from the evader to the minimizer stays feasible by
             # convexity; its crossing of z=0 is a reachable exit point.
             tau = epos[2] / (epos[2] - value)
-            crossing = la.add(epos, la.scale(la.sub(result.point, epos), tau))
+            y = la.scale(la.sub(result.point, epos), tau)
             cons = _constraints(result.coalition, evader, pursuers)
             feasible = all(
-                _f_original(con, epos, crossing) >= -1e-9 for con in cons
-            ) and region.g(crossing) >= -1e-9
+                _f_original(con, y) >= -1e-9 for con in cons
+            ) and region.g(la.add(epos, y)) >= -1e-9
             if not feasible:
                 raise SolverFailure(
                     "negative optimal altitude without a reachable exit point"

@@ -371,12 +371,18 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
 
 def _shed_to_first_member(calls, cons, evader, ball):
     """Polish the guess that constraints 0 and 1 bind, where only member 0
-    does: constraint 1 must be shed and the point come out at (0, 0, 7/3)."""
-    low = (0.0, 0.0, 7.0 / 3.0)
-    start = (0.01, 0.0, 7.0 / 3.0 - 0.01)
+    does: constraint 1 must be shed and the point come out at (0, 0, 7/3).
+
+    The polish works in the evader's frame, so the points and the ball's
+    centre are passed relative to the evader."""
+    def relative(point):
+        return tuple(p - e for p, e in zip(point, evader.position))
+
+    low = relative((0.0, 0.0, 7.0 / 3.0))
+    start = relative((0.01, 0.0, 7.0 / 3.0 - 0.01))
+    sphere = None if ball is None else (relative(ball.center), ball.radius)
     calls.clear()
-    outcome = interception._polish_hypothesis(cons, evader.position, ball,
-                                              start, (0, 1))
+    outcome = interception._polish_hypothesis(cons, sphere, start, (0, 1))
     assert outcome is not None
     point, lam = outcome
     assert calls["_polish_kkt"] == 2
