@@ -208,8 +208,8 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> Vec:
 
 
 def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,
-                  direction: Vec) -> tuple[float, float, float]:
-    """``(h1, alpha, const)`` of the radial boundary description along
+                  direction: Vec) -> tuple[float, float, float, float]:
+    """``(h1, ar, a2m1, const)`` of the radial boundary description along
     ``direction``; see :func:`radial_derivatives`."""
     separation = _check_not_captured(pursuer, evader)
     alpha = speed_ratio(pursuer, evader)
@@ -219,8 +219,9 @@ def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,
         )
     r = pursuer.capture_radius
     h1 = la.dot(la.sub(evader.position, pursuer.position), direction) - alpha * r
-    const = (alpha * alpha - 1.0) * (separation * separation - r * r)
-    return h1, alpha, const
+    # Factored, alpha^2 - 1 keeps its digits for barely faster pursuers.
+    a2m1 = (alpha - 1.0) * (alpha + 1.0)
+    return h1, alpha * r, a2m1, a2m1 * (separation * separation - r * r)
 
 
 def radial_derivatives(h1: float, h1_d: float, ar: float, a2m1: float,
@@ -256,8 +257,8 @@ def boundary_radius(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> floa
     e = la.as_vec(direction)
     if abs(la.norm(e) - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector, got norm {la.norm(e)}")
-    h1, alpha, const = _radial_terms(pursuer, evader, e)
-    return (h1 + math.sqrt(h1 * h1 + const)) / (alpha * alpha - 1.0)
+    h1, ar, a2m1, const = _radial_terms(pursuer, evader, e)
+    return radial_derivatives(h1, 0.0, ar, a2m1, const)[0]
 
 
 def boundary_point(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> Vec:
@@ -310,10 +311,9 @@ def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame
     e: Vec = (cos_p * cos_t, cos_p * sin_t, sin_p)
     de: Vec = (-sin_p * cos_t, -sin_p * sin_t, cos_p)
 
-    h1, alpha, const = _radial_terms(pursuer, evader, e)
+    h1, ar, a2m1, const = _radial_terms(pursuer, evader, e)
     offset = la.sub(evader.position, pursuer.position)
-    return radial_derivatives(h1, la.dot(offset, de), alpha * pursuer.capture_radius,
-                              alpha * alpha - 1.0, const)
+    return radial_derivatives(h1, la.dot(offset, de), ar, a2m1, const)
 
 
 def cross_section_curvature(pursuer: PursuerSpec, evader: EvaderSpec,

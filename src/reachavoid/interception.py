@@ -500,7 +500,8 @@ def _section_altitude(phi: float, qp: float, qz: float, ar: float,
 def _solve_single(con: _Con) -> Vec:
     q, a, r = con
     d = la.norm(q)
-    a2m1 = a * a - 1.0
+    # Factored, as in _Form: a * a - 1.0 loses ten digits at a - 1 = 1e-6.
+    a2m1 = (a - 1.0) * (a + 1.0)
     qp = math.hypot(q[0], q[1])
     if qp > 1e-13 * max(d, 1.0):
         phat = (q[0] / qp, q[1] / qp, 0.0)

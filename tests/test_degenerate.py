@@ -46,12 +46,12 @@ REGIMES = ("barely-faster", "near-sphere", "coplanar", "coaxial",
 
 # Certified solves out of DRAWS per regime; none may be lost.
 CERTIFIED = {
-    "barely-faster": 432,
-    "near-sphere": 395,
+    "barely-faster": 500,
+    "near-sphere": 486,
     "coplanar": 500,
     "coaxial": 500,
     "ball-boundary": 500,
-    "ball-coaxial": 491,
+    "ball-coaxial": 493,
     "plain": 500,
 }
 
