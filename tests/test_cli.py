@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from reachavoid import SolverFailure, random_scenario
+from reachavoid import UNBOUNDED, Ball, SolverFailure, random_scenario
 from reachavoid.cli import (
     main,
     scenario_from_json,
@@ -50,16 +51,19 @@ def write(tmp_path, name, doc):
 
 
 def test_scenario_round_trip():
-    scenario = random_scenario(3, max_pursuers=4, max_evaders=4)
-    rebuilt = scenario_from_json(scenario_to_json(scenario))
-    assert rebuilt.pursuers == scenario.pursuers
-    assert rebuilt.evaders == scenario.evaders
-    assert rebuilt.region == scenario.region
-    assert rebuilt.dt == scenario.dt
-    assert rebuilt.seed == scenario.seed
-    assert rebuilt.max_time == scenario.max_time
-    assert rebuilt.evader_policies == scenario.evader_policies
-    assert rebuilt.matcher == scenario.matcher
+    for region in (UNBOUNDED, Ball((0.0, 0.0, 1.0), 4.5)):
+        scenario = replace(random_scenario(3, max_pursuers=4, max_evaders=4,
+                                           region=region), rematch_every=3)
+        rebuilt = scenario_from_json(scenario_to_json(scenario))
+        assert rebuilt.pursuers == scenario.pursuers
+        assert rebuilt.evaders == scenario.evaders
+        assert rebuilt.region == scenario.region == region
+        assert rebuilt.dt == scenario.dt
+        assert rebuilt.seed == scenario.seed
+        assert rebuilt.max_time == scenario.max_time
+        assert rebuilt.evader_policies == scenario.evader_policies
+        assert rebuilt.matcher == scenario.matcher
+        assert rebuilt.rematch_every == 3
 
 
 def test_scenario_schema_errors():
@@ -71,6 +75,15 @@ def test_scenario_schema_errors():
     with pytest.raises(Exception, match="region"):
         scenario_from_json(json.dumps({
             "pursuers": [], "evaders": [], "region": "donut",
+        }))
+    with pytest.raises(Exception, match="region.ball: expected an object"):
+        scenario_from_json(json.dumps({
+            "pursuers": [], "evaders": [], "region": {"ball": 3},
+        }))
+    with pytest.raises(Exception, match="region.ball: .*exit plane"):
+        scenario_from_json(json.dumps({
+            "pursuers": [], "evaders": [],
+            "region": {"ball": {"center": [0, 0, 5], "radius": 1.0}},
         }))
     with pytest.raises(Exception, match="speed"):
         scenario_from_json(json.dumps({

@@ -287,6 +287,20 @@ def test_validate_scenario_errors():
         ))
     with pytest.raises(ScenarioError, match="matcher"):
         validate_scenario(simple_scenario(matcher="greedy"))
+    with pytest.raises(ScenarioError, match="rematch_every"):
+        validate_scenario(simple_scenario(rematch_every=0))
+    with pytest.raises(ScenarioError, match="evader_policies"):
+        validate_scenario(simple_scenario(evader_policies=("straight",) * 2))
+    with pytest.raises(ScenarioError, match=r"pursuers\[0\].pos: outside the ball"):
+        validate_scenario(simple_scenario(
+            region=Ball(center=(0, 0, 2), radius=2.5),
+            pursuers=(PursuerSpec(position=(3, 0, 1), speed=2.0),),
+        ))
+    with pytest.raises(ScenarioError, match=r"evaders\[1\].pos: coincides"):
+        validate_scenario(simple_scenario(
+            evaders=(EvaderSpec(position=(0, 0, 3), speed=1.0),) * 2,
+            evader_policies=("straight",) * 2,
+        ))
 
 
 def test_policies_run_and_random_walk_is_seeded():

@@ -131,6 +131,26 @@ def test_exact_mbmc_matches_exhaustive_oracle():
         assert len(best) == oracles.exhaustive_mbmc_size(graph)
 
 
+def test_is_conflict_free_rejects_invalid_matchings():
+    graph = fig3_graph()
+    index = {c: i for i, c in enumerate(graph.coalitions)}
+    invalid = {
+        "non-edge": [(index[(1,)], 0)],
+        "repeated evader": [(index[(0,)], 1), (index[(1,)], 1)],
+        "repeated coalition": [(index[(0,)], 0), (index[(0,)], 1)],
+        "shared pursuer": [(index[(0,)], 0), (index[(0, 1)], 3)],
+    }
+    for name, matching in invalid.items():
+        assert not is_conflict_free(graph, matching), name
+
+
+def test_build_graph_rejects_misaligned_evader_ids():
+    pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0)]
+    evaders = [EvaderSpec((0.0, 0.0, 3.0), 1.0), EvaderSpec((1.0, 0.0, 3.0), 1.0)]
+    with pytest.raises(ValueError, match="evader_ids"):
+        build_graph(pursuers, evaders, evader_ids=(0,))
+
+
 def test_sequential_matching_fig3():
     graph = fig3_graph()
     pairs = sequential_matching(graph)
