@@ -1034,7 +1034,7 @@ def _value(point: _Point, c: _Constraint) -> float:
 
 def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
                       active: tuple[int, ...]):
-    """Gram-system multipliers of the ``active`` constraints at ``x`` with
+    """Gram-system multipliers of the ``active`` constraints at ``y`` with
     the stationarity and complementary-slackness residuals they leave, or
     None when :func:`_gram_multipliers` has no fit or the KKT certificate
     fails.  Both solver paths certify only through this."""
