@@ -8,17 +8,26 @@ matching that additionally uses each pursuer at most once.  Finding the
 largest such matching is NP-hard (pair-only instances encode 3-dimensional
 matching), hence both an exact branch-and-bound search and the three-stage
 sequential approximation are provided.
+
+The graph build solves coalitions by increasing size and uses that an
+evasion space only shrinks as pursuers join: when the lowest point x_S of
+a losing coalition S lies strictly inside pursuer k's body
+(f_k(x_S) > ``ACTIVE_TOLERANCE``), x_S is also the lowest point of
+S + {k}, which therefore loses without a solve of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 
-from .geometry import EvaderSpec, PursuerSpec
+from . import _linalg as la
+from .geometry import EvaderSpec, PursuerSpec, _f_original, _race
 from .interception import (
+    ACTIVE_TOLERANCE,
     GameKind,
     InterceptionResult,
     Region,
@@ -70,6 +79,17 @@ class GameGraph:
         object.__setattr__(self, "evaders", evaders)
         object.__setattr__(self, "edges", tuple(sorted(set(edges))))
 
+    @classmethod
+    def _trusted(cls, coalitions: tuple[Coalition, ...], evaders: tuple[int, ...],
+                 edges: tuple[tuple[int, int], ...]) -> GameGraph:
+        """A graph from fields already in the form ``__post_init__`` gives
+        them (int tuples, sorted distinct edges), skipping its checks."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "coalitions", coalitions)
+        object.__setattr__(graph, "evaders", evaders)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     def edge_key(self, edge: tuple[int, int]) -> tuple[Coalition, int]:
         """Deterministic (members, evader) sort key for an edge."""
         return (self.coalitions[edge[0]], edge[1])
@@ -81,22 +101,20 @@ def edges_conflict(s: Coalition, p: Coalition) -> bool:
 
 
 def is_conflict_free(graph: GameGraph, matching) -> bool:
-    """Validate a matching: edges of the graph, distinct evaders and
-    coalitions, no shared pursuer."""
+    """Validate a matching: edges of the graph, distinct evaders, no shared
+    pursuer (so no coalition twice)."""
     edge_set = set(graph.edges)
     used_evaders: set[int] = set()
-    used_coalitions: set[int] = set()
     used_pursuers: set[int] = set()
     for ci, ej in matching:
         if (ci, ej) not in edge_set:
             return False
-        if ej in used_evaders or ci in used_coalitions:
+        if ej in used_evaders:
             return False
         members = set(graph.coalitions[ci])
         if members & used_pursuers:
             return False
         used_evaders.add(ej)
-        used_coalitions.add(ci)
         used_pursuers |= members
     return True
 
@@ -111,7 +129,13 @@ def coalition_count(num_pursuers: int) -> int:
 
 def all_coalitions(num_pursuers: int) -> tuple[Coalition, ...]:
     """Every coalition of size one to three, sorted by size then members."""
-    n = int(num_pursuers)
+    return _coalition_index(int(num_pursuers))[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _coalition_index(n: int) -> tuple[tuple[Coalition, ...], dict[Coalition, int]]:
+    """:func:`all_coalitions` of ``n`` and each coalition's index in it,
+    made once per ``n``; callers must not mutate the dict."""
     singles = [(i,) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     triples = [
@@ -120,7 +144,8 @@ def all_coalitions(num_pursuers: int) -> tuple[Coalition, ...]:
         for j in range(i + 1, n)
         for k in range(j + 1, n)
     ]
-    return tuple(singles + pairs + triples)
+    coalitions = tuple(singles + pairs + triples)
+    return coalitions, {c: i for i, c in enumerate(coalitions)}
 
 
 def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
@@ -130,8 +155,9 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     An edge joins a coalition to an evader when the coalition does not lose
     (win or tie) while every proper subcoalition loses outright, so edges
     carry exactly the minimal winning coalitions.  Coalitions are examined
-    by increasing size, which lets losing-subcoalition checks prune most
-    pair and triple solves.
+    by increasing size: a pair or triple is solved only when all its proper
+    subcoalitions lose and no lower-order point already decides it (see
+    :func:`build_graph_with_results`).
     """
     graph, _ = build_graph_with_results(
         pursuers, evaders, region, evader_ids=evader_ids
@@ -141,14 +167,25 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
 
 def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                              evader_ids=None):
-    """As :func:`build_graph`, also returning the per-pair solve results.
+    """As :func:`build_graph`, also returning the solve results.
 
     The second return value maps ``(coalition, evader_id)`` to the
-    :class:`~reachavoid.interception.InterceptionResult` computed for it;
-    the simulation engine reuses these to avoid duplicate solves.
+    :class:`~reachavoid.interception.InterceptionResult` of every coalition
+    that was solved; the simulation engine reuses these to avoid duplicate
+    solves.  Every edge's coalition is among them.
+
+    Coalitions whose lowest point a lower-order one already decides are not
+    solved and are absent.  Each losing single and pair keeps its point
+    x_S.  The pair (i, j) is skipped when f_j(x_i) or f_i(x_j) exceeds
+    ``ACTIVE_TOLERANCE``, and then keeps the covered single's point; the
+    triple (i, j, k) is skipped when its third member covers the point of
+    any of its three pairs by the same test.  This is the test by which a
+    solve leaves a constraint inactive, so a skipped coalition's own solve
+    would certify at that lower-order point, and it loses.  A pursuer's
+    race terms are built, and each (point, pursuer) cover evaluated, only
+    when first needed and at most once.
     """
-    coalitions = all_coalitions(len(pursuers))
-    index_of = {c: i for i, c in enumerate(coalitions)}
+    coalitions, index_of = _coalition_index(len(pursuers))
     if evader_ids is None:
         evader_ids = tuple(range(len(evaders)))
     else:
@@ -162,35 +199,54 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         # The evader's coalitions share their members' geometry; the table
         # lives for this call only.
         table = SolveTable()
+        races = [None] * len(pursuers)
 
-        def kind_of(members: Coalition) -> GameKind:
-            key = (members, ej)
-            result = results.get(key)
-            if result is None:
-                result = solve_interception(members, evader, pursuers, region,
-                                            table=table)
-                results[key] = result
-            return classify_result(result, evader, pursuers, region)
+        # Each losing coalition's evader-frame point with its cover memo,
+        # keyed by its members; a skipped pair shares its single's.
+        points = {}
+
+        def loses(members: Coalition) -> bool:
+            """Solve ``members``: keep its point when it loses, else record
+            its edge."""
+            result = solve_interception(members, evader, pursuers, region,
+                                        table=table)
+            results[(members, ej)] = result
+            kind = classify_result(result, evader, pursuers, region)
+            if kind is GameKind.EVADER_WINS:
+                points[members] = (la.sub(result.point, evader.position), {})
+                return True
+            edges.append((index_of[members], ej))
+            return False
+
+        def covers(point, k: int) -> bool:
+            """Whether pursuer ``k``'s body holds ``point`` strictly inside."""
+            y, memo = point
+            inside = memo.get(k)
+            if inside is None:
+                race = races[k]
+                if race is None:
+                    race = races[k] = _race(pursuers[k], evader)
+                inside = memo[k] = _f_original(race, y) > ACTIVE_TOLERANCE
+            return inside
 
         # Increasing indices, so combinations come in all_coalitions order.
-        losing_singles = []
-        for i in range(len(pursuers)):
-            if kind_of((i,)) is GameKind.EVADER_WINS:
-                losing_singles.append(i)
-            else:
-                edges.append((index_of[(i,)], ej))
-        losing_pairs = set()
+        losing_singles = [i for i in range(len(pursuers)) if loses((i,))]
         for members in itertools.combinations(losing_singles, 2):
-            if kind_of(members) is GameKind.EVADER_WINS:
-                losing_pairs.add(members)
+            i, j = members
+            if covers(points[(i,)], j):
+                points[members] = points[(i,)]
+            elif covers(points[(j,)], i):
+                points[members] = points[(j,)]
             else:
-                edges.append((index_of[members], ej))
+                loses(members)
         for members in itertools.combinations(losing_singles, 3):
             i, j, k = members
-            if {(i, j), (i, k), (j, k)} <= losing_pairs:
-                if kind_of(members) is not GameKind.EVADER_WINS:
-                    edges.append((index_of[members], ej))
-    graph = GameGraph(coalitions=coalitions, evaders=evader_ids, edges=tuple(edges))
+            # Each pair with the member that completes the triple.
+            pairs = (((i, j), k), ((i, k), j), ((j, k), i))
+            if all(pair in points for pair, _ in pairs) and not any(
+                    covers(points[pair], m) for pair, m in pairs):
+                loses(members)
+    graph = GameGraph._trusted(coalitions, evader_ids, tuple(sorted(set(edges))))
     return graph, results
 
 

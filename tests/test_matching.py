@@ -314,6 +314,20 @@ def test_build_graph_edges_are_exactly_the_minimal_winners():
     assert {len(graph.coalitions[ci]) for ci, _ in graph.edges} == {1, 2, 3}
 
 
+def test_built_graph_equals_the_validated_graph_of_its_fields():
+    # The build assembles its graph without re-validating it; the result
+    # must be the graph the validating constructor makes of the same fields.
+    rng = random.Random(5)
+    pursuers = [oracles.random_pose(rng, 1)[0][0] for _ in range(5)]
+    evaders = [oracles.random_pose(rng, 1)[1] for _ in range(4)]
+    for evader_ids in (None, (7, 3, 11, 2)):
+        graph = build_graph(pursuers, evaders, evader_ids=evader_ids)
+        assert graph.edges
+        assert graph == GameGraph(coalitions=graph.coalitions,
+                                  evaders=graph.evaders, edges=graph.edges)
+        assert graph.coalitions is all_coalitions(5)
+
+
 def test_three_dm_instance_validation():
     with pytest.raises(ValueError):
         ThreeDMInstance(m=0, triples=())
