@@ -47,7 +47,8 @@ order below changes only the cost:
 - **single**: each member's body alone has its lowest point found by a
   Newton search over one angle (the body is one of revolution about the
   evader-pursuer axis), seeded at the lowest point of the Apollonius
-  sphere, which is exact when r = 0; the ball's lowest point is explicit.
+  sphere, which is exact when r = 0, and bracketed by the lower half of the
+  section circle; the ball's lowest point is explicit.
   This is the common case.
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
@@ -66,12 +67,12 @@ order below changes only the cost:
   constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
 
 Solves against one evader share their single-, pair- and triple-level work
-through a :class:`SolveTable`: forms, own lowest points, candidate points,
-constraint values there and each point's certificate; only the check that
-a coalition's other constraints lie strictly beyond ``ACTIVE_TOLERANCE`` is
-per coalition.  Entries are keyed by exactly their inputs in the evader's
-frame, so a table reused with moved players can only miss.  The graph build
-makes one table per evader per call; a solve given none uses a private one.
+through a :class:`SolveTable`: forms, own lowest points and candidate
+points.  The constraint values at a candidate and its certificate are
+computed per solve.  Entries are keyed by exactly their inputs in the
+evader's frame, so a table reused with moved players can only miss.  The
+graph build makes one table per evader per call; a solve given none uses a
+private one.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
@@ -97,6 +98,7 @@ from .geometry import (
     _Con,
     _f_grad_hess,
     _f_original,
+    _race,
     radial_derivatives,
 )
 
@@ -162,10 +164,7 @@ class Ball:
             )
 
     def g(self, point: Vec) -> float:
-        dx = point[0] - self.center[0]
-        dy = point[1] - self.center[1]
-        dz = point[2] - self.center[2]
-        return self.radius * self.radius - (dx * dx + dy * dy + dz * dz)
+        return _ball_g((self.center, self.radius), point)
 
 
 Region = Unbounded | Ball
@@ -243,18 +242,17 @@ def _constraints(members: Coalition, evader: EvaderSpec,
                  pursuers) -> list[_Con]:
     cons: list[_Con] = []
     for i in members:
-        p = pursuers[i]
-        alpha = p.speed / evader.speed
+        con = _race(pursuers[i], evader)
+        q, alpha, r = con
         if alpha <= 1.0:
             raise AssumptionViolation(
                 f"pursuer {i} is not faster than the evader (alpha={alpha})"
             )
-        q = la.sub(p.position, evader.position)
-        if la.norm(q) <= p.capture_radius:
+        if la.norm(q) <= r:
             raise CapturedConfigurationError(
                 f"evader is already within capture radius of pursuer {i}"
             )
-        cons.append((q, alpha, p.capture_radius))
+        cons.append(con)
     return cons
 
 
@@ -512,28 +510,14 @@ def _solve_single(con: _Con) -> Vec:
     ar = a * r
     const = a2m1 * (d * d - r * r)
 
-    # The altitude along the closed convex section is circularly unimodal,
-    # so a half circle whose ends slope down and up holds the minimum.  The
-    # lowest point of the Apollonius sphere (the body when r = 0) is the
-    # centre of the first try; a coarse scan brackets it otherwise.
+    # The body strictly contains the evader, so the section's horizontal
+    # points (phi = -pi/2 and pi/2) sit at the evader's altitude, where the
+    # altitude slopes down and up, and the lower half circle between them
+    # holds the lowest point.  Newton starts inside it at the lowest point
+    # of the Apollonius sphere, which is the body when r = 0.
     phi = math.atan2(-qp, qz + a * d)
-    lo = phi - 0.5 * math.pi
-    hi = phi + 0.5 * math.pi
-    if not (_section_altitude(lo, qp, qz, ar, a2m1, const)[1] < 0.0
-            < _section_altitude(hi, qp, qz, ar, a2m1, const)[1]):
-        n = 16
-        best_k = 0
-        best_z = math.inf
-        two_pi = 2.0 * math.pi
-        for k in range(n):
-            z = _section_altitude(-math.pi + two_pi * k / n,
-                                  qp, qz, ar, a2m1, const)[0]
-            if z < best_z:
-                best_z = z
-                best_k = k
-        lo = -math.pi + two_pi * (best_k - 1) / n
-        hi = -math.pi + two_pi * (best_k + 1) / n
-        phi = -math.pi + two_pi * best_k / n
+    lo = -0.5 * math.pi
+    hi = 0.5 * math.pi
     state = _section_altitude(phi, qp, qz, ar, a2m1, const)
     for _ in range(100):
         z, z_d, z_dd, rho, s, c = state
@@ -918,54 +902,29 @@ def _unique_multipliers(grads) -> list[float] | None:
             min(-ab[2] / volume, 0.0)]
 
 
-# What the solves against one evader share.  Each candidate point belongs
-# to one active set (a constraint's own lowest point to that constraint, a
-# pair's or triple's points to that pair or triple), so a point holds one
-# certificate, and only the check that the rest of a coalition lies
-# strictly beyond ACTIVE_TOLERANCE is redone per coalition.
+class _Constraint:
+    """A member ``(q, alpha, r)`` or the ball's sphere, with its own lowest
+    point ``y`` (found by :meth:`lowest`), its boundary form and the
+    altitude of its dropped sphere's lowest point (both set by
+    :meth:`shape`)."""
 
-_UNTRIED = object()
-
-
-class _Point:
-    """A candidate point ``y``, the constraint values there (keyed by
-    :class:`_Constraint`, computed on first use) and the certificate of its
-    active set once tried: None when it failed."""
-
-    __slots__ = ("y", "values", "certificate")
-
-    def __init__(self, y: Vec) -> None:
-        self.y = y
-        self.values: dict[_Constraint, float] = {}
-        self.certificate = _UNTRIED
-
-
-class _Constraint(_Point):
-    """A member ``(q, alpha, r)`` or the ball's sphere.  As a point it is the
-    constraint's own lowest point, found by :meth:`lowest`; it also keeps
-    its boundary form and the altitude of its dropped sphere's lowest point,
-    both set by :meth:`shape`."""
-
-    __slots__ = ("key", "member", "form", "low_z")
+    __slots__ = ("key", "member", "y", "form", "low_z")
 
     def __init__(self, key, member: bool) -> None:
-        # Every single solve makes one, so _Point.__init__ is not called.
-        self.y = None
-        self.values = {}
-        self.certificate = _UNTRIED
         self.key = key
         self.member = member
+        self.y: Vec | None = None
         self.form: _Form | None = None
         self.low_z = 0.0
 
-    def lowest(self) -> _Constraint:
+    def lowest(self) -> Vec:
         if self.y is None:
             if self.member:
                 self.y = _solve_single(self.key)
             else:
                 centre, radius = self.key
                 self.y = (centre[0], centre[1], centre[2] - radius)
-        return self
+        return self.y
 
     def shape(self) -> None:
         if self.form is None:
@@ -978,22 +937,22 @@ class SolveTable:
     """The work that solves against one evader share.
 
     Coalitions of one evader share their members, so their solves share
-    each member's (and the ball's) boundary form and own lowest point, each
-    pair's and triple's candidate points, every constraint value at those
-    points and each point's Gram-multiplier certificate.  A solve given a
-    table takes all of these from it and adds what it computes.  Everything
-    is computed in the evader's frame, and entries are keyed by exactly the
-    inputs they were computed from: a member by its ``(x_P - x_E, alpha,
-    r)``, the ball by its ``(c - x_E, R)``.  A table passed with moved players
-    can therefore only miss, never answer stale, and results are
-    bit-identical to solves without a table.
+    each member's (and the ball's) boundary form and own lowest point, and
+    each pair's and triple's candidate points.  A solve given a table takes
+    these from it and adds what it computes; the constraint values at a
+    point and its Gram-multiplier certificate are computed per solve.
+    Everything is computed in the evader's frame, and entries are keyed by
+    exactly the inputs they were computed from: a member by its ``(x_P -
+    x_E, alpha, r)``, the ball by its ``(c - x_E, R)``.  A table passed with
+    moved players can therefore only miss, never answer stale, and results
+    are bit-identical to solves without a table.
     """
 
     __slots__ = ("constraints", "candidates")
 
     def __init__(self) -> None:
         self.constraints: dict = {}
-        self.candidates: dict[tuple[_Constraint, ...], list[_Point]] = {}
+        self.candidates: dict[tuple[_Constraint, ...], list[Vec]] = {}
 
     def _group(self, cons, ball: _Sphere | None) -> list[_Constraint]:
         """The entries of ``cons``, then of the ball when there is one."""
@@ -1007,29 +966,24 @@ class SolveTable:
             group.append(c)
         return group
 
-    def _candidates(self, subset: tuple[_Constraint, ...]) -> list[_Point]:
+    def _candidates(self, subset: tuple[_Constraint, ...]) -> list[Vec]:
         """The candidate points of two or three shaped constraints."""
         points = self.candidates.get(subset)
         if points is None:
             if len(subset) == 2:
-                ys = _pair_points(subset[0].form, subset[1].form)
+                points = _pair_points(subset[0].form, subset[1].form)
             else:
-                ys = _triple_points(*(c.form for c in subset)) or []
-            points = self.candidates[subset] = [_Point(y) for y in ys]
+                points = _triple_points(*(c.form for c in subset)) or []
+            self.candidates[subset] = points
         return points
 
 
-def _value(point: _Point, c: _Constraint) -> float:
-    """Member ``f`` or ball boundary distance of ``c`` at ``point``."""
-    value = point.values.get(c)
-    if value is None:
-        if c.member:
-            value = _f_original(c.key, point.y)
-        else:
-            centre, radius = c.key
-            value = radius - la.dist(point.y, centre)
-        point.values[c] = value
-    return value
+def _value(y: Vec, c: _Constraint) -> float:
+    """Member ``f`` or ball boundary distance of ``c`` at ``y``."""
+    if c.member:
+        return _f_original(c.key, y)
+    centre, radius = c.key
+    return radius - la.dist(y, centre)
 
 
 def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
@@ -1062,8 +1016,8 @@ def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
 
 
 def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
-             point: _Point, active: tuple[int, ...]):
-    """Certify ``point`` as the minimizer with exactly the constraints at
+             y: Vec, active: tuple[int, ...]):
+    """Certify ``y`` as the minimizer with exactly the constraints at
     positions ``active`` of ``group`` binding.
 
     The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
@@ -1073,16 +1027,13 @@ def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
     keyed by position, or None.
     """
     for j, c in enumerate(group):
-        value = _value(point, c)
+        value = _value(y, c)
         if j in active:
             if not abs(value) <= ACTIVE_TOLERANCE:
                 return None
         elif not value > ACTIVE_TOLERANCE:
             return None
-    certificate = point.certificate
-    if certificate is _UNTRIED:
-        certificate = point.certificate = _gram_certificate(
-            cons, ball, point.y, active)
+    certificate = _gram_certificate(cons, ball, y, active)
     if certificate is None:
         return None
     multipliers, stationarity, slack = certificate
@@ -1093,7 +1044,7 @@ def _redundant(group: list[_Constraint], subset: tuple[int, ...]) -> bool:
     """Whether one constraint of ``subset`` has its own lowest point strictly
     inside all the others: that point is then the subset's minimizer and
     leaves them inactive."""
-    return any(all(_value(group[i], group[j]) > ACTIVE_TOLERANCE
+    return any(all(_value(group[i].lowest(), group[j]) > ACTIVE_TOLERANCE
                    for j in subset if j != i) for i in subset)
 
 
@@ -1124,7 +1075,7 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
         low = group[j].lowest()
         certificate = _certify(cons, ball, group, low, (j,))
         if certificate is not None:
-            return (low.y, *certificate)
+            return (low, *certificate)
     if count == 1:
         return None
 
@@ -1135,11 +1086,10 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
     for subset in subsets:
         if _redundant(group, subset):
             continue
-        points = table._candidates(tuple([group[j] for j in subset]))
-        for point in points:
-            certificate = _certify(cons, ball, group, point, subset)
+        for y in table._candidates(tuple([group[j] for j in subset])):
+            certificate = _certify(cons, ball, group, y, subset)
             if certificate is not None:
-                return (point.y, *certificate)
+                return (y, *certificate)
     return None
 
 
@@ -1279,7 +1229,7 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         start = la.sub(initial_point, epos)
         if _barrier_value(cons, ball, start, 0.0, mu2) is None:
             raise ValueError("initial point must be strictly feasible")
-    barrier = _Point(_barrier_solve(cons, ball, start, mu2))
+    barrier = _barrier_solve(cons, ball, start, mu2)
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
@@ -1293,20 +1243,19 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
         candidate = tuple(j for j, v in enumerate(values) if abs(v) <= tol)
         if candidate not in hypotheses:
             hypotheses.append(candidate)
-    polished = (_polish_hypothesis(cons, ball, barrier.y, active)
+    polished = (_polish_hypothesis(cons, ball, barrier, active)
                 for active in hypotheses)
-    for point in itertools.chain(
-            (_Point(found[0]) for found in polished if found is not None),
-            (barrier,)):
+    for y in itertools.chain(
+            (found[0] for found in polished if found is not None), (barrier,)):
         active = tuple(j for j, c in enumerate(group)
-                       if abs(_value(point, c)) <= ACTIVE_TOLERANCE)
+                       if abs(_value(y, c)) <= ACTIVE_TOLERANCE)
         try:
-            certificate = _certify(cons, ball, group, point, active)
+            certificate = _certify(cons, ball, group, y, active)
         except ZeroDivisionError:
             # An active member's gradient is undefined at the evader itself.
             continue
         if certificate is not None:
-            return _result(members, epos, point.y, *certificate)
+            return _result(members, epos, y, *certificate)
     raise SolverFailure("no KKT certificate at the barrier point or a "
                         "polished one")
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -124,6 +125,42 @@ def test_cmd_kind_bad_evader_index(tmp_path, capsys):
         assert main(["kind", "--scenario", path, "--coalition", "0",
                      "--evader", index]) == 2
         assert "--evader" in capsys.readouterr().err
+
+
+ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"pursuers": [{"pos": [0, 1], "speed": 2.0}], "evaders": []},
+     "pursuers[0].pos: expected [x, y, z]"),
+    ([COLLINEAR_WIN], "top level: expected an object"),
+    ({"pursuers": [[0, 0, 1]], "evaders": []},
+     "pursuers[0]: expected an object"),
+    ({"pursuers": ONE_PURSUER, "evaders": [[0, 0, 3]]},
+     "evaders[0]: expected an object"),
+    ({"pursuers": ONE_PURSUER,
+      "evaders": [{"pos": [0, 0, 3], "speed": math.inf}]},
+     "evaders[0]: evader speed must be finite"),
+], ids=["position", "top-level", "pursuer-entry", "evader-entry",
+        "evader-speed"])
+def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
+    path = write(tmp_path, "bad.json", doc)
+    assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert message in err
+
+
+def test_cmd_kind_non_integer_coalition(tmp_path, capsys):
+    path = write(tmp_path, "win.json", COLLINEAR_WIN)
+    assert main(["kind", "--scenario", path, "--coalition", "0,x"]) == 2
+    assert "input error: --coalition:" in capsys.readouterr().err
+
+
+def test_cmd_match_unreadable_graph_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["match", "--graph-file", missing]) == 2
+    assert "input error: --graph-file:" in capsys.readouterr().err
 
 
 def test_cmd_intercept(tmp_path, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from reachavoid import (
+    UNBOUNDED,
     Ball,
     EvaderSpec,
     PursuerSpec,
@@ -27,7 +28,13 @@ from reachavoid import (
     step,
     validate_scenario,
 )
-from reachavoid.engine import CAPTURED, ESCAPED, REACHED_GOAL
+from reachavoid.engine import (
+    CAPTURED,
+    ESCAPED,
+    REACHED_GOAL,
+    _clamp_to_ball,
+    _nearest_exit_point,
+)
 from reachavoid.matching import EXACT_EDGE_GUARD
 
 
@@ -134,6 +141,59 @@ def test_ball_region_exit_is_escape():
         region=ball, frame_time=0.0, dt=1.0,
     )
     assert [e.kind for e in events] == [ESCAPED]
+
+
+def test_capture_check_frame_starting_inside_capture_radius():
+    pursuer = PursuerSpec(position=(0, 0, 1), speed=1.0, capture_radius=1.0)
+    evader = EvaderSpec(position=(0.5, 0, 1.5), speed=1.0)
+    events = capture_check(
+        ([(0, 0, 1)], [(0.5, 0, 1.5)]), ([(0, 0, 1)], [(2.0, 0, 1.5)]),
+        [pursuer], [evader], frame_time=3.0, dt=0.5,
+    )
+    assert [(e.kind, e.pursuer, e.time) for e in events] == [(CAPTURED, 0, 3.0)]
+    assert events[0].position == (0.5, 0.0, 1.5)
+
+
+def test_capture_check_zero_relative_motion_never_captures():
+    # The pair distance stays 2, above the radius, when both stand still or
+    # move by the same step; the quadratic in the frame parameter is then
+    # constant and has no root.
+    pursuer = PursuerSpec(position=(0, 0, 1), speed=1.0, capture_radius=1.0)
+    evader = EvaderSpec(position=(2, 0, 1), speed=1.0)
+    for shift in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.1)):
+        moved_p = tuple(c + s for c, s in zip((0, 0, 1), shift))
+        moved_e = tuple(c + s for c, s in zip((2, 0, 1), shift))
+        events = capture_check(
+            ([(0, 0, 1)], [(2, 0, 1)]), ([moved_p], [moved_e]),
+            [pursuer], [evader], frame_time=0.0, dt=1.0,
+        )
+        assert events == []
+
+
+def test_clamp_to_ball_pulls_a_leaving_step_back_inside():
+    ball = Ball(center=(0, 0, 1), radius=4.5)
+    inside = (1.0, 2.0, 0.5)
+    kept, pulled = _clamp_to_ball(ball, [inside, (3.0, 4.0, 1.0)])
+    assert kept == inside
+    # Pulled back along its ray from the centre, just inside the sphere.
+    assert pulled == pytest.approx((2.7, 3.6, 1.0), rel=1e-11)
+    assert math.dist(pulled, ball.center) == pytest.approx(
+        4.5 * (1.0 - 1e-12), rel=1e-15)
+    assert ball.g(pulled) > 0.0
+
+
+def test_nearest_exit_point_outside_the_exit_disk():
+    ball = Ball(center=(0, 0, 1), radius=4.5)
+    disk_radius = math.sqrt(4.5 * 4.5 - 1.0)
+    # Outside the exit disk's cylinder the nearest exit point is on its rim.
+    assert _nearest_exit_point(ball, (4.45, 0.0, 1.0)) == pytest.approx(
+        (disk_radius, 0.0, 0.0), abs=1e-15)
+    rim = _nearest_exit_point(ball, (3.0, 4.0, 2.0))
+    assert rim == pytest.approx((0.6 * disk_radius, 0.8 * disk_radius, 0.0),
+                                abs=1e-15)
+    # Inside it, and in the unbounded region, it lies straight below.
+    assert _nearest_exit_point(ball, (1.0, 2.0, 3.0)) == (1.0, 2.0, 0.0)
+    assert _nearest_exit_point(UNBOUNDED, (4.45, 0.0, 1.0)) == (4.45, 0.0, 0.0)
 
 
 def test_run_capture_closed_form():

@@ -1,11 +1,11 @@
 """Solves that share one :class:`~reachavoid.interception.SolveTable`.
 
-The graph build solves every coalition of up to three pursuers against each
-evader through one table per evader, so each member's lowest point, each
-pair's and triple's candidate points, each constraint value and each
-certificate is computed once.  Every answer must be bit-identical
-(dataclass equality) to a solve without a table, and a table reused with
-moved players must answer afresh.
+The graph build solves the coalitions of up to three pursuers against each
+evader through one table per evader, so each member's lowest point and each
+pair's and triple's candidate points are computed once; constraint values
+and certificates are computed per solve.  Every answer must be
+bit-identical (dataclass equality) to a solve without a table, and a table
+reused with moved players must answer afresh.
 """
 
 from __future__ import annotations

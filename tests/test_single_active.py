@@ -251,7 +251,7 @@ def test_paths_agree_on_seeded_corpus(calls):
 
 def test_zero_radius_seed_is_the_answer(calls):
     # For r = 0 the body is the Apollonius sphere, whose lowest point is the
-    # Newton seed: two bracket evaluations and one at the seed suffice.
+    # Newton seed: one evaluation at the seed suffices.
     rng = random.Random(11)
     for _ in range(20):
         evader = EvaderSpec((0.0, 0.0, 2.0), 1.0)
@@ -259,21 +259,60 @@ def test_zero_radius_seed_is_the_answer(calls):
         pursuer = PursuerSpec(pursuer.position, pursuer.speed, 0.0)
         calls.clear()
         solve_interception((0,), evader, [pursuer])
-        assert calls["_section_altitude"] == 3
+        assert calls["_section_altitude"] == 1
         assert calls["_polish_hypothesis"] == 0
 
 
-def test_scan_fallback_when_seed_does_not_bracket(calls):
-    # A capture radius of 0.99 of the distance moves the lowest point far
-    # from the Apollonius angle, so the 16-sample scan brackets it instead.
-    evader = EvaderSpec((0.0, 0.0, 2.0), 1.0)
-    pursuer = PursuerSpec(
-        (0.12262577773376164, 0.1255002931952482, 0.545753320981457),
-        1.0017662521178619, 0.9914435289717565)
-    calls.clear()
+# A capture radius of 0.99 of the distance puts this body's lowest point
+# far from the Apollonius angle that seeds the single's Newton search.
+FAR_SEED_EVADER = EvaderSpec((0.0, 0.0, 2.0), 1.0)
+FAR_SEED_PURSUER = PursuerSpec(
+    (0.12262577773376164, 0.1255002931952482, 0.545753320981457),
+    1.0017662521178619, 0.9914435289717565)
+
+
+def test_single_far_from_apollonius_seed_certifies(calls):
+    evader, pursuer = FAR_SEED_EVADER, FAR_SEED_PURSUER
     assert polishes(calls, (0,), evader, [pursuer]) == 0
-    assert calls["_section_altitude"] > 16
     assert assert_paths_agree((0,), evader, [pursuer]).active_set == (0,)
+
+
+def section_arguments(q, alpha: float, r: float):
+    """What ``_solve_single`` passes to ``_section_altitude`` after the angle
+    for the member ``(q, alpha, r)``."""
+    d = math.sqrt(sum(c * c for c in q))
+    a2m1 = (alpha - 1.0) * (alpha + 1.0)
+    return (math.hypot(q[0], q[1]), q[2], alpha * r, a2m1,
+            a2m1 * (d * d - r * r))
+
+
+def test_lower_half_circle_brackets_every_single():
+    # _solve_single searches phi in (-pi/2, pi/2) without checking the ends:
+    # the body strictly contains the evader, so the section's horizontal
+    # points sit at the evader's altitude, where it slopes down and then up.
+    rng = random.Random(23)
+    far = FAR_SEED_PURSUER
+    members = [(tuple(p - e for p, e in zip(far.position,
+                                            FAR_SEED_EVADER.position)),
+                far.speed, far.capture_radius)]
+    for draw in range(3000):
+        alpha = 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
+        d = 10.0 ** rng.uniform(-2.0, 2.0)
+        ratio = (0.0, rng.uniform(0.0, 0.99),
+                 1.0 - 10.0 ** rng.uniform(-9.0, -1.0))[draw % 3]
+        if draw % 10 < 2:
+            # Vertical axis (qp = 0), pursuer above then below the evader.
+            axis = (0.0, 0.0, 1.0 if draw % 10 == 0 else -1.0)
+        else:
+            axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            length = math.sqrt(sum(c * c for c in axis))
+            axis = [c / length for c in axis]
+        members.append((tuple(d * c for c in axis), alpha, ratio * d))
+    for q, alpha, r in members:
+        arguments = section_arguments(q, alpha, r)
+        down = interception._section_altitude(-0.5 * math.pi, *arguments)[1]
+        up = interception._section_altitude(0.5 * math.pi, *arguments)[1]
+        assert down < 0.0 < up, (q, alpha, r, down, up)
 
 
 # A barely faster pursuer whose body's lowest point sits near z = -1.2e4,
