@@ -35,7 +35,6 @@ from .interception import (
     GameKind,
     InterceptionResult,
     Region,
-    SolveStatus,
     SolveTable,
     SolverFailure,
     UNBOUNDED,

@@ -109,6 +109,8 @@ def scenario_from_json(text: str) -> Scenario:
                 speed=float(_require(item, "speed", context)),
                 capture_radius=float(item.get("radius", 0.0)),
             ))
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"{context}: {exc}") from exc
 
@@ -123,6 +125,8 @@ def scenario_from_json(text: str) -> Scenario:
                 position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
                 speed=float(_require(item, "speed", context)),
             ))
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"{context}: {exc}") from exc
         policies.append(str(item.get("policy", "straight")))
@@ -171,11 +175,11 @@ def trace_to_jsonl(trace: Trace) -> str:
     for frame in trace.frames:
         lines.append(json.dumps({
             "t": frame.time,
-            "pursuers": [list(p) for p in frame.pursuer_positions],
-            "evaders": [[j, list(p)] for j, p in frame.evader_positions],
-            "matching": [[list(members), ej] for members, ej in frame.matching],
-            "pursuer_headings": [list(h) for h in frame.pursuer_headings],
-            "evader_headings": [[j, list(h)] for j, h in frame.evader_headings],
+            "pursuers": frame.pursuer_positions,
+            "evaders": frame.evader_positions,
+            "matching": frame.matching,
+            "pursuer_headings": frame.pursuer_headings,
+            "evader_headings": frame.evader_headings,
         }, sort_keys=True))
     lines.append(json.dumps({
         "summary": trace.summary,
@@ -184,7 +188,7 @@ def trace_to_jsonl(trace: Trace) -> str:
             "kind": event.kind,
             "evader": event.evader,
             "pursuer": event.pursuer,
-            "position": list(event.position),
+            "position": event.position,
         } for event in trace.events],
     }, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -243,8 +247,7 @@ def cmd_intercept(args) -> int:
     members = _parse_coalition(args.coalition)
     evader = _pick_evader(scenario, args.evader)
     result = solve_interception(members, evader, scenario.pursuers, scenario.region)
-    print(f"status={result.status.value} z={_fmt(result.value)} "
-          f"point={_fmt_vec(result.point)}")
+    print(f"z={_fmt(result.value)} point={_fmt_vec(result.point)}")
     print(f"active={list(result.active_set)} region_active={result.region_active}")
     print(f"multipliers={_fmt_vec(result.multipliers)} "
           f"kkt_residual={_fmt(result.kkt_residual)}")

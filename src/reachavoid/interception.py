@@ -131,10 +131,6 @@ class CoplanarConfigurationError(ValueError):
     """Triple-intersection candidates need a non-coplanar configuration."""
 
 
-class SolveStatus(enum.Enum):
-    SOLVED = "solved"
-
-
 class GameKind(enum.Enum):
     PURSUIT_WINS = "PursuitWins"
     TIE = "Tie"
@@ -173,7 +169,8 @@ UNBOUNDED = Unbounded()
 
 @dataclass(frozen=True)
 class InterceptionResult:
-    """Certified solution of the interception program.
+    """Certified solution of the interception program; a solve that
+    cannot certify its point raises :class:`SolverFailure` instead.
 
     ``multipliers`` aligns with ``coalition``; inactive members carry 0.
     All multipliers are <= 0 and satisfy stationarity
@@ -190,7 +187,6 @@ class InterceptionResult:
     multipliers: tuple[float, ...]
     region_active: bool
     region_multiplier: float
-    status: SolveStatus
     kkt_residual: float
     slackness_residual: float
 
@@ -349,13 +345,13 @@ def _barrier_value(cons, ball: _Sphere | None, y: Vec, t: float,
 
 
 def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
-    """Value, gradient and Hessian of the smoothed barrier at a feasible y."""
+    """Gradient and packed Hessian of the smoothed barrier at a strictly
+    feasible y; :func:`_barrier_value` gives its value."""
     dex, dey, dez = y
     d_e2 = dex * dex + dey * dey + dez * dez
     ds = math.sqrt(d_e2 + mu2)
     if ds < 1e-150:
         ds = 1e-150
-    value = t * y[2]
     g0 = 0.0
     g1 = 0.0
     g2 = t
@@ -368,7 +364,6 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
         ft = (dpx * dpx + dpy * dpy + dpz * dpz) - a2 * d_e2 - r * r - 2.0 * a * r * ds
         if ft <= 0.0:
             raise SolverFailure("barrier evaluated at an infeasible point")
-        value -= math.log(ft)
         cone = 2.0 * a * r / ds if r != 0.0 else 0.0
         k = 2.0 * a2 + cone
         gf0 = 2.0 * dpx - k * dex
@@ -393,7 +388,6 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
         g = _ball_g(ball, y)
         if g <= 0.0:
             raise SolverFailure("barrier evaluated outside the play region")
-        value -= math.log(g)
         bx = dex - ball[0][0]
         by = dey - ball[0][1]
         bz = dez - ball[0][2]
@@ -408,7 +402,7 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
         h12 += 4.0 * bx * by * inv2
         h13 += 4.0 * bx * bz * inv2
         h23 += 4.0 * by * bz * inv2
-    return value, (g0, g1, g2), (h11, h12, h13, h22, h23, h33)
+    return (g0, g1, g2), (h11, h12, h13, h22, h23, h33)
 
 
 # Hard but legitimate geometries (barely-faster pursuers whose bodies dwarf
@@ -420,9 +414,12 @@ _NEWTON_MAX_ITER = 3000
 
 def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
                    mu2: float) -> Vec:
+    """Damped Newton on the smoothed barrier at weight ``t`` from a strictly
+    feasible ``y``; ``value`` is always :func:`_barrier_value` at ``y``."""
+    value = _barrier_value(cons, ball, y, t, mu2)
     previous_decrement = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        value, grad, hess = _barrier_step(cons, ball, y, t, mu2)
+        grad, hess = _barrier_step(cons, ball, y, t, mu2)
         try:
             dx = la.solve_sym3(*hess, -grad[0], -grad[1], -grad[2])
         except ValueError:
@@ -452,6 +449,7 @@ def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
             if cand_value is not None and cand_value <= value + 0.25 * step * slope:
                 moved = step * la.norm(dx)
                 y = candidate
+                value = cand_value
                 break
             step *= 0.5
         else:
@@ -1023,8 +1021,8 @@ def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
     The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
     boundary and every other one strictly beyond it; the multipliers come
     from the Gram system and the KKT certificate must pass.  Every test
-    fails on NaN.  Returns ``(lam, stationarity, slackness)`` with ``lam``
-    keyed by position, or None.
+    fails on NaN.  Returns ``(active, multipliers, stationarity,
+    slackness)``, the multipliers aligned with ``active``, or None.
     """
     for j, c in enumerate(group):
         value = _value(y, c)
@@ -1036,30 +1034,22 @@ def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
     certificate = _gram_certificate(cons, ball, y, active)
     if certificate is None:
         return None
-    multipliers, stationarity, slack = certificate
-    return dict(zip(active, multipliers)), stationarity, slack
-
-
-def _redundant(group: list[_Constraint], subset: tuple[int, ...]) -> bool:
-    """Whether one constraint of ``subset`` has its own lowest point strictly
-    inside all the others: that point is then the subset's minimizer and
-    leaves them inactive."""
-    return any(all(_value(group[i].lowest(), group[j]) > ACTIVE_TOLERANCE
-                   for j in subset if j != i) for i in subset)
+    return (active, *certificate)
 
 
 def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
             table: SolveTable):
     """The minimizer certified directly from one to three active
-    constraints, as ``(y, lam, stationarity, slackness)``, or None.
+    constraints, as ``(y, active, multipliers, stationarity, slackness)``
+    (see :func:`_certify`), or None.
 
     Tries each constraint's own lowest point (likely highest first), then
     pairs of members, then a member with the ball, then triples (lowest
     candidate first).  A certified KKT point of this strictly convex
-    program is its unique minimizer, so the order only affects cost.  A set
-    is skipped when it is :func:`_redundant`.  ``group`` holds the entries
-    of ``table`` for the constraints, and every point, value and
-    certificate comes from ``table`` when it is there.
+    program is its unique minimizer, so the order only affects cost.
+    ``group`` holds the entries of ``table`` for the constraints; own
+    lowest points and candidate points come from ``table``, and constraint
+    values and certificates are computed here.
     """
     n = len(cons)
     count = len(group)
@@ -1084,8 +1074,6 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
-        if _redundant(group, subset):
-            continue
         for y in table._candidates(tuple([group[j] for j in subset])):
             certificate = _certify(cons, ball, group, y, subset)
             if certificate is not None:
@@ -1260,28 +1248,28 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
                         "polished one")
 
 
-def _result(members: Coalition, epos: Vec, y: Vec, lam: dict[int, float],
-            stationarity: float, slack: float) -> InterceptionResult:
-    """Result at ``x_E + y`` whose active set is the constraints with a
-    multiplier in ``lam``; the ball's entry, keyed ``len(members)``, fills
-    the region fields."""
+def _result(members: Coalition, epos: Vec, y: Vec, active: tuple[int, ...],
+            lam: list[float], stationarity: float,
+            slack: float) -> InterceptionResult:
+    """Result at ``x_E + y`` from a certificate of :func:`_certify`:
+    ``lam`` aligns with the increasing positions ``active``, so the ball's,
+    ``len(members)``, comes last and fills the region fields."""
     x = la.add(epos, y)
     region = len(members)
     active_set = []
     multipliers = [0.0] * region
-    for j in sorted(lam):
+    for j, lj in zip(active, lam):
         if j < region:
             active_set.append(members[j])
-            multipliers[j] = lam[j]
+            multipliers[j] = lj
     return InterceptionResult(
         coalition=members,
         point=x,
         value=x[2],
         active_set=tuple(active_set),
         multipliers=tuple(multipliers),
-        region_active=region in lam,
-        region_multiplier=lam.get(region, 0.0),
-        status=SolveStatus.SOLVED,
+        region_active=region in active,
+        region_multiplier=lam[-1] if region in active else 0.0,
         kkt_residual=stationarity,
         slackness_residual=slack,
     )

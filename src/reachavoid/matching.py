@@ -488,9 +488,9 @@ def reduce_3dm(instance: ThreeDMInstance) -> GameGraph:
 
 def graph_to_json(graph: GameGraph) -> str:
     doc = {
-        "coalitions": [list(c) for c in graph.coalitions],
-        "evaders": list(graph.evaders),
-        "edges": [list(e) for e in graph.edges],
+        "coalitions": graph.coalitions,
+        "evaders": graph.evaders,
+        "edges": graph.edges,
     }
     return json.dumps(doc, sort_keys=True)
 

@@ -58,8 +58,8 @@ CERTIFIED = {
 # Kept regression inputs: ``(members, evader, pursuers, region)``.
 KEPT = [
     # The evader sits 3.4e-9 outside the capture sphere; the barrier stops
-    # exactly at the evader, where the member's gradient is undefined, and
-    # the polish seed divided by zero there.
+    # about 3.9e-16 from the evader, and neither that point nor a polished
+    # one certifies, so the solve raises SolverFailure.
     ((0,), EvaderSpec((-0.6539106332197921, 0.9146254987274798,
                        2.505513243376262), 1.0),
      [PursuerSpec((-1.5818969052004106, 2.47670087514601, 3.0922631503086793),
