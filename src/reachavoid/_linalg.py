@@ -61,13 +61,6 @@ def dist(a: Vec, b: Vec) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def unit(a: Vec) -> Vec:
-    n = norm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return (a[0] / n, a[1] / n, a[2] / n)
-
-
 def gauss_solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     """Solve a small dense linear system by Gaussian elimination.
 

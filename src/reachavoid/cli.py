@@ -61,10 +61,19 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _number(value, context: str, kind=float):
+    """``value`` converted by ``kind``; a JSON null, list, object or
+    unparsable string is an input error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{context}: expected a number") from None
+
+
 def _as_pos(value, context: str):
     if not isinstance(value, list) or len(value) != 3:
         raise ScenarioError(f"{context}: expected [x, y, z]")
-    return tuple(float(c) for c in value)
+    return tuple(_number(c, f"{context}[{k}]") for k, c in enumerate(value))
 
 
 def region_from_json(value) -> Region:
@@ -75,8 +84,9 @@ def region_from_json(value) -> Region:
         if not isinstance(spec, dict):
             raise ScenarioError("region.ball: expected an object")
         center = _as_pos(_require(spec, "center", "region.ball"), "region.ball.center")
+        radius = _number(_require(spec, "radius", "region.ball"), "region.ball.radius")
         try:
-            return Ball(center=center, radius=float(_require(spec, "radius", "region.ball")))
+            return Ball(center=center, radius=radius)
         except ValueError as exc:
             raise ScenarioError(f"region.ball: {exc}") from exc
     raise ScenarioError(
@@ -106,8 +116,8 @@ def scenario_from_json(text: str) -> Scenario:
         try:
             pursuers.append(PursuerSpec(
                 position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
-                speed=float(_require(item, "speed", context)),
-                capture_radius=float(item.get("radius", 0.0)),
+                speed=_number(_require(item, "speed", context), f"{context}.speed"),
+                capture_radius=_number(item.get("radius", 0.0), f"{context}.radius"),
             ))
         except ScenarioError:
             raise
@@ -123,7 +133,7 @@ def scenario_from_json(text: str) -> Scenario:
         try:
             evaders.append(EvaderSpec(
                 position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
-                speed=float(_require(item, "speed", context)),
+                speed=_number(_require(item, "speed", context), f"{context}.speed"),
             ))
         except ScenarioError:
             raise
@@ -135,12 +145,12 @@ def scenario_from_json(text: str) -> Scenario:
         pursuers=tuple(pursuers),
         evaders=tuple(evaders),
         region=region_from_json(doc.get("region")),
-        dt=float(doc.get("dt", 0.01)),
-        seed=int(doc.get("seed", 0)),
-        max_time=float(doc.get("max_time", 20.0)),
+        dt=_number(doc.get("dt", 0.01), "dt"),
+        seed=_number(doc.get("seed", 0), "seed", int),
+        max_time=_number(doc.get("max_time", 20.0), "max_time"),
         evader_policies=tuple(policies),
         matcher=str(doc.get("matcher", "sma")),
-        rematch_every=int(doc.get("rematch_every", 1)),
+        rematch_every=_number(doc.get("rematch_every", 1), "rematch_every", int),
     )
     validate_scenario(scenario)
     return scenario

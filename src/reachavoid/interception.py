@@ -58,13 +58,18 @@ order below changes only the cost:
   plane and the triple kernel finds it; parallel axes have no direct path.
 - **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
   quartic in rho; its real roots are tried lowest point first.
-- **barrier + polish**: when no candidate certifies (parallel axes,
-  dependent gradients, or an ``initial_point`` given) a log-barrier
-  continuation finds the point, and a Newton polish of the KKT system
-  refines it on active-set hypotheses from tight to loose.  The first
-  polished point that certifies is returned, else the barrier point itself
-  if it does.  These points certify like the candidates above, with the
+- **polish**: when no candidate certifies (parallel axes, dependent
+  gradients, or a candidate just outside the certificate) a Newton polish
+  of the KKT system refines each set of one to three constraints, smallest
+  first, from the points above: the set's own lowest points and, with the
+  ball in the set, its members' lowest points moved onto the ball's
+  sphere.  The first polished point that certifies is returned, with the
   constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
+- **barrier + polish**: only for an ``initial_point``, a log-barrier
+  continuation from it finds the point and the polish refines it on
+  active-set hypotheses from tight to loose, else the barrier point itself
+  certifies.  It shares no kernel with the paths above, so the tests use
+  it as their independent reference.
 
 Solves against one evader share their single-, pair- and triple-level work
 through a :class:`SolveTable`: forms, own lowest points and candidate
@@ -258,64 +263,6 @@ def _ball_g(ball: _Sphere, y: Vec) -> float:
     d1 = y[1] - c1
     d2 = y[2] - c2
     return radius * radius - (d0 * d0 + d1 * d1 + d2 * d2)
-
-
-def _initial_point(cons, ball: _Sphere | None, mu2: float) -> Vec:
-    """Strictly feasible start near the evader.
-
-    The evader itself is strictly feasible for every race constraint, but
-    with positive capture radii the barrier has a cone kink there whose
-    curvature grows like 1/distance, so the start must sit a sizeable
-    fraction of the feasibility margin away from it (and move inward when
-    the evader sits on the ball boundary).
-    """
-    origin = (0.0, 0.0, 0.0)
-    needs_offset = any(con[2] > 0.0 for con in cons)
-    if ball is not None and _ball_g(ball, origin) <= 0.0:
-        needs_offset = True
-    if not needs_offset and _barrier_value(cons, ball, origin, 0.0,
-                                           mu2) is not None:
-        return origin
-
-    directions: list[Vec] = []
-    if ball is not None and la.norm(ball[0]) > 0.0:
-        directions.append(la.unit(ball[0]))
-    directions.extend([(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
-
-    margin = min(la.norm(con[0]) - con[2] for con in cons)
-    for exponent in (2, 3, 4, 6, 9, 12):
-        delta = margin * 10.0 ** (-exponent)
-        for direction in directions:
-            candidate = la.scale(direction, delta)
-            if (
-                la.norm(candidate) > 0.0
-                and _barrier_value(cons, ball, candidate, 0.0, mu2) is not None
-            ):
-                return candidate
-    raise SolverFailure("could not construct a strictly feasible starting point")
-
-
-def _slide_down(cons, ball: _Sphere | None, y0: Vec, mu2: float) -> Vec:
-    """Move the start down the vertical feasible ray, most of the way.
-
-    Slow pursuers make the feasible body enormous compared to the scene,
-    and the early barrier stages would otherwise spend hundreds of damped
-    Newton steps traversing it; a doubling search along -z removes that
-    travel for the cost of a few feasibility evaluations.
-    """
-    step = 1e-3 * (1.0 + abs(y0[2]))
-    reach = 0.0
-    for _ in range(80):
-        candidate = (y0[0], y0[1], y0[2] - (reach + step))
-        if _barrier_value(cons, ball, candidate, 0.0, mu2) is None:
-            break
-        reach += step
-        step *= 2.0
-    else:
-        raise SolverFailure("feasible region appears unbounded below")
-    if reach == 0.0:
-        return y0
-    return (y0[0], y0[1], y0[2] - 0.9 * reach)
 
 
 # --------------------------------------------------------------------------
@@ -1104,7 +1051,7 @@ def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
 
     ``active`` holds constraint positions.  The system solved is
     stationarity plus each active constraint at zero; quadratic
-    convergence from the barrier output.
+    convergence near the minimizer.
 
     Multipliers start from the Gram fit of stationarity: with all of them
     zero the bordered Jacobian has a vanishing curvature block and is
@@ -1185,9 +1132,52 @@ def _polish_hypothesis(cons, ball: _Sphere | None, y: Vec, active):
     return None
 
 
+def _certify_at(cons, ball: _Sphere | None, group: list[_Constraint], y: Vec):
+    """:func:`_certify` with the constraints within ``ACTIVE_TOLERANCE`` of
+    their boundary at ``y`` as active set; None also when an active member's
+    gradient is undefined, at the evader itself."""
+    active = tuple(j for j, c in enumerate(group)
+                   if abs(_value(y, c)) <= ACTIVE_TOLERANCE)
+    try:
+        return _certify(cons, ball, group, y, active)
+    except ZeroDivisionError:
+        return None
+
+
+def _polished(cons, ball: _Sphere | None, group: list[_Constraint]):
+    """The minimizer polished from the kernels' points, as :func:`_direct`
+    returns it, or None.
+
+    Each set of one to three constraints, smallest first, is polished from
+    its own lowest points and, with the ball in it, from its members' lowest
+    points moved radially onto the ball's sphere: the pair kernel has no
+    point for a member whose axis is parallel to the ball's.
+    """
+    n = len(cons)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(len(group)), size):
+            seeds = [group[j].lowest() for j in subset]
+            if n in subset:
+                # The ball comes last in the set, after its members.
+                centre, radius = ball
+                seeds += [la.add(centre, la.scale(la.sub(y, centre),
+                                                  radius / la.dist(y, centre)))
+                          for y in seeds[:-1]]
+            for seed in seeds:
+                found = _polish_hypothesis(cons, ball, seed, subset)
+                if found is None:
+                    continue
+                certificate = _certify_at(cons, ball, group, found[0])
+                if certificate is not None:
+                    return (found[0], *certificate)
+    return None
+
+
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
            region: Region, initial_point: Vec | None = None,
            table: SolveTable | None = None) -> InterceptionResult:
+    """The direct candidates, then the polish from the kernels' points;
+    ``initial_point`` forces the barrier + polish reference instead."""
     cons = _constraints(members, evader, pursuers)
     epos = evader.position
     ball = None
@@ -1203,28 +1193,27 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
     group = table._group(cons, ball)
 
     if initial_point is None:
-        direct = _direct(cons, ball, group, table)
-        if direct is not None:
-            return _result(members, epos, *direct)
+        found = (_direct(cons, ball, group, table)
+                 or _polished(cons, ball, group))
+        if found is None:
+            raise SolverFailure("no KKT certificate at a direct candidate or "
+                                "a polished point")
+        return _result(members, epos, *found)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
     margin = min(la.norm(con[0]) - con[2] for con in cons)
     mu2 = (1e-7 * margin) ** 2 if any(con[2] > 0.0 for con in cons) else 0.0
-    if initial_point is None:
-        start = _slide_down(cons, ball, _initial_point(cons, ball, mu2), mu2)
-    else:
-        start = la.sub(initial_point, epos)
-        if _barrier_value(cons, ball, start, 0.0, mu2) is None:
-            raise ValueError("initial point must be strictly feasible")
+    start = la.sub(initial_point, epos)
+    if _barrier_value(cons, ball, start, 0.0, mu2) is None:
+        raise ValueError("initial point must be strictly feasible")
     barrier = _barrier_solve(cons, ball, start, mu2)
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
     # threshold.  Polish active-set hypotheses from tight to loose, and
     # return the first polished point that certifies, else the barrier
-    # point itself if it does.  Each takes as active the constraints within
-    # ACTIVE_TOLERANCE of their boundary.
+    # point itself if it does.
     values = [_value(barrier, c) for c in group]
     hypotheses: list[tuple[int, ...]] = []
     for tol in (ACTIVE_TOLERANCE, 1e-5, 1e-3):
@@ -1235,13 +1224,7 @@ def _solve(members: Coalition, evader: EvaderSpec, pursuers,
                 for active in hypotheses)
     for y in itertools.chain(
             (found[0] for found in polished if found is not None), (barrier,)):
-        active = tuple(j for j, c in enumerate(group)
-                       if abs(_value(y, c)) <= ACTIVE_TOLERANCE)
-        try:
-            certificate = _certify(cons, ball, group, y, active)
-        except ZeroDivisionError:
-            # An active member's gradient is undefined at the evader itself.
-            continue
+        certificate = _certify_at(cons, ball, group, y)
         if certificate is not None:
             return _result(members, epos, y, *certificate)
     raise SolverFailure("no KKT certificate at the barrier point or a "
@@ -1283,12 +1266,15 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
 
     Returns the unique lowest-altitude point of the evader's evasion-space
     closure (intersected with the ball region when given) together with a
-    KKT certificate.  ``initial_point`` optionally forces the barrier
-    continuation to start from a given strictly feasible point, which is
-    useful for verifying uniqueness of the minimizer.  ``table`` shares the
-    single-, pair- and triple-level work between the solves of several
-    coalitions against one evader (see :class:`SolveTable`); without it a
-    solve uses a private table.  The result does not depend on it.
+    KKT certificate.  A default solve certifies the direct kernels' points
+    or a KKT polish from them, and never runs the log-barrier.
+    ``initial_point`` instead runs the barrier + polish reference from a
+    given strictly feasible point, which shares no kernel with the default
+    paths and so cross-checks them and the uniqueness of the minimizer.
+    ``table`` shares the single-, pair- and triple-level work between the
+    solves of several coalitions against one evader (see
+    :class:`SolveTable`); without it a solve uses a private table.  The
+    result does not depend on it.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     start = la.as_vec(initial_point) if initial_point is not None else None

@@ -13,8 +13,8 @@ members in turn:
   radius 3.5 to 6;
 - **ball-coaxial**: as ball-boundary, with the pursuers on the ray from the
   evader through the ball's centre, so that every pair of constraints has
-  parallel axes and the solve falls to the barrier, which must start inside
-  the ball;
+  parallel axes, the pair kernel has no point and the solve falls to the
+  polish;
 - **plain**: generic draws.
 
 Every solve must either return a result whose KKT certificate holds or
@@ -47,24 +47,41 @@ REGIMES = ("barely-faster", "near-sphere", "coplanar", "coaxial",
 # Certified solves out of DRAWS per regime; none may be lost.
 CERTIFIED = {
     "barely-faster": 500,
-    "near-sphere": 486,
+    "near-sphere": 500,
     "coplanar": 500,
     "coaxial": 500,
     "ball-boundary": 500,
-    "ball-coaxial": 493,
+    "ball-coaxial": 500,
     "plain": 500,
 }
 
-# Kept regression inputs: ``(members, evader, pursuers, region)``.
+# Kept regression inputs: ``(members, evader, pursuers, region)`` and the
+# active set each certifies with.
 KEPT = [
-    # The evader sits 3.4e-9 outside the capture sphere; the barrier stops
-    # about 3.9e-16 from the evader, and neither that point nor a polished
-    # one certifies, so the solve raises SolverFailure.
-    ((0,), EvaderSpec((-0.6539106332197921, 0.9146254987274798,
-                       2.505513243376262), 1.0),
-     [PursuerSpec((-1.5818969052004106, 2.47670087514601, 3.0922631503086793),
-                  2.9922231120232143, 1.9093227707935416)],
-     UNBOUNDED),
+    # The evader sits 3.4e-9 outside the capture sphere.  The single's point
+    # misses the certificate; the barrier fallback used to stop about
+    # 3.9e-16 from the evader and fail, and the polish from the single's
+    # point certifies it.
+    (((0,), EvaderSpec((-0.6539106332197921, 0.9146254987274798,
+                        2.505513243376262), 1.0),
+      [PursuerSpec((-1.5818969052004106, 2.47670087514601, 3.0922631503086793),
+                   2.9922231120232143, 1.9093227707935416)],
+      UNBOUNDED), (0,)),
+    # Barely-faster draw 461 of seed 8: the pair kernel on members 0 and 2
+    # finds a local minimum of their curve about 707.7 above the evader,
+    # while the pair point sits about 0.0905 below it; the polish from
+    # member 2's own lowest point reaches it.
+    (((0, 1, 2), EvaderSpec((0.02527900898557789, -0.2006384820495568,
+                             0.6035585524625369), 0.9555685338995047),
+      [PursuerSpec((0.36944132944237834, 0.19586452006174504,
+                    0.3993905534562653), 0.9555728357669637,
+                   0.5242384822289041),
+       PursuerSpec((1.6518512888916084, -0.7957778235124974,
+                    1.6084338557445683), 0.9555992522349486, 0.0),
+       PursuerSpec((1.0443411653893673, 1.1960747070421975,
+                    -0.1277191366017042), 0.9555748462304772,
+                   1.8062997914661576)],
+      UNBOUNDED), (0, 2)),
 ]
 
 
@@ -172,6 +189,8 @@ def test_degenerate_regime_certifies_or_fails_cleanly(regime):
     assert certified >= CERTIFIED[regime], (regime, certified)
 
 
-def test_kept_inputs_certify_or_fail_cleanly():
-    for case in KEPT:
-        outcome(*case)
+def test_kept_inputs_certify():
+    for case, active_set in KEPT:
+        result = outcome(*case)
+        assert result is not None, case
+        assert result.active_set == active_set

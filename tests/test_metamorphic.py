@@ -1,0 +1,97 @@
+"""Metamorphic invariants of the interception solve on the degenerate corpus.
+
+Over the first ``DRAWS`` inputs of every regime of
+:func:`test_degenerate.corpus`:
+
+- doubling every speed leaves each speed ratio alpha bit-identical, so the
+  results are equal as dataclasses;
+- rotating the scene about the evader's vertical axis and translating it in
+  x-y moves the interception point with the scene, to
+  ``1e-9 * max(1, |x|)``, and keeps the kind wherever ``|z| > 1e-6``;
+- adding a member never lowers the value by more than 1e-9.
+
+A failing input goes to ``test_degenerate.KEPT`` and is fixed in the
+numerics; the tolerances here are not widened.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from reachavoid import Ball, EvaderSpec, PursuerSpec, solve_interception
+from reachavoid.interception import classify_result
+
+from test_degenerate import REGIMES, corpus
+
+DRAWS = 100
+
+
+def _doubled(evader: EvaderSpec, pursuers):
+    return (EvaderSpec(evader.position, 2.0 * evader.speed),
+            [PursuerSpec(p.position, 2.0 * p.speed, p.capture_radius)
+             for p in pursuers])
+
+
+def _motion(evader: EvaderSpec, angle: float, shift):
+    """Rotation by ``angle`` about the evader's vertical axis, then the
+    x-y translation ``shift``."""
+    ex, ey, _ = evader.position
+    c = math.cos(angle)
+    s = math.sin(angle)
+
+    def move(point):
+        dx = point[0] - ex
+        dy = point[1] - ey
+        return (ex + c * dx - s * dy + shift[0], ey + s * dx + c * dy + shift[1],
+                point[2])
+
+    return move
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_doubling_every_speed_changes_no_result(regime):
+    for members, evader, pursuers, region in corpus(regime, size=DRAWS):
+        result = solve_interception(members, evader, pursuers, region)
+        fast_evader, fast_pursuers = _doubled(evader, pursuers)
+        assert solve_interception(members, fast_evader, fast_pursuers,
+                                  region) == result
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_vertical_rotation_and_translation_move_the_point(regime):
+    rng = random.Random(f"motion-{regime}")
+    for members, evader, pursuers, region in corpus(regime, size=DRAWS):
+        move = _motion(evader, rng.uniform(0.0, 2.0 * math.pi),
+                       (rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
+        moved_evader = EvaderSpec(move(evader.position), evader.speed)
+        moved_pursuers = [PursuerSpec(move(p.position), p.speed,
+                                      p.capture_radius) for p in pursuers]
+        moved_region = region
+        if isinstance(region, Ball):
+            moved_region = Ball(move(region.center), region.radius)
+        result = solve_interception(members, evader, pursuers, region)
+        moved = solve_interception(members, moved_evader, moved_pursuers,
+                                   moved_region)
+        scale = max(1.0, math.hypot(*result.point))
+        assert math.dist(moved.point, move(result.point)) <= 1e-9 * scale, (
+            members, evader, pursuers, region)
+        if abs(result.value) > 1e-6:
+            assert (classify_result(moved, moved_evader, moved_pursuers,
+                                    moved_region)
+                    == classify_result(result, evader, pursuers, region))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_adding_a_member_never_lowers_the_value(regime):
+    for members, evader, pursuers, region in corpus(regime, size=DRAWS):
+        if len(members) == 1:
+            continue
+        value = solve_interception(members, evader, pursuers, region).value
+        for dropped in members:
+            fewer = tuple(i for i in members if i != dropped)
+            assert value >= solve_interception(
+                fewer, evader, pursuers, region).value - 1e-9, (
+                members, dropped, evader, pursuers, region)

@@ -3,9 +3,11 @@
 A default solve first looks for one, two or three active constraints
 (members or the ball sphere) whose common lowest point satisfies every other
 constraint strictly; that point is certified with Gram-system multipliers
-and returned without the barrier or the KKT polish.  Passing an
-``initial_point`` always takes the barrier + polish path, so the two paths
-can be compared on the same input.
+and returned without the KKT polish.  Only when none certifies does it
+polish active-set guesses from the same kernels' points; it never runs the
+barrier.  Passing an ``initial_point`` always takes the barrier + polish
+path, the independent reference, so the two can be compared on the same
+input.
 """
 
 from __future__ import annotations
@@ -55,17 +57,10 @@ def calls(monkeypatch):
 
 
 def polishes(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
-    """Polish hypotheses a default solve tries; 0 on the single-active path."""
+    """Polish hypotheses a default solve tries; 0 on every direct path."""
     before = calls["_polish_hypothesis"]
     solve_interception(members, evader, pursuers, region)
     return calls["_polish_hypothesis"] - before
-
-
-def barrier_runs(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
-    """Barrier runs a default solve makes; 0 on every direct path."""
-    before = calls["_barrier_solve"]
-    solve_interception(members, evader, pursuers, region)
-    return calls["_barrier_solve"] - before
 
 
 def assert_paths_agree(members, evader, pursuers, region=UNBOUNDED):
@@ -212,9 +207,8 @@ def test_paths_agree_on_seeded_corpus(calls):
     seen = Counter()
     for members, evader, pursuers, region in corpus():
         before = calls.copy()
-        single_active = polishes(calls, members, evader, pursuers, region) == 0
-        seen["fast", len(members)] += single_active
-        direct = calls["_barrier_solve"] == before["_barrier_solve"]
+        direct = polishes(calls, members, evader, pursuers, region) == 0
+        seen["fast", len(members)] += direct
         climbed = calls["_climb"] > before["_climb"]
         singles = calls["_solve_single"] - before["_solve_single"]
         result = assert_paths_agree(members, evader, pursuers, region)
@@ -350,7 +344,7 @@ def test_second_active_member_certifies_directly(calls):
     alpha = math.dist(low, second_position) / math.dist(low, evader.position)
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
                 PursuerSpec(second_position, alpha)]
-    assert barrier_runs(calls, (0, 1), evader, pursuers) == 0
+    assert polishes(calls, (0, 1), evader, pursuers) == 0
     result = assert_paths_agree((0, 1), evader, pursuers)
     assert result.active_set == (0, 1)
     assert math.dist(result.point, low) <= 1e-9
@@ -360,7 +354,7 @@ def test_pair_both_strictly_active_certifies_directly(calls):
     pursuers = [PursuerSpec((1.0, 0.0, 1.0), 2.0),
                 PursuerSpec((-1.0, 0.0, 1.0), 2.0)]
     evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
-    assert barrier_runs(calls, (0, 1), evader, pursuers) == 0
+    assert polishes(calls, (0, 1), evader, pursuers) == 0
     result = assert_paths_agree((0, 1), evader, pursuers)
     assert result.active_set == (0, 1)
     assert all(m < -1e-3 for m in result.multipliers)
@@ -376,7 +370,7 @@ def test_active_ball_certifies_directly(calls):
     tilt = math.radians(30.0)
     ball = Ball((radius * math.sin(tilt), 0.0, -1.0 + radius * math.cos(tilt)),
                 radius)
-    assert barrier_runs(calls, (0,), evader, [pursuer], ball) == 0
+    assert polishes(calls, (0,), evader, [pursuer], ball) == 0
     result = assert_paths_agree((0,), evader, [pursuer], ball)
     assert result.region_active
     assert result.active_set == (0,)
@@ -385,7 +379,8 @@ def test_active_ball_certifies_directly(calls):
 
 def test_coaxial_and_dependent_pairs_fall_through(calls):
     # With the evader and both pursuers on one tilted line the two bodies
-    # share their axis, so no pair frame exists and the barrier solves it.
+    # share their axis, so no pair frame exists and the polish from the
+    # members' own lowest points solves it, without the barrier.
     evader = EvaderSpec((0.0, 0.0, 2.0), 1.0)
     axis = (math.cos(0.6), 0.3 * math.cos(0.6), math.sin(0.6))
     length = math.hypot(*axis)
@@ -395,7 +390,8 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
         PursuerSpec(tuple(e - c / length for e, c in zip(evader.position, axis)),
                     2.0, 0.0),
     ]
-    assert barrier_runs(calls, (0, 1), evader, pursuers) == 1
+    assert polishes(calls, (0, 1), evader, pursuers) >= 1
+    assert calls["_barrier_solve"] == 0
     assert assert_paths_agree((0, 1), evader, pursuers).active_set == (0, 1)
 
     # Both boundaries pass through (0, 0, 7/3) with gradients along the
@@ -403,7 +399,9 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
     evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
                 PursuerSpec((0.0, 0.0, 0.0), 3.0, 1.0 / 3.0)]
-    assert barrier_runs(calls, (0, 1), evader, pursuers) == 1
+    calls.clear()
+    assert polishes(calls, (0, 1), evader, pursuers) >= 1
+    assert calls["_barrier_solve"] == 0
     result = solve_interception((0, 1), evader, pursuers)
     assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
 
@@ -476,7 +474,7 @@ LARGE_BALL = Ball((-12.515960689809667, -29.69558520516441, 169.11945372005624),
 
 def test_direct_path_certifies_where_barrier_fails(calls):
     evader, pursuers, ball = LARGE_BALL_EVADER, LARGE_BALL_PURSUERS, LARGE_BALL
-    assert barrier_runs(calls, (0, 1, 2), evader, pursuers, ball) == 0
+    assert polishes(calls, (0, 1, 2), evader, pursuers, ball) == 0
     result = solve_interception((0, 1, 2), evader, pursuers, ball)
     assert result.active_set == (0, 1)
     assert result.region_active
