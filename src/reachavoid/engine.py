@@ -312,7 +312,9 @@ def run(scenario: Scenario) -> Trace:
         try:
             # Interception points are recomputed from current positions every
             # frame; solve results can only be reused within the frame that
-            # produced them.
+            # produced them.  The build returns only the coalitions it
+            # solved, not those its win bound decided, so an adopted
+            # coalition missing from them is solved below.
             results_cache = {}
             if frame_idx % scenario.rematch_every == 0:
                 graph, results_cache = build_graph_with_results(

@@ -525,11 +525,12 @@ def _dropped_sphere(form: _Form) -> tuple[Vec, float]:
     return centre, la.dot(centre, centre) - form.m / form.k
 
 
-def _sphere_low_z(form: _Form) -> float:
+def _sphere_low_z(form: _Form) -> tuple[float, float]:
     """Altitude, relative to the evader, of the lowest point of the form's
-    dropped sphere."""
+    dropped sphere, and a bound on its rounding error."""
     centre, radius2 = _dropped_sphere(form)
-    return centre[2] - math.sqrt(radius2)
+    radius = math.sqrt(radius2)
+    return centre[2] - radius, 1e-12 * (la.norm(centre) + radius)
 
 
 def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
@@ -850,17 +851,17 @@ def _unique_multipliers(grads) -> list[float] | None:
 class _Constraint:
     """A member ``(q, alpha, r)`` or the ball's sphere, with its own lowest
     point ``y`` (found by :meth:`lowest`), its boundary form and the
-    altitude of its dropped sphere's lowest point (both set by
-    :meth:`shape`)."""
+    altitude of its dropped sphere's lowest point with that altitude's
+    rounding bound (all set by :meth:`shape`)."""
 
-    __slots__ = ("key", "member", "y", "form", "low_z")
+    __slots__ = ("key", "member", "y", "form", "low_z", "low_err")
 
     def __init__(self, key, member: bool) -> None:
         self.key = key
         self.member = member
         self.y: Vec | None = None
         self.form: _Form | None = None
-        self.low_z = 0.0
+        self.low_z = self.low_err = 0.0
 
     def lowest(self) -> Vec:
         if self.y is None:
@@ -875,7 +876,7 @@ class _Constraint:
         if self.form is None:
             self.form = (_member_form(self.key) if self.member
                          else _ball_form(self.key))
-            self.low_z = _sphere_low_z(self.form)
+            self.low_z, self.low_err = _sphere_low_z(self.form)
 
 
 class SolveTable:
@@ -1173,21 +1174,78 @@ def _polished(cons, ball: _Sphere | None, group: list[_Constraint]):
     return None
 
 
+# --------------------------------------------------------------------------
+# kinds decided without a solve
+#
+# A kind needs only the sign of the lowest altitude.  A member's body lies
+# inside its dropped sphere, whose lowest point bounds the body's altitude
+# from below; every body is convex and holds the evader, so the nearest
+# boundary along a ray from the evader is a point of the closure, whose
+# altitude bounds the lowest one from above.
+
+
+def _wins_alone(c: _Constraint, z_e: float) -> bool:
+    """Whether shaped member ``c``'s dropped sphere lies above
+    ``GOAL_TOLERANCE`` by more than its rounding, for an evader at altitude
+    ``z_e``: then so does its body, and the member wins alone."""
+    return z_e + c.low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + c.low_err
+
+
+def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
+    """A point of the closure of ``group``'s shaped constraints on the unit
+    ray ``d`` from the evader, or None.
+
+    The point is the nearest of their boundaries along the ray, pulled in by
+    1e-9 of its distance.  Each boundary meets the ray where
+    ``k rho^2 - 2 b rho + m = 0`` with ``b = l + d . q``, at the positive
+    root, taken in the form without cancellation.  That root is exact only
+    to rounding, so the point is kept only when every potential holds at it.
+    """
+    d0, d1, d2 = d
+    rho = math.inf
+    for c in group:
+        q, k, l, m = c.form[:4]  # noqa: E741 - named as in _Form
+        b = l + d0 * q[0] + d1 * q[1] + d2 * q[2]
+        s2 = b * b - k * m
+        if not s2 >= 0.0:
+            return None
+        s = math.sqrt(s2)
+        if k < 0.0:  # a member: m > 0, root (b - s) / k
+            reach = (b - s) / k if b <= 0.0 else m / (b + s)
+        else:  # the ball: k = 1, m <= 0, root b + s
+            reach = b + s if b >= 0.0 else m / (b - s)
+        if reach < rho:
+            rho = reach
+    rho *= 1.0 - 1e-9
+    y = (rho * d0, rho * d1, rho * d2)
+    for c in group:
+        if not (_f_original(c.key, y) if c.member else _ball_g(c.key, y)) >= 0.0:
+            return None
+    return y
+
+
+def _program(members: Coalition, evader: EvaderSpec, pursuers,
+             region: Region) -> tuple[list[_Con], _Sphere | None]:
+    """The members' race terms and the ball's sphere (None when unbounded)
+    in the evader's frame; raises on the inputs no solve accepts."""
+    cons = _constraints(members, evader, pursuers)
+    if not isinstance(region, Ball):
+        return cons, None
+    for i in members:
+        if region.g(pursuers[i].position) < -1e-9:
+            raise ValueError(f"pursuer {i} lies outside the ball play region")
+    if region.g(evader.position) < -1e-9:
+        raise ValueError("evader lies outside the ball play region")
+    return cons, (la.sub(region.center, evader.position), region.radius)
+
+
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
            region: Region, initial_point: Vec | None = None,
            table: SolveTable | None = None) -> InterceptionResult:
     """The direct candidates, then the polish from the kernels' points;
     ``initial_point`` forces the barrier + polish reference instead."""
-    cons = _constraints(members, evader, pursuers)
+    cons, ball = _program(members, evader, pursuers, region)
     epos = evader.position
-    ball = None
-    if isinstance(region, Ball):
-        for i in members:
-            if region.g(pursuers[i].position) < -1e-9:
-                raise ValueError(f"pursuer {i} lies outside the ball play region")
-        if region.g(epos) < -1e-9:
-            raise ValueError("evader lies outside the ball play region")
-        ball = (la.sub(region.center, epos), region.radius)
     if table is None:
         table = SolveTable()
     group = table._group(cons, ball)

@@ -9,11 +9,18 @@ largest such matching is NP-hard (pair-only instances encode 3-dimensional
 matching), hence both an exact branch-and-bound search and the three-stage
 sequential approximation are provided.
 
-The graph build solves coalitions by increasing size and uses that an
-evasion space only shrinks as pursuers join: when the lowest point x_S of
-a losing coalition S lies strictly inside pursuer k's body
-(f_k(x_S) > ``ACTIVE_TOLERANCE``), x_S is also the lowest point of
-S + {k}, which therefore loses without a solve of its own.
+The graph build needs only each coalition's kind, the sign of its lowest
+altitude, and decides it without a solve wherever one of two sound tests
+settles it.  A member's body lies inside its dropped sphere, so a single
+whose sphere clears the tie band wins.  Every body is convex and holds the
+evader, so the nearest of a coalition's boundaries along any ray from the
+evader is a point of its closure, and one below the tie band shows that
+the coalition loses.  Coalitions go by increasing size, and a pair or
+triple tries the rays toward the points its losing subcoalitions kept.  An
+evasion space only shrinks as pursuers join, so a kept point strictly
+inside a further member's body lies on a ray that witnesses the larger
+coalition too.  Only coalitions that neither test decides, among them
+every one near the tie band, are solved.
 """
 
 from __future__ import annotations
@@ -25,14 +32,18 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import _linalg as la
-from .geometry import EvaderSpec, PursuerSpec, _f_original, _race
+from ._linalg import Vec
+from .geometry import EvaderSpec, PursuerSpec
 from .interception import (
-    ACTIVE_TOLERANCE,
+    GOAL_TOLERANCE,
     GameKind,
     InterceptionResult,
     Region,
     SolveTable,
     UNBOUNDED,
+    _program,
+    _wins_alone,
+    _witness,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -44,6 +55,8 @@ Matching = tuple[tuple[int, int], ...]
 
 #: Instances with more edges than this are refused by the exact search.
 EXACT_EDGE_GUARD = 64
+
+_DOWN: Vec = (0.0, 0.0, -1.0)
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -155,9 +168,9 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     An edge joins a coalition to an evader when the coalition does not lose
     (win or tie) while every proper subcoalition loses outright, so edges
     carry exactly the minimal winning coalitions.  Coalitions are examined
-    by increasing size: a pair or triple is solved only when all its proper
-    subcoalitions lose and no lower-order point already decides it (see
-    :func:`build_graph_with_results`).
+    by increasing size: a pair or triple is examined only when all its
+    proper subcoalitions lose, and any coalition is solved only when no win
+    bound or lose witness decides it (see :func:`build_graph_with_results`).
     """
     graph, _ = build_graph_with_results(
         pursuers, evaders, region, evader_ids=evader_ids
@@ -171,19 +184,29 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
 
     The second return value maps ``(coalition, evader_id)`` to the
     :class:`~reachavoid.interception.InterceptionResult` of every coalition
-    that was solved; the simulation engine reuses these to avoid duplicate
-    solves.  Every edge's coalition is among them.
+    that was solved, and holds no other; the simulation engine reuses these
+    and solves any adopted coalition missing from them.
 
-    Coalitions whose lowest point a lower-order one already decides are not
-    solved and are absent.  Each losing single and pair keeps its point
-    x_S.  The pair (i, j) is skipped when f_j(x_i) or f_i(x_j) exceeds
-    ``ACTIVE_TOLERANCE``, and then keeps the covered single's point; the
-    triple (i, j, k) is skipped when its third member covers the point of
-    any of its three pairs by the same test.  This is the test by which a
-    solve leaves a constraint inactive, so a skipped coalition's own solve
-    would certify at that lower-order point, and it loses.  A pursuer's
-    race terms are built, and each (point, pursuer) cover evaluated, only
-    when first needed and at most once.
+    A coalition is solved only when neither of two tests decides its kind:
+
+    - **win bound**: a single whose dropped sphere (its body with the
+      capture-radius term left out, which holds the body) lies above
+      ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
+      recorded unsolved;
+    - **lose witness**: every body is convex and holds the evader, so along
+      a unit ray from the evader the nearest of the coalition's boundaries
+      (the ball's sphere included), pulled in by 1e-9 of its distance, is a
+      point of the closure once every potential is checked there.  Below
+      ``-GOAL_TOLERANCE`` it shows that the coalition loses, and it becomes
+      the coalition's kept point.  A single tries the ray to its Apollonius
+      sphere's lowest point; a pair or triple tries the rays to its members'
+      and sub-pairs' kept points (a solved loser keeps its lowest point),
+      then straight down.
+
+    Neither test decides a coalition whose lowest altitude lies in the tie
+    band ``|z| <= GOAL_TOLERANCE``, so its kind comes from its solve.  The
+    solves go through this module's ``solve_interception`` and
+    ``classify_result`` only.
     """
     coalitions, index_of = _coalition_index(len(pursuers))
     if evader_ids is None:
@@ -199,53 +222,68 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         # The evader's coalitions share their members' geometry; the table
         # lives for this call only.
         table = SolveTable()
-        races = [None] * len(pursuers)
+        z_e = evader.position[2]
+        # Each losing coalition's kept point in the evader's frame, by its
+        # members, and each member's constraint (the ball's appended).
+        points: dict[Coalition, Vec] = {}
+        groups: dict[int, list] = {}
 
-        # Each losing coalition's evader-frame point with its cover memo,
-        # keyed by its members; a skipped pair shares its single's.
-        points = {}
-
-        def loses(members: Coalition) -> bool:
-            """Solve ``members``: keep its point when it loses, else record
-            its edge."""
+        def loses(members: Coalition, group: list, rays) -> bool:
+            """Decide ``members`` by a witness on one of ``rays``, else
+            solve it; keep its point when it loses, else record its edge."""
+            for ray in rays:
+                y = _witness(group, ray)
+                if y is not None and z_e + y[2] < -GOAL_TOLERANCE:
+                    points[members] = y
+                    return True
             result = solve_interception(members, evader, pursuers, region,
                                         table=table)
             results[(members, ej)] = result
             kind = classify_result(result, evader, pursuers, region)
             if kind is GameKind.EVADER_WINS:
-                points[members] = (la.sub(result.point, evader.position), {})
+                points[members] = la.sub(result.point, evader.position)
                 return True
             edges.append((index_of[members], ej))
             return False
 
-        def covers(point, k: int) -> bool:
-            """Whether pursuer ``k``'s body holds ``point`` strictly inside."""
-            y, memo = point
-            inside = memo.get(k)
-            if inside is None:
-                race = races[k]
-                if race is None:
-                    race = races[k] = _race(pursuers[k], evader)
-                inside = memo[k] = _f_original(race, y) > ACTIVE_TOLERANCE
-            return inside
+        def toward(*keys: Coalition):
+            """Unit rays to the kept points of ``keys``, then straight down."""
+            for key in keys:
+                y = points[key]
+                length = la.norm(y)
+                if length > 0.0:
+                    yield la.scale(y, 1.0 / length)
+            yield _DOWN
 
+        losing_singles = []
+        for i in range(len(pursuers)):
+            # Checks each input as the single's solve would, in its order.
+            group = table._group(*_program((i,), evader, pursuers, region))
+            for c in group:
+                c.shape()
+            member = group[0]
+            if _wins_alone(member, z_e):
+                edges.append((index_of[(i,)], ej))
+                continue
+            groups[i] = group
+            # The ray to the lowest point of the member's Apollonius sphere,
+            # -(q + alpha |q| e_z), which is its body when r = 0.
+            q, alpha, _ = member.key
+            low = (q[0], q[1], q[2] + alpha * la.norm(q))
+            if loses((i,), group, (la.scale(low, -1.0 / la.norm(low)),)):
+                losing_singles.append(i)
         # Increasing indices, so combinations come in all_coalitions order.
-        losing_singles = [i for i in range(len(pursuers)) if loses((i,))]
         for members in itertools.combinations(losing_singles, 2):
             i, j = members
-            if covers(points[(i,)], j):
-                points[members] = points[(i,)]
-            elif covers(points[(j,)], i):
-                points[members] = points[(j,)]
-            else:
-                loses(members)
+            group = [groups[i][0], *groups[j]]
+            loses(members, group, toward((i,), (j,)))
         for members in itertools.combinations(losing_singles, 3):
-            i, j, k = members
-            # Each pair with the member that completes the triple.
-            pairs = (((i, j), k), ((i, k), j), ((j, k), i))
-            if all(pair in points for pair, _ in pairs) and not any(
-                    covers(points[pair], m) for pair, m in pairs):
-                loses(members)
+            pairs = list(itertools.combinations(members, 2))
+            if all(pair in points for pair in pairs):
+                i, j, k = members
+                group = [groups[i][0], groups[j][0], *groups[k]]
+                loses(members, group,
+                      toward((i,), (j,), (k,), *pairs))
     graph = GameGraph._trusted(coalitions, evader_ids, tuple(sorted(set(edges))))
     return graph, results
 

@@ -1,25 +1,26 @@
-"""The graph build's skip of pair and triple solves.
+"""The graph build's decisions without a solve.
 
-An evasion space only shrinks as pursuers join a coalition, so when a
-losing coalition's lowest point lies strictly inside pursuer k's body
-(f_k > ACTIVE_TOLERANCE) the coalition with k added has that same lowest
-point and loses; ``build_graph_with_results`` then leaves it unsolved.
-These tests compare the build against every coalition of up to three
-solved against each evader, on seeded poses whose pursuers are barely
-faster than the evaders, so that most singles lose.
+``build_graph_with_results`` solves a coalition only when neither of two
+tests decides its kind: a single whose dropped sphere lies above the tie
+band wins, and a coalition with a point of its closure below the tie band
+(the nearest boundary along a ray from the evader, checked on every
+potential) loses.  These tests compare the build against every coalition
+of up to three solved against each evader, on seeded poses whose pursuers
+are barely faster than the evaders, so that most singles lose, and on the
+degenerate corpus of ``test_degenerate``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from collections import Counter
 
 import pytest
 
 from reachavoid import (
+    Ball,
     EvaderSpec,
     GameKind,
     PursuerSpec,
@@ -29,10 +30,11 @@ from reachavoid import (
     potential,
     solve_interception,
 )
-from reachavoid.geometry import _f_original, _race
-from reachavoid.interception import ACTIVE_TOLERANCE, UNBOUNDED, SolveTable
+from reachavoid.geometry import _race
+from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, SolveTable
 from reachavoid.matching import all_coalitions
 
+from test_degenerate import REGIMES, corpus
 from test_shared_solves import BALL, snapshot
 
 REGIONS = {"unbounded": UNBOUNDED, "ball": BALL}
@@ -51,13 +53,10 @@ def build(size: int, seed: int, region_name: str):
     return build_graph_with_results(pursuers, evaders, REGIONS[region_name])
 
 
-@functools.lru_cache(maxsize=None)
-def every_solve(size: int, seed: int, region_name: str):
-    """Per evader, every coalition of up to three solved, nothing skipped,
+def solve_all(pursuers, evaders, region):
+    """Per evader, every coalition of up to three solved, nothing decided,
     with its kind.  Each evader's solves share a table, which leaves every
     result bit-identical to a solve without one."""
-    pursuers, evaders = pose(size, seed)
-    region = REGIONS[region_name]
     solved = []
     for evader in evaders:
         table = SolveTable()
@@ -71,6 +70,11 @@ def every_solve(size: int, seed: int, region_name: str):
     return solved
 
 
+@functools.lru_cache(maxsize=None)
+def every_solve(size: int, seed: int, region_name: str):
+    return solve_all(*pose(size, seed), REGIONS[region_name])
+
+
 def proper_subsets(members):
     return [sub for size in range(1, len(members))
             for sub in itertools.combinations(members, size)]
@@ -78,8 +82,30 @@ def proper_subsets(members):
 
 def undecided(members, loses) -> bool:
     """Whether every proper subcoalition loses, so that the build must
-    either solve ``members`` or skip it."""
-    return len(members) > 1 and all(loses[sub] for sub in proper_subsets(members))
+    either solve ``members`` or decide it without a solve."""
+    return all(loses[sub] for sub in proper_subsets(members))
+
+
+def decisions(graph, results, solved):
+    """``(members, evader, decided kind, solved kind)`` of every coalition
+    the build decided without a solve.  An edge decided without a solve is
+    a pursuit win; any other decided coalition is an evader win."""
+    edges = {(graph.coalitions[ci], ej) for ci, ej in graph.edges}
+    found = []
+    for ej, by_members in enumerate(solved):
+        loses = {c: kind is GameKind.EVADER_WINS
+                 for c, (_, kind) in by_members.items()}
+        for members, (_, kind) in by_members.items():
+            if (members, ej) in results or not undecided(members, loses):
+                continue
+            decided = (GameKind.PURSUIT_WINS if (members, ej) in edges
+                       else GameKind.EVADER_WINS)
+            found.append((members, ej, decided, kind))
+    return found
+
+
+def mismatched(found):
+    return [entry for entry in found if entry[2] is not entry[3]]
 
 
 CASES = [(size, seed, region_name) for size, seed in POSES for region_name in REGIONS]
@@ -100,28 +126,73 @@ def test_edges_are_the_minimal_winners_of_every_solve(size, seed, region_name):
 
 
 @pytest.mark.parametrize("size,seed,region_name", CASES, ids=IDS)
+def test_decided_coalitions_have_the_kind_of_a_fresh_solve(size, seed,
+                                                           region_name):
+    graph, results = build(size, seed, region_name)
+    found = decisions(graph, results, every_solve(size, seed, region_name))
+    assert found and not mismatched(found)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_decided_coalitions_of_the_degenerate_corpus_have_their_solved_kind(
+        regime):
+    sizes = Counter()
+    for _, evader, pursuers, region in corpus(regime):
+        graph, results = build_graph_with_results(pursuers, [evader], region)
+        found = decisions(graph, results, solve_all(pursuers, [evader], region))
+        assert not mismatched(found), (pursuers, evader, region)
+        sizes.update(len(members) for members, *_ in found)
+    # Every regime decides singles and pairs without a solve.
+    assert sizes[1] > 0 and sizes[2] > 0, sizes
+
+
+@pytest.mark.parametrize("size,seed,region_name", CASES, ids=IDS)
 def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
-        size, seed, region_name):
+        monkeypatch, size, seed, region_name):
     pursuers, evaders = pose(size, seed)
-    _, results = build(size, seed, region_name)
-    for ej, solved in enumerate(every_solve(size, seed, region_name)):
+    region = REGIONS[region_name]
+    found = []  # (group keys, point) of every point the witness test gave
+    witness = matching._witness
+
+    def recorded(group, ray):
+        y = witness(group, ray)
+        if y is not None:
+            found.append((tuple(c.key for c in group), y))
+        return y
+
+    monkeypatch.setattr(matching, "_witness", recorded)
+    graph, results = build_graph_with_results(pursuers, evaders, region)
+    solved = every_solve(size, seed, region_name)
+    owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
+             for i, p in enumerate(pursuers)}
+    witnessed = {}
+    for keys, y in found:
+        members = [owner[key] for key in keys if len(key) == 3]
+        ej = members[0][1]
         evader = evaders[ej]
-        loses = {c: kind is GameKind.EVADER_WINS for c, (_, kind) in solved.items()}
-        for members, (result, kind) in solved.items():
-            if (members, ej) in results or not undecided(members, loses):
-                continue
-            assert kind is GameKind.EVADER_WINS, (members, ej)
-            # Some subcoalition one smaller has its point strictly inside
-            # the remaining member's body, and that point is this one's.
-            decided_by = []
-            for k in members:
-                sub = tuple(i for i in members if i != k)
-                low = solved[sub][0].point
-                y = tuple(a - b for a, b in zip(low, evader.position))
-                if _f_original(_race(pursuers[k], evader), y) > ACTIVE_TOLERANCE:
-                    decided_by.append(math.dist(result.point, low)
-                                      / max(1.0, math.hypot(*low)))
-            assert decided_by and min(decided_by) <= 1e-9, (members, ej, decided_by)
+        coalition = tuple(i for i, _ in members)
+        x = tuple(a + b for a, b in zip(evader.position, y))
+        if x[2] >= -GOAL_TOLERANCE:
+            continue  # a closure point in or above the tie band decides nothing
+        # The point lies in the coalition's closure, so its solve reaches
+        # at least as low, and the coalition loses.
+        for i in coalition:
+            assert potential(pursuers[i], evader, x) >= -1e-12, (coalition, ej)
+        if isinstance(region, Ball):
+            assert region.g(x) >= -1e-12, (coalition, ej)
+        result, kind = solved[ej][coalition]
+        assert kind is GameKind.EVADER_WINS, (coalition, ej)
+        assert result.value <= x[2] + 1e-12, (coalition, ej)
+        assert (coalition, ej) not in results
+        witnessed[(coalition, ej)] = x
+    # Every losing coalition decided without a solve was witnessed.
+    for ej, by_members in enumerate(solved):
+        loses = {c: kind is GameKind.EVADER_WINS for c, (_, kind) in by_members.items()}
+        for members in by_members:
+            if (loses[members] and undecided(members, loses)
+                    and (members, ej) not in results):
+                assert (members, ej) in witnessed, (members, ej)
+    assert witnessed and not mismatched(decisions(graph, results, solved))
 
 
 def test_skip_reaches_pairs_and_triples_and_leaves_only_multi_active_solves():
@@ -131,7 +202,7 @@ def test_skip_reaches_pairs_and_triples_and_leaves_only_multi_active_solves():
         for ej, solved in enumerate(every_solve(*case)):
             loses = {c: kind is GameKind.EVADER_WINS for c, (_, kind) in solved.items()}
             for members in solved:
-                if not undecided(members, loses):
+                if len(members) == 1 or not undecided(members, loses):
                     continue
                 result = results.get((members, ej))
                 if result is None:
@@ -142,53 +213,102 @@ def test_skip_reaches_pairs_and_triples_and_leaves_only_multi_active_solves():
 
 
 @pytest.mark.parametrize("region_name", list(REGIONS))
-def test_cover_work_is_lazy_and_done_once(monkeypatch, region_name):
-    races = []
-    covers = []
-
-    def race(pursuer, evader):
-        races.append((pursuer, evader))
-        return _race(pursuer, evader)
-
-    def f_original(con, y):
-        covers.append((con, y))
-        return _f_original(con, y)
-
-    monkeypatch.setattr(matching, "_race", race)
-    monkeypatch.setattr(matching, "_f_original", f_original)
+def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
     pursuers, evaders = pose(8, 3)
     region = REGIONS[region_name]
-    _, results = build_graph_with_results(pursuers, evaders, region)
-    assert covers
-    assert len(covers) == len(set(covers))
-    assert len(races) == len(set(races))
-    # A race is built only for a pursuer whose single loses, as only those
-    # enter pairs and triples.
-    losing = {(pursuers[members[0]], evaders[ej])
-              for (members, ej), result in results.items()
-              if len(members) == 1 and classify_result(
-                  result, evaders[ej], pursuers, region) is GameKind.EVADER_WINS}
-    assert len(losing) < len(pursuers) * len(evaders)
-    assert set(races) <= losing
+    owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
+             for i, p in enumerate(pursuers)}
+    events = []
+    witness = matching._witness
+    solve = matching.solve_interception
+
+    def recorded_witness(group, ray):
+        members = [owner[c.key] for c in group if c.member]
+        y = witness(group, ray)
+        events.append(("witness", tuple(i for i, _ in members), members[0][1], y))
+        return y
+
+    def recorded_solve(members, evader, *args, **kwargs):
+        events.append(("solve", tuple(members), evaders.index(evader), None))
+        return solve(members, evader, *args, **kwargs)
+
+    monkeypatch.setattr(matching, "_witness", recorded_witness)
+    monkeypatch.setattr(matching, "solve_interception", recorded_solve)
+    graph, results = build_graph_with_results(pursuers, evaders, region)
+    solved = every_solve(8, 3, region_name)
+
+    singles = Counter()
+    done = set()
+    for step, members, ej, y in events:
+        key = (members, ej)
+        # Nothing more is tried for a coalition once it is decided or solved.
+        assert key not in done, key
+        loses = {c: kind is GameKind.EVADER_WINS
+                 for c, (_, kind) in solved[ej].items()}
+        # Only coalitions whose every proper subcoalition loses are tried.
+        assert undecided(members, loses), key
+        if len(members) == 1 and step == "witness":
+            singles[key] += 1
+        if step == "solve" or (
+                y is not None
+                and evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE):
+            done.add(key)
+    # Each coalition is solved at most once and every solve is returned.
+    solves = [(members, ej) for step, members, ej, _ in events if step == "solve"]
+    assert len(solves) == len(set(solves)) == len(results)
+    # A single tries one ray, unless its win bound decides it first.
+    assert set(singles.values()) == {1}
+    bound = [(members, ej) for members, ej in
+             ((graph.coalitions[ci], ej) for ci, ej in graph.edges)
+             if len(members) == 1 and (members, ej) not in singles]
+    assert bound and all(key not in results for key in bound)
 
 
-@pytest.mark.parametrize("f_at_point", [-5e-8, 5e-8, 2e-7])
-def test_only_a_point_beyond_the_active_tolerance_decides(f_at_point):
-    # Pursuer 1's capture radius is set so that f_1 takes ``f_at_point`` at
-    # pursuer 0's lowest point.  Within ACTIVE_TOLERANCE of the boundary
-    # both members count as active and the pair must be solved.
-    evader = EvaderSpec((0.0, 0.0, 0.8), 1.0)
-    first = PursuerSpec((1.5, 0.0, 1.5), 1.1, 0.1)
-    low = solve_interception((0,), evader, [first]).point
-    position, speed = (3.0, 0.8, 1.2), 1.1
-    reach = potential(PursuerSpec(position, speed), evader, low)
-    pursuers = [first, PursuerSpec(position, speed, reach - f_at_point)]
-    assert potential(pursuers[1], evader, low) == pytest.approx(f_at_point, abs=1e-15)
-    graph, results = build_graph_with_results(pursuers, [evader])
-    assert graph.edges == ()
-    assert {members for members, _ in results} >= {(0,), (1,)}
-    pair = results.get(((0, 1), 0))
-    if f_at_point > ACTIVE_TOLERANCE:
-        assert pair is None
-    else:
-        assert pair.active_set == (0, 1)
+#: Single-pursuer scenes, each shifted vertically so that its lowest
+#: altitude sits at a chosen height: zero and positive capture radii,
+#: unbounded and in a ball (moved with the scene).
+SCENES = [
+    (EvaderSpec((0.0, 0.0, 2.0), 1.0), PursuerSpec((1.5, 0.3, 2.4), 1.3, 0.0),
+     UNBOUNDED),
+    (EvaderSpec((0.2, -0.1, 1.5), 1.0), PursuerSpec((1.5, 0.0, 1.5), 1.1, 0.1),
+     UNBOUNDED),
+    (EvaderSpec((0.0, 0.5, 1.0), 0.9), PursuerSpec((-1.0, 1.0, 2.0), 2.5, 0.4),
+     UNBOUNDED),
+    (EvaderSpec((0.0, 0.0, 1.0), 1.0), PursuerSpec((1.0, 0.5, 1.4), 1.2, 0.2),
+     Ball((0.0, 0.0, 0.5), 3.0)),
+]
+
+
+def shifted(evader, pursuer, region, height: float):
+    """The scene moved vertically so that its single's value is ``height``."""
+    dz = height - solve_interception((0,), evader, [pursuer], region).value
+
+    def up(point):
+        return (point[0], point[1], point[2] + dz)
+
+    if isinstance(region, Ball):
+        region = Ball(up(region.center), region.radius)
+    return (EvaderSpec(up(evader.position), evader.speed),
+            PursuerSpec(up(pursuer.position), pursuer.speed,
+                        pursuer.capture_radius), region)
+
+
+@pytest.mark.parametrize("height", [-1.5e-7, -5e-8, 5e-8, 1.5e-7])
+def test_only_a_single_beyond_the_tie_band_is_decided(height):
+    decided = 0
+    for scene in SCENES:
+        evader, pursuer, region = shifted(*scene, height)
+        result = solve_interception((0,), evader, [pursuer], region)
+        assert result.value == pytest.approx(height, abs=1e-13)
+        kind = classify_result(result, evader, [pursuer], region)
+        graph, results = build_graph_with_results([pursuer], [evader], region)
+        assert (graph.edges == ((0, 0),)) == (kind is not GameKind.EVADER_WINS)
+        if abs(height) < GOAL_TOLERANCE:
+            # In the tie band nothing is decided without a solve.
+            assert results[((0,), 0)] == result
+        elif ((0,), 0) not in results:
+            decided += 1
+            assert kind is (GameKind.PURSUIT_WINS if graph.edges
+                            else GameKind.EVADER_WINS)
+    if abs(height) > GOAL_TOLERANCE:
+        assert decided >= 1

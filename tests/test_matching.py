@@ -6,6 +6,9 @@ import random
 import pytest
 
 from reachavoid import (
+    AssumptionViolation,
+    Ball,
+    CapturedConfigurationError,
     EvaderSpec,
     GameGraph,
     GameKind,
@@ -149,6 +152,48 @@ def test_build_graph_rejects_misaligned_evader_ids():
     evaders = [EvaderSpec((0.0, 0.0, 3.0), 1.0), EvaderSpec((1.0, 0.0, 3.0), 1.0)]
     with pytest.raises(ValueError, match="evader_ids"):
         build_graph(pursuers, evaders, evader_ids=(0,))
+
+
+# Faulty inputs to the graph build, each with the exception type and
+# message of the first single solve that rejects it (evaders in turn, each
+# against pursuers 0, 1, ...): the build raises exactly that, though it
+# decides most singles without a solve.  Pursuer 0 wins alone against both
+# evaders, so its own singles are decided by the win bound.
+_FAST = PursuerSpec((0.0, 0.0, 1.0), 2.0)
+_HOME = EvaderSpec((0.0, 0.0, 3.0), 1.0)
+_BALL = Ball((0.0, 0.0, 1.0), 4.0)
+_FAULTS = {
+    "pursuer not faster": (
+        [_FAST, PursuerSpec((1.0, 0.0, 1.0), 0.9)], [_HOME], None,
+        AssumptionViolation,
+        "pursuer 1 is not faster than the evader (alpha=0.9)"),
+    "evader inside a capture radius": (
+        [_FAST, PursuerSpec((1.0, 0.0, 3.0), 1.5, 0.5)],
+        [_HOME, EvaderSpec((1.2, 0.0, 3.0), 1.0)], None,
+        CapturedConfigurationError,
+        "evader is already within capture radius of pursuer 1"),
+    "pursuer outside the ball": (
+        [_FAST, PursuerSpec((6.0, 0.0, 1.0), 2.0)], [_HOME], _BALL,
+        ValueError, "pursuer 1 lies outside the ball play region"),
+    "evader outside the ball": (
+        [_FAST, PursuerSpec((1.0, 0.0, 1.0), 2.0)],
+        [_HOME, EvaderSpec((0.0, 0.0, 6.0), 1.0)], _BALL,
+        ValueError, "evader lies outside the ball play region"),
+    "slow pursuer 1 and an evader outside the ball": (
+        [_FAST, PursuerSpec((1.0, 0.0, 1.0), 0.9)],
+        [EvaderSpec((0.0, 0.0, 6.0), 1.0)], _BALL,
+        ValueError, "evader lies outside the ball play region"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_build_graph_rejects_invalid_inputs_as_their_solve_does(fault):
+    pursuers, evaders, region, error, message = _FAULTS[fault]
+    args = (pursuers, evaders) if region is None else (pursuers, evaders, region)
+    with pytest.raises(error) as raised:
+        build_graph(*args)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_sequential_matching_fig3():

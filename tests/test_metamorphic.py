@@ -8,7 +8,12 @@ Over the first ``DRAWS`` inputs of every regime of
 - rotating the scene about the evader's vertical axis and translating it in
   x-y moves the interception point with the scene, to
   ``1e-9 * max(1, |x|)``, and keeps the kind wherever ``|z| > 1e-6``;
-- adding a member never lowers the value by more than 1e-9.
+- adding a member never lowers the value by more than 1e-9;
+- shrinking the ball about the evader, which it keeps on its sphere, never
+  lowers the value by more than 1e-9 (the ball regimes only).
+
+Relabelling the pursuers of barely-faster 8v8 poses, unbounded and in a
+ball, permutes the graph build's edges exactly.
 
 A failing input goes to ``test_degenerate.KEPT`` and is fixed in the
 numerics; the tolerances here are not widened.
@@ -21,10 +26,17 @@ import random
 
 import pytest
 
-from reachavoid import Ball, EvaderSpec, PursuerSpec, solve_interception
-from reachavoid.interception import classify_result
+from reachavoid import (
+    Ball,
+    EvaderSpec,
+    PursuerSpec,
+    build_graph,
+    solve_interception,
+)
+from reachavoid.interception import UNBOUNDED, classify_result
 
 from test_degenerate import REGIMES, corpus
+from test_shared_solves import BALL, snapshot
 
 DRAWS = 100
 
@@ -95,3 +107,58 @@ def test_adding_a_member_never_lowers_the_value(regime):
             assert value >= solve_interception(
                 fewer, evader, pursuers, region).value - 1e-9, (
                 members, dropped, evader, pursuers, region)
+
+
+def _shrunk(region: Ball, evader: EvaderSpec, pursuers, rng: random.Random):
+    """``region`` shrunk about the evader, which sits on its sphere, by a
+    factor drawn between 1 and the least one that keeps every pursuer
+    inside; None when no valid ball is drawn."""
+    e = evader.position
+    w = tuple(c - x for c, x in zip(region.center, e))
+    least = 0.0
+    for p in pursuers:
+        u = tuple(a - x for a, x in zip(p.position, e))
+        # |u - s w| <= s R with |w| = R holds for s >= |u|^2 / (2 u . w).
+        least = max(least, sum(a * a for a in u) / (2.0 * sum(
+            a * b for a, b in zip(u, w))))
+    factor = least + (1.0 - least) * rng.uniform(0.05, 0.95)
+    centre = tuple(x + factor * a for x, a in zip(e, w))
+    radius = factor * region.radius
+    if abs(centre[2]) >= radius:
+        return None
+    ball = Ball(centre, radius)
+    if any(ball.g(p.position) < 0.0 for p in pursuers):
+        return None
+    return ball
+
+
+@pytest.mark.parametrize("regime", ["ball-boundary", "ball-coaxial"])
+def test_shrinking_the_ball_never_lowers_the_value(regime):
+    rng = random.Random(f"shrink-{regime}")
+    shrunk = 0
+    for members, evader, pursuers, region in corpus(regime, size=DRAWS):
+        smaller = _shrunk(region, evader, pursuers, rng)
+        if smaller is None:
+            continue
+        value = solve_interception(members, evader, pursuers, region).value
+        assert solve_interception(members, evader, pursuers,
+                                  smaller).value >= value - 1e-9, (
+            members, evader, pursuers, region, smaller)
+        shrunk += 1
+    assert shrunk >= DRAWS // 2
+
+
+@pytest.mark.parametrize("region", [UNBOUNDED, BALL], ids=["unbounded", "ball"])
+def test_relabelling_the_pursuers_permutes_the_edges(region):
+    rng = random.Random(23)
+    for _ in range(3):
+        pursuers, evaders = snapshot(rng)
+        graph = build_graph(pursuers, evaders, region)
+        order = list(range(len(pursuers)))
+        rng.shuffle(order)
+        relabelled = build_graph([pursuers[i] for i in order], evaders, region)
+        assert len(graph.edges) > len(evaders)
+        assert sorted(
+            (tuple(sorted(order[k] for k in relabelled.coalitions[ci])), ej)
+            for ci, ej in relabelled.edges) == sorted(
+            (graph.coalitions[ci], ej) for ci, ej in graph.edges)

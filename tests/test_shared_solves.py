@@ -1,9 +1,9 @@
 """Solves that share one :class:`~reachavoid.interception.SolveTable`.
 
-The graph build solves the coalitions of up to three pursuers against each
-evader through one table per evader, so each member's lowest point and each
-pair's and triple's candidate points are computed once; constraint values
-and certificates are computed per solve.  Every answer must be
+The graph build solves the coalitions of up to three pursuers that it
+cannot decide without a solve through one table per evader, so each
+member's lowest point and each pair's and triple's candidate points are
+computed once; constraint values and certificates are computed per solve.  Every answer must be
 bit-identical (dataclass equality) to a solve without a table, and a table
 reused with moved players must answer afresh.
 """
@@ -80,7 +80,9 @@ def test_shared_table_is_bit_identical_on_corpus():
 
 @pytest.mark.parametrize("region", [UNBOUNDED, BALL], ids=["unbounded", "ball"])
 def test_graph_build_results_are_fresh_solves(region):
-    rng = random.Random(17)
+    # Poses whose builds still solve every regime below: most coalitions are
+    # decided without a solve.
+    rng = random.Random(11)
     seen = Counter()
     for _ in range(4):
         pursuers, evaders = snapshot(rng)
@@ -109,16 +111,18 @@ def test_build_computes_each_kernel_once_per_input(monkeypatch):
 
     for name in calls:
         counted(name)
-    pursuers, evaders = snapshot(random.Random(17))
+    pursuers, evaders = snapshot(random.Random(11))
     _, results = build_graph_with_results(pursuers, evaders)
     sizes = Counter(len(members) for members, _ in results)
     assert sizes[2] > 0 and sizes[3] > 0
     for name, args in calls.items():
         assert args, name
         assert len(args) == len(set(args)), name
-    # Each (pursuer, evader) single is solved once, though every pair and
-    # triple solve of that evader needs it.
-    assert len(calls["_solve_single"]) == len(pursuers) * len(evaders)
+    # A member's lowest point is found once per evader, for the first solve
+    # that holds it, though every later solve of that evader needs it too;
+    # a member in no solve needs none.
+    solved_members = {(i, ej) for members, ej in results for i in members}
+    assert len(calls["_solve_single"]) == len(solved_members)
 
 
 def test_reused_table_answers_moved_players_afresh():
