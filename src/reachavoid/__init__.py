@@ -35,7 +35,6 @@ from .interception import (
     GameKind,
     InterceptionResult,
     Region,
-    SolveTable,
     SolverFailure,
     UNBOUNDED,
     Unbounded,

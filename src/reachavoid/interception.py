@@ -71,14 +71,6 @@ order below changes only the cost:
   certifies.  It shares no kernel with the paths above, so the tests use
   it as their independent reference.
 
-Solves against one evader share their single-, pair- and triple-level work
-through a :class:`SolveTable`: forms, own lowest points and candidate
-points.  The constraint values at a candidate and its certificate are
-computed per solve.  Entries are keyed by exactly their inputs in the
-evader's frame, so a table reused with moved players can only miss.  The
-graph build makes one table per evader per call; a solve given none uses a
-private one.
-
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
 members that pin down the interception point, and cross-checks
@@ -879,51 +871,6 @@ class _Constraint:
             self.low_z, self.low_err = _sphere_low_z(self.form)
 
 
-class SolveTable:
-    """The work that solves against one evader share.
-
-    Coalitions of one evader share their members, so their solves share
-    each member's (and the ball's) boundary form and own lowest point, and
-    each pair's and triple's candidate points.  A solve given a table takes
-    these from it and adds what it computes; the constraint values at a
-    point and its Gram-multiplier certificate are computed per solve.
-    Everything is computed in the evader's frame, and entries are keyed by
-    exactly the inputs they were computed from: a member by its ``(x_P -
-    x_E, alpha, r)``, the ball by its ``(c - x_E, R)``.  A table passed with
-    moved players can therefore only miss, never answer stale, and results
-    are bit-identical to solves without a table.
-    """
-
-    __slots__ = ("constraints", "candidates")
-
-    def __init__(self) -> None:
-        self.constraints: dict = {}
-        self.candidates: dict[tuple[_Constraint, ...], list[Vec]] = {}
-
-    def _group(self, cons, ball: _Sphere | None) -> list[_Constraint]:
-        """The entries of ``cons``, then of the ball when there is one."""
-        shared = self.constraints
-        group = []
-        for key in cons if ball is None else [*cons, ball]:
-            c = shared.get(key)
-            if c is None:
-                # A member's key is (q, alpha, r), the ball's (c, R).
-                c = shared[key] = _Constraint(key, len(key) == 3)
-            group.append(c)
-        return group
-
-    def _candidates(self, subset: tuple[_Constraint, ...]) -> list[Vec]:
-        """The candidate points of two or three shaped constraints."""
-        points = self.candidates.get(subset)
-        if points is None:
-            if len(subset) == 2:
-                points = _pair_points(subset[0].form, subset[1].form)
-            else:
-                points = _triple_points(*(c.form for c in subset)) or []
-            self.candidates[subset] = points
-        return points
-
-
 def _value(y: Vec, c: _Constraint) -> float:
     """Member ``f`` or ball boundary distance of ``c`` at ``y``."""
     if c.member:
@@ -985,8 +932,7 @@ def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
     return (active, *certificate)
 
 
-def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
-            table: SolveTable):
+def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
     """The minimizer certified directly from one to three active
     constraints, as ``(y, active, multipliers, stationarity, slackness)``
     (see :func:`_certify`), or None.
@@ -995,9 +941,6 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
     pairs of members, then a member with the ball, then triples (lowest
     candidate first).  A certified KKT point of this strictly convex
     program is its unique minimizer, so the order only affects cost.
-    ``group`` holds the entries of ``table`` for the constraints; own
-    lowest points and candidate points come from ``table``, and constraint
-    values and certificates are computed here.
     """
     n = len(cons)
     count = len(group)
@@ -1022,7 +965,10 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint],
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
-        for y in table._candidates(tuple([group[j] for j in subset])):
+        forms = [group[j].form for j in subset]
+        points = (_pair_points(*forms) if len(forms) == 2
+                  else _triple_points(*forms) or [])
+        for y in points:
             certificate = _certify(cons, ball, group, y, subset)
             if certificate is not None:
                 return (y, *certificate)
@@ -1240,18 +1186,17 @@ def _program(members: Coalition, evader: EvaderSpec, pursuers,
 
 
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
-           region: Region, initial_point: Vec | None = None,
-           table: SolveTable | None = None) -> InterceptionResult:
+           region: Region, initial_point: Vec | None = None) -> InterceptionResult:
     """The direct candidates, then the polish from the kernels' points;
     ``initial_point`` forces the barrier + polish reference instead."""
     cons, ball = _program(members, evader, pursuers, region)
     epos = evader.position
-    if table is None:
-        table = SolveTable()
-    group = table._group(cons, ball)
+    group = [_Constraint(con, True) for con in cons]
+    if ball is not None:
+        group.append(_Constraint(ball, False))
 
     if initial_point is None:
-        found = (_direct(cons, ball, group, table)
+        found = (_direct(cons, ball, group)
                  or _polished(cons, ball, group))
         if found is None:
             raise SolverFailure("no KKT certificate at a direct candidate or "
@@ -1318,8 +1263,7 @@ def _result(members: Coalition, epos: Vec, y: Vec, active: tuple[int, ...],
 
 def solve_interception(coalition, evader: EvaderSpec, pursuers,
                        region: Region = UNBOUNDED, *,
-                       initial_point=None,
-                       table: SolveTable | None = None) -> InterceptionResult:
+                       initial_point=None) -> InterceptionResult:
     """Solve the interception program for a coalition against one evader.
 
     Returns the unique lowest-altitude point of the evader's evasion-space
@@ -1329,15 +1273,10 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     ``initial_point`` instead runs the barrier + polish reference from a
     given strictly feasible point, which shares no kernel with the default
     paths and so cross-checks them and the uniqueness of the minimizer.
-    ``table`` shares the single-, pair- and triple-level work between the
-    solves of several coalitions against one evader (see
-    :class:`SolveTable`); without it a solve uses a private table.  The
-    result does not depend on it.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     start = la.as_vec(initial_point) if initial_point is not None else None
-    return _solve(members, evader, pursuers, region, initial_point=start,
-                  table=table)
+    return _solve(members, evader, pursuers, region, initial_point=start)
 
 
 def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:

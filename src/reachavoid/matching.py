@@ -39,8 +39,8 @@ from .interception import (
     GameKind,
     InterceptionResult,
     Region,
-    SolveTable,
     UNBOUNDED,
+    _Constraint,
     _program,
     _wins_alone,
     _witness,
@@ -219,25 +219,24 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     results: dict[tuple[Coalition, int], InterceptionResult] = {}
     edges: list[tuple[int, int]] = []
     for evader, ej in zip(evaders, evader_ids):
-        # The evader's coalitions share their members' geometry; the table
-        # lives for this call only.
-        table = SolveTable()
         z_e = evader.position[2]
         # Each losing coalition's kept point in the evader's frame, by its
-        # members, and each member's constraint (the ball's appended).
+        # members, each pursuer's shaped constraint, and the ball's, which
+        # every group of this evader shares.
         points: dict[Coalition, Vec] = {}
-        groups: dict[int, list] = {}
+        shaped: dict[int, _Constraint] = {}
+        ball_entry: list[_Constraint] = []
 
-        def loses(members: Coalition, group: list, rays) -> bool:
+        def loses(members: Coalition, rays) -> bool:
             """Decide ``members`` by a witness on one of ``rays``, else
             solve it; keep its point when it loses, else record its edge."""
+            group = [shaped[i] for i in members] + ball_entry
             for ray in rays:
                 y = _witness(group, ray)
                 if y is not None and z_e + y[2] < -GOAL_TOLERANCE:
                     points[members] = y
                     return True
-            result = solve_interception(members, evader, pursuers, region,
-                                        table=table)
+            result = solve_interception(members, evader, pursuers, region)
             results[(members, ej)] = result
             kind = classify_result(result, evader, pursuers, region)
             if kind is GameKind.EVADER_WINS:
@@ -258,32 +257,29 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         losing_singles = []
         for i in range(len(pursuers)):
             # Checks each input as the single's solve would, in its order.
-            group = table._group(*_program((i,), evader, pursuers, region))
-            for c in group:
-                c.shape()
-            member = group[0]
+            (con,), ball = _program((i,), evader, pursuers, region)
+            if ball is not None and not ball_entry:
+                ball_entry.append(_Constraint(ball, False))
+                ball_entry[0].shape()
+            member = shaped[i] = _Constraint(con, True)
+            member.shape()
             if _wins_alone(member, z_e):
                 edges.append((index_of[(i,)], ej))
                 continue
-            groups[i] = group
             # The ray to the lowest point of the member's Apollonius sphere,
             # -(q + alpha |q| e_z), which is its body when r = 0.
             q, alpha, _ = member.key
             low = (q[0], q[1], q[2] + alpha * la.norm(q))
-            if loses((i,), group, (la.scale(low, -1.0 / la.norm(low)),)):
+            if loses((i,), (la.scale(low, -1.0 / la.norm(low)),)):
                 losing_singles.append(i)
         # Increasing indices, so combinations come in all_coalitions order.
-        for members in itertools.combinations(losing_singles, 2):
-            i, j = members
-            group = [groups[i][0], *groups[j]]
-            loses(members, group, toward((i,), (j,)))
+        for i, j in itertools.combinations(losing_singles, 2):
+            loses((i, j), toward((i,), (j,)))
         for members in itertools.combinations(losing_singles, 3):
             pairs = list(itertools.combinations(members, 2))
             if all(pair in points for pair in pairs):
                 i, j, k = members
-                group = [groups[i][0], groups[j][0], *groups[k]]
-                loses(members, group,
-                      toward((i,), (j,), (k,), *pairs))
+                loses(members, toward((i,), (j,), (k,), *pairs))
     graph = GameGraph._trusted(coalitions, evader_ids, tuple(sorted(set(edges))))
     return graph, results
 

@@ -31,7 +31,7 @@ from reachavoid import (
     solve_interception,
 )
 from reachavoid.geometry import _race
-from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, SolveTable
+from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED
 from reachavoid.matching import all_coalitions
 
 from test_degenerate import REGIMES, corpus
@@ -55,15 +55,12 @@ def build(size: int, seed: int, region_name: str):
 
 def solve_all(pursuers, evaders, region):
     """Per evader, every coalition of up to three solved, nothing decided,
-    with its kind.  Each evader's solves share a table, which leaves every
-    result bit-identical to a solve without one."""
+    with its kind."""
     solved = []
     for evader in evaders:
-        table = SolveTable()
         results = {}
         for members in all_coalitions(len(pursuers)):
-            result = solve_interception(members, evader, pursuers, region,
-                                        table=table)
+            result = solve_interception(members, evader, pursuers, region)
             results[members] = (result,
                                 classify_result(result, evader, pursuers, region))
         solved.append(results)
@@ -262,6 +259,37 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
              ((graph.coalitions[ci], ej) for ci, ej in graph.edges)
              if len(members) == 1 and (members, ej) not in singles]
     assert bound and all(key not in results for key in bound)
+
+
+def test_witness_groups_share_one_ball_entry_per_evader(monkeypatch):
+    pursuers, evaders = pose(8, 3)
+    owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
+             for i, p in enumerate(pursuers)}
+    groups = []
+    witness = matching._witness
+
+    def recorded(group, ray):
+        groups.append(list(group))
+        return witness(group, ray)
+
+    monkeypatch.setattr(matching, "_witness", recorded)
+    build_graph_with_results(pursuers, evaders, BALL)
+    balls = {}
+    sizes = Counter()
+    for group in groups:
+        *members, ball = group
+        assert all(c.member for c in members) and not ball.member
+        owners = [owner[c.key] for c in members]
+        ej = owners[0][1]
+        coalition = [i for i, _ in owners]
+        assert {e for _, e in owners} == {ej}
+        assert coalition == sorted(set(coalition)), coalition
+        centre = tuple(c - x for c, x in zip(BALL.center, evaders[ej].position))
+        assert ball.key == (centre, BALL.radius)
+        # Every group of one evader holds the same ball entry.
+        assert balls.setdefault(ej, ball) is ball
+        sizes[len(members)] += 1
+    assert sizes[1] and sizes[2] and sizes[3], sizes
 
 
 #: Single-pursuer scenes, each shifted vertically so that its lowest
