@@ -237,13 +237,17 @@ def radial_derivatives(h1: float, h1_d: float, ar: float, a2m1: float,
     ``h1_d`` is ``(x_E - x_P) . e'``; since ``e'' = -e`` the second
     derivative ``h1''`` collapses to ``-(h1 + alpha r)``.  ``ar`` is
     ``alpha r`` and ``a2m1`` is ``alpha^2 - 1``.
+
+    Toward the pursuer ``h1 < 0`` and ``h1 + h2`` cancels, so ``rho`` is
+    then taken as ``(const / a2m1) / (h2 - h1)``, and both derivatives are
+    written through ``rho`` so that neither holds ``h1 + h2``.
     """
     h1_dd = -(h1 + ar)
     h2 = math.sqrt(h1 * h1 + const)
-    rho = (h1 + h2) / a2m1
-    rho_d = (h2 + h1) / h2 * h1_d / a2m1
-    rho_dd = ((h2 + h1) / h2 * h1_dd
-              + (h2 * h2 - h1 * h1) / h2 ** 3 * h1_d * h1_d) / a2m1
+    span = const / a2m1  # ||x_E - x_P||^2 - r^2 = (h2 + h1)(h2 - h1) / a2m1
+    rho = (h1 + h2) / a2m1 if h1 >= 0.0 else span / (h2 - h1)
+    rho_d = rho * h1_d / h2
+    rho_dd = (rho * h1_dd + span * h1_d * h1_d / (h2 * h2)) / h2
     return rho, rho_d, rho_dd
 
 

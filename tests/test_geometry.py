@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -172,6 +173,44 @@ def test_boundary_consistency_random_directions():
             rho = boundary_radius(pursuer, evader, e)
             assert 0.0 < rho <= bound
             assert abs(potential(pursuer, evader, boundary_point(pursuer, evader, e))) <= 1e-9
+
+
+def exact_boundary_radius(pursuer, evader, e) -> decimal.Decimal:
+    """``boundary_radius`` evaluated with 60 digits from the same float
+    inputs: the positive root of ``|rho e - q|^2 = (alpha rho + r)^2``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        q = [D(p) - D(x) for p, x in zip(pursuer.position, evader.position)]
+        alpha = D(speed_ratio(pursuer, evader))
+        r = D(pursuer.capture_radius)
+        h1 = -sum(qi * D(ei) for qi, ei in zip(q, e)) - alpha * r
+        span = sum(qi * qi for qi in q) - r * r
+        a2m1 = alpha * alpha - 1
+        h2 = (h1 * h1 + a2m1 * span).sqrt()
+        return (h1 + h2) / a2m1
+
+
+@pytest.mark.parametrize("excess", [1e-9, 1e-6])
+def test_boundary_radius_toward_barely_faster_pursuer_keeps_its_digits(excess):
+    # Toward the pursuer h1 < 0, where h1 + h2 cancels; the radius must
+    # still match an exact evaluation to rounding.
+    rng = random.Random(5)
+    worst = 0.0
+    for _ in range(300):
+        evader = EvaderSpec(tuple(rng.uniform(-3.0, 3.0) for _ in range(3)),
+                            rng.uniform(0.5, 2.0))
+        pursuer = PursuerSpec(tuple(rng.uniform(-3.0, 3.0) for _ in range(3)),
+                              evader.speed * (1.0 + excess),
+                              rng.uniform(0.0, 0.2))
+        q = [p - x for p, x in zip(pursuer.position, evader.position)]
+        if math.hypot(*q) <= 2.0 * pursuer.capture_radius:
+            continue
+        e = tuple(c / math.hypot(*q) for c in q)
+        rho = boundary_radius(pursuer, evader, e)
+        exact = exact_boundary_radius(pursuer, evader, e)
+        worst = max(worst, float(abs(decimal.Decimal(rho) - exact) / exact))
+    assert worst <= 1e-14, worst
 
 
 def test_in_closure_basics():
