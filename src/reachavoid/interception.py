@@ -10,11 +10,14 @@ optionally further intersected with a closed ball play region:
                 g(x)  >= 0         (ball region only),
 
 with f_i the race potential of :mod:`reachavoid.geometry` and
-g(x) = R^2 - ||x - c||^2.  Both solver paths number the constraints by
-position: the members 0..n-1, then the ball as n, so active sets and
-multipliers are keyed alike for both; only the result splits the ball's
-entry out.  Each constraint is handled internally through
-the equivalent concave form
+g(x) = R^2 - ||x - c||^2.  :func:`_program` builds each solve's one
+constraint group: a :class:`_Constraint` per member in coalition order,
+then the ball's last.  The kernels, the certificate, the polish and the
+barrier all read that group, tell the ball from a member only by its
+``member`` flag and evaluate the ball by g alone, so active sets and
+multipliers are keyed alike on every path; only the result splits the
+ball's entry out.  The barrier handles each member through the equivalent
+concave form
 
     f_i(x) >= 0  <=>  ||x - x_P||^2 - (alpha ||x - x_E|| + r)^2 >= 0,
 
@@ -214,8 +217,9 @@ def validate_coalition(members, num_pursuers: int | None = None,
 #
 # Every function below works in the evader's frame: a point is y = x - x_E.
 # Each coalition member contributes the tuple (q, alpha, r) with
-# q = x_P - x_E, and the ball region the sphere (c - x_E, R); the concave
-# form evaluated everywhere below is
+# q = x_P - x_E, and the ball region the sphere (c - x_E, R); a solve wraps
+# each in a _Constraint, the members first and the ball last.  The barrier
+# evaluates each member through the concave form
 #     ftilde(y) = ||y-q||^2 - alpha^2 ||y||^2 - r^2 - 2 alpha r ||y||
 # which is positive exactly where the original potential f is.  It is
 # evaluated only inside the barrier evaluators below, so a point is strictly
@@ -257,33 +261,99 @@ def _ball_g(ball: _Sphere, y: Vec) -> float:
     return radius * radius - (d0 * d0 + d1 * d1 + d2 * d2)
 
 
+_BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
+
+
+class _Constraint:
+    """A member ``(q, alpha, r)`` or the ball's sphere ``(c, R)``, told
+    apart by ``member``, with its own lowest point ``y`` (found by
+    :meth:`lowest`), its boundary form and the altitude of its dropped
+    sphere's lowest point with that altitude's rounding bound (all set by
+    :meth:`shape`)."""
+
+    __slots__ = ("key", "member", "y", "form", "low_z", "low_err")
+
+    def __init__(self, key, member: bool) -> None:
+        self.key = key
+        self.member = member
+        self.y: Vec | None = None
+        self.form: _Form | None = None
+        self.low_z = self.low_err = 0.0
+
+    def value(self, y: Vec) -> float:
+        """The member's potential ``f`` or the ball's ``g`` at ``y``."""
+        return _f_original(self.key, y) if self.member else _ball_g(self.key, y)
+
+    def grad_hess(self, y: Vec, hessian: bool = True):
+        """:meth:`value`, its gradient and its packed Hessian (None unless
+        ``hessian``) at ``y``."""
+        if self.member:
+            return _f_grad_hess(self.key, y, hessian)
+        grad = la.scale(la.sub(y, self.key[0]), -2.0)
+        return _ball_g(self.key, y), grad, _BALL_HESSIAN if hessian else None
+
+    def lowest(self) -> Vec:
+        if self.y is None:
+            if self.member:
+                self.y = _solve_single(self.key)
+            else:
+                centre, radius = self.key
+                self.y = (centre[0], centre[1], centre[2] - radius)
+        return self.y
+
+    def shape(self) -> None:
+        if self.form is None:
+            self.form = (_member_form(self.key) if self.member
+                         else _ball_form(self.key))
+            self.low_z, self.low_err = _sphere_low_z(self.form)
+
+
+def _program(members: Coalition, evader: EvaderSpec, pursuers,
+             region: Region) -> list[_Constraint]:
+    """The solve's constraint group in the evader's frame: the members in
+    order, then the ball when the region is bounded; raises on the inputs
+    no solve accepts."""
+    group = [_Constraint(con, True)
+             for con in _constraints(members, evader, pursuers)]
+    if not isinstance(region, Ball):
+        return group
+    for i in members:
+        if region.g(pursuers[i].position) < -1e-9:
+            raise ValueError(f"pursuer {i} lies outside the ball play region")
+    if region.g(evader.position) < -1e-9:
+        raise ValueError("evader lies outside the ball play region")
+    group.append(_Constraint(
+        (la.sub(region.center, evader.position), region.radius), False))
+    return group
+
+
 # --------------------------------------------------------------------------
 # log-barrier Newton continuation
 
 
-def _barrier_value(cons, ball: _Sphere | None, y: Vec, t: float,
+def _barrier_value(group: list[_Constraint], y: Vec, t: float,
                    mu2: float) -> float | None:
     """Smoothed barrier objective, or None when y is not strictly feasible."""
     value = t * y[2]
     d_e2 = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
     ds = math.sqrt(d_e2 + mu2)
-    for q, a, r in cons:
-        dpx = y[0] - q[0]
-        dpy = y[1] - q[1]
-        dpz = y[2] - q[2]
-        ft = (dpx * dpx + dpy * dpy + dpz * dpz) - a * a * d_e2 - r * r - 2.0 * a * r * ds
+    for c in group:
+        if c.member:
+            q, a, r = c.key
+            dpx = y[0] - q[0]
+            dpy = y[1] - q[1]
+            dpz = y[2] - q[2]
+            ft = ((dpx * dpx + dpy * dpy + dpz * dpz) - a * a * d_e2 - r * r
+                  - 2.0 * a * r * ds)
+        else:
+            ft = _ball_g(c.key, y)
         if not ft > 0.0:
             return None
         value -= math.log(ft)
-    if ball is not None:
-        g = _ball_g(ball, y)
-        if not g > 0.0:
-            return None
-        value -= math.log(g)
     return value
 
 
-def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
+def _barrier_step(group: list[_Constraint], y: Vec, t: float, mu2: float):
     """Gradient and packed Hessian of the smoothed barrier at a strictly
     feasible y; :func:`_barrier_value` gives its value."""
     dex, dey, dez = y
@@ -295,7 +365,27 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
     g1 = 0.0
     g2 = t
     h11 = h12 = h13 = h22 = h23 = h33 = 0.0
-    for q, a, r in cons:
+    for c in group:
+        if not c.member:
+            g = _ball_g(c.key, y)
+            if g <= 0.0:
+                raise SolverFailure("barrier evaluated outside the play region")
+            bx = dex - c.key[0][0]
+            by = dey - c.key[0][1]
+            bz = dez - c.key[0][2]
+            inv = 1.0 / g
+            inv2 = inv * inv
+            g0 += 2.0 * bx * inv
+            g1 += 2.0 * by * inv
+            g2 += 2.0 * bz * inv
+            h11 += 4.0 * bx * bx * inv2 + 2.0 * inv
+            h22 += 4.0 * by * by * inv2 + 2.0 * inv
+            h33 += 4.0 * bz * bz * inv2 + 2.0 * inv
+            h12 += 4.0 * bx * by * inv2
+            h13 += 4.0 * bx * bz * inv2
+            h23 += 4.0 * by * bz * inv2
+            continue
+        q, a, r = c.key
         dpx = dex - q[0]
         dpy = dey - q[1]
         dpz = dez - q[2]
@@ -323,24 +413,6 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
         h12 += inv2 * gf0 * gf1 - inv * (cw * dex * dey)
         h13 += inv2 * gf0 * gf2 - inv * (cw * dex * dez)
         h23 += inv2 * gf1 * gf2 - inv * (cw * dey * dez)
-    if ball is not None:
-        g = _ball_g(ball, y)
-        if g <= 0.0:
-            raise SolverFailure("barrier evaluated outside the play region")
-        bx = dex - ball[0][0]
-        by = dey - ball[0][1]
-        bz = dez - ball[0][2]
-        inv = 1.0 / g
-        inv2 = inv * inv
-        g0 += 2.0 * bx * inv
-        g1 += 2.0 * by * inv
-        g2 += 2.0 * bz * inv
-        h11 += 4.0 * bx * bx * inv2 + 2.0 * inv
-        h22 += 4.0 * by * by * inv2 + 2.0 * inv
-        h33 += 4.0 * bz * bz * inv2 + 2.0 * inv
-        h12 += 4.0 * bx * by * inv2
-        h13 += 4.0 * bx * bz * inv2
-        h23 += 4.0 * by * bz * inv2
     return (g0, g1, g2), (h11, h12, h13, h22, h23, h33)
 
 
@@ -351,14 +423,14 @@ def _barrier_step(cons, ball: _Sphere | None, y: Vec, t: float, mu2: float):
 _NEWTON_MAX_ITER = 3000
 
 
-def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
+def _newton_center(group: list[_Constraint], y: Vec, t: float,
                    mu2: float) -> Vec:
     """Damped Newton on the smoothed barrier at weight ``t`` from a strictly
     feasible ``y``; ``value`` is always :func:`_barrier_value` at ``y``."""
-    value = _barrier_value(cons, ball, y, t, mu2)
+    value = _barrier_value(group, y, t, mu2)
     previous_decrement = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        grad, hess = _barrier_step(cons, ball, y, t, mu2)
+        grad, hess = _barrier_step(group, y, t, mu2)
         try:
             dx = la.solve_sym3(*hess, -grad[0], -grad[1], -grad[2])
         except ValueError:
@@ -384,7 +456,7 @@ def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
         moved = 0.0
         for _ in range(60):
             candidate = (y[0] + step * dx[0], y[1] + step * dx[1], y[2] + step * dx[2])
-            cand_value = _barrier_value(cons, ball, candidate, t, mu2)
+            cand_value = _barrier_value(group, candidate, t, mu2)
             if cand_value is not None and cand_value <= value + 0.25 * step * slope:
                 moved = step * la.norm(dx)
                 y = candidate
@@ -400,12 +472,12 @@ def _newton_center(cons, ball: _Sphere | None, y: Vec, t: float,
     raise SolverFailure("Newton iteration budget exhausted")
 
 
-def _barrier_solve(cons, ball: _Sphere | None, y0: Vec, mu2: float) -> Vec:
-    m = len(cons) + (1 if ball is not None else 0)
+def _barrier_solve(group: list[_Constraint], y0: Vec, mu2: float) -> Vec:
+    m = len(group)
     t = 1.0
     y = y0
     while True:
-        y = _newton_center(cons, ball, y, t, mu2)
+        y = _newton_center(group, y, t, mu2)
         if m / t <= _BARRIER_GAP:
             return y
         t *= 10.0
@@ -840,57 +912,29 @@ def _unique_multipliers(grads) -> list[float] | None:
             min(-ab[2] / volume, 0.0)]
 
 
-class _Constraint:
-    """A member ``(q, alpha, r)`` or the ball's sphere, with its own lowest
-    point ``y`` (found by :meth:`lowest`), its boundary form and the
-    altitude of its dropped sphere's lowest point with that altitude's
-    rounding bound (all set by :meth:`shape`)."""
+def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
+    """Certify ``y`` as the minimizer with exactly the constraints at the
+    increasing positions ``active`` of ``group`` binding; every path
+    certifies only through this.
 
-    __slots__ = ("key", "member", "y", "form", "low_z", "low_err")
-
-    def __init__(self, key, member: bool) -> None:
-        self.key = key
-        self.member = member
-        self.y: Vec | None = None
-        self.form: _Form | None = None
-        self.low_z = self.low_err = 0.0
-
-    def lowest(self) -> Vec:
-        if self.y is None:
-            if self.member:
-                self.y = _solve_single(self.key)
-            else:
-                centre, radius = self.key
-                self.y = (centre[0], centre[1], centre[2] - radius)
-        return self.y
-
-    def shape(self) -> None:
-        if self.form is None:
-            self.form = (_member_form(self.key) if self.member
-                         else _ball_form(self.key))
-            self.low_z, self.low_err = _sphere_low_z(self.form)
-
-
-def _value(y: Vec, c: _Constraint) -> float:
-    """Member ``f`` or ball boundary distance of ``c`` at ``y``."""
-    if c.member:
-        return _f_original(c.key, y)
-    centre, radius = c.key
-    return radius - la.dist(y, centre)
-
-
-def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
-                      active: tuple[int, ...]):
-    """Gram-system multipliers of the ``active`` constraints at ``y`` with
-    the stationarity and complementary-slackness residuals they leave, or
-    None when :func:`_gram_multipliers` has no fit or the KKT certificate
-    fails.  Both solver paths certify only through this."""
-    grads = []
+    The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
+    boundary and every other one strictly beyond it; the multipliers come
+    from :func:`_gram_multipliers` and must leave stationarity and
+    complementary slackness within ``KKT_TOLERANCE``.  Every test fails on
+    NaN.  Returns ``(active, multipliers, stationarity, slackness)``, the
+    multipliers aligned with ``active``, or None.
+    """
     values = []
-    for j in active:
-        value, grad, _ = _grad_hess(cons, ball, j, y, hessian=False)
-        grads.append(grad)
-        values.append(value)
+    grads = []
+    for j, c in enumerate(group):
+        if j in active:
+            value, grad, _ = c.grad_hess(y, hessian=False)
+            if not abs(value) <= ACTIVE_TOLERANCE:
+                return None
+            values.append(value)
+            grads.append(grad)
+        elif not c.value(y) > ACTIVE_TOLERANCE:
+            return None
     multipliers = _gram_multipliers(grads)
     if multipliers is None:
         return None
@@ -905,34 +949,10 @@ def _gram_certificate(cons, ball: _Sphere | None, y: Vec,
     stationarity = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
     if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         return None
-    return multipliers, stationarity, slack
+    return active, multipliers, stationarity, slack
 
 
-def _certify(cons, ball: _Sphere | None, group: list[_Constraint],
-             y: Vec, active: tuple[int, ...]):
-    """Certify ``y`` as the minimizer with exactly the constraints at
-    positions ``active`` of ``group`` binding.
-
-    The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
-    boundary and every other one strictly beyond it; the multipliers come
-    from the Gram system and the KKT certificate must pass.  Every test
-    fails on NaN.  Returns ``(active, multipliers, stationarity,
-    slackness)``, the multipliers aligned with ``active``, or None.
-    """
-    for j, c in enumerate(group):
-        value = _value(y, c)
-        if j in active:
-            if not abs(value) <= ACTIVE_TOLERANCE:
-                return None
-        elif not value > ACTIVE_TOLERANCE:
-            return None
-    certificate = _gram_certificate(cons, ball, y, active)
-    if certificate is None:
-        return None
-    return (active, *certificate)
-
-
-def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
+def _direct(group: list[_Constraint]):
     """The minimizer certified directly from one to three active
     constraints, as ``(y, active, multipliers, stationarity, slackness)``
     (see :func:`_certify`), or None.
@@ -942,7 +962,6 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
     candidate first).  A certified KKT point of this strictly convex
     program is its unique minimizer, so the order only affects cost.
     """
-    n = len(cons)
     count = len(group)
     order = range(count)
     if count > 1:
@@ -954,14 +973,15 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
                        reverse=True)
     for j in order:
         low = group[j].lowest()
-        certificate = _certify(cons, ball, group, low, (j,))
+        certificate = _certify(group, low, (j,))
         if certificate is not None:
             return (low, *certificate)
     if count == 1:
         return None
 
+    n = sum(c.member for c in group)  # the ball, if any, is constraint n
     subsets = list(itertools.combinations(range(n), 2))
-    if ball is not None:
+    if n < count:
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
@@ -969,7 +989,7 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
         points = (_pair_points(*forms) if len(forms) == 2
                   else _triple_points(*forms) or [])
         for y in points:
-            certificate = _certify(cons, ball, group, y, subset)
+            certificate = _certify(group, y, subset)
             if certificate is not None:
                 return (y, *certificate)
     return None
@@ -979,21 +999,7 @@ def _direct(cons, ball: _Sphere | None, group: list[_Constraint]):
 # KKT polish on the original constraint functions
 
 
-_BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
-
-
-def _grad_hess(cons, ball: _Sphere | None, j: int, y: Vec,
-               hessian: bool = True):
-    """Value, gradient and packed Hessian (None unless ``hessian``) of
-    constraint ``j``: member ``j``'s ``f``, or the ball's ``g`` for
-    ``j == len(cons)``."""
-    if j < len(cons):
-        return _f_grad_hess(cons[j], y, hessian)
-    grad = la.scale(la.sub(y, ball[0]), -2.0)
-    return _ball_g(ball, y), grad, _BALL_HESSIAN if hessian else None
-
-
-def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
+def _polish_kkt(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     """Newton-refine the active-set KKT system; returns (y, lam) or None.
 
     ``active`` holds constraint positions.  The system solved is
@@ -1004,7 +1010,7 @@ def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
     zero the bordered Jacobian has a vanishing curvature block and is
     singular whenever fewer than three constraints are active.
     """
-    lam = _gram_multipliers([_grad_hess(cons, ball, j, y, hessian=False)[1]
+    lam = _gram_multipliers([group[j].grad_hess(y, hessian=False)[1]
                              for j in active])
     if lam is None:
         return None
@@ -1015,7 +1021,7 @@ def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
         grads = []
         w11 = w12 = w13 = w22 = w23 = w33 = 0.0
         for lj, j in zip(lam, active):
-            value, grad, hess = _grad_hess(cons, ball, j, yc)
+            value, grad, hess = group[j].grad_hess(yc)
             values.append(value)
             grads.append(grad)
             w11 += lj * hess[0]
@@ -1054,7 +1060,7 @@ def _polish_kkt(cons, ball: _Sphere | None, y: Vec, active: tuple[int, ...]):
     return yc, dict(zip(active, lam))
 
 
-def _polish_hypothesis(cons, ball: _Sphere | None, y: Vec, active):
+def _polish_hypothesis(group: list[_Constraint], y: Vec, active):
     """Polish one active-set guess, shedding the most positive multiplier
     until none is above 1e-10.
 
@@ -1063,7 +1069,7 @@ def _polish_hypothesis(cons, ball: _Sphere | None, y: Vec, active):
     active = list(active)
     while active:
         try:
-            polished = _polish_kkt(cons, ball, y, tuple(active))
+            polished = _polish_kkt(group, y, tuple(active))
         except ZeroDivisionError:
             # An active member's gradient is undefined at the evader itself,
             # where the barrier can stop when the evader grazes a capture
@@ -1079,19 +1085,19 @@ def _polish_hypothesis(cons, ball: _Sphere | None, y: Vec, active):
     return None
 
 
-def _certify_at(cons, ball: _Sphere | None, group: list[_Constraint], y: Vec):
+def _certify_at(group: list[_Constraint], y: Vec):
     """:func:`_certify` with the constraints within ``ACTIVE_TOLERANCE`` of
     their boundary at ``y`` as active set; None also when an active member's
     gradient is undefined, at the evader itself."""
     active = tuple(j for j, c in enumerate(group)
-                   if abs(_value(y, c)) <= ACTIVE_TOLERANCE)
+                   if abs(c.value(y)) <= ACTIVE_TOLERANCE)
     try:
-        return _certify(cons, ball, group, y, active)
+        return _certify(group, y, active)
     except ZeroDivisionError:
         return None
 
 
-def _polished(cons, ball: _Sphere | None, group: list[_Constraint]):
+def _polished(group: list[_Constraint]):
     """The minimizer polished from the kernels' points, as :func:`_direct`
     returns it, or None.
 
@@ -1100,162 +1106,98 @@ def _polished(cons, ball: _Sphere | None, group: list[_Constraint]):
     points moved radially onto the ball's sphere: the pair kernel has no
     point for a member whose axis is parallel to the ball's.
     """
-    n = len(cons)
     for size in (1, 2, 3):
         for subset in itertools.combinations(range(len(group)), size):
             seeds = [group[j].lowest() for j in subset]
-            if n in subset:
+            last = group[subset[-1]]
+            if not last.member:
                 # The ball comes last in the set, after its members.
-                centre, radius = ball
+                centre, radius = last.key
                 seeds += [la.add(centre, la.scale(la.sub(y, centre),
                                                   radius / la.dist(y, centre)))
                           for y in seeds[:-1]]
             for seed in seeds:
-                found = _polish_hypothesis(cons, ball, seed, subset)
+                found = _polish_hypothesis(group, seed, subset)
                 if found is None:
                     continue
-                certificate = _certify_at(cons, ball, group, found[0])
+                certificate = _certify_at(group, found[0])
                 if certificate is not None:
                     return (found[0], *certificate)
     return None
-
-
-# --------------------------------------------------------------------------
-# kinds decided without a solve
-#
-# A kind needs only the sign of the lowest altitude.  A member's body lies
-# inside its dropped sphere, whose lowest point bounds the body's altitude
-# from below; every body is convex and holds the evader, so the nearest
-# boundary along a ray from the evader is a point of the closure, whose
-# altitude bounds the lowest one from above.
-
-
-def _wins_alone(c: _Constraint, z_e: float) -> bool:
-    """Whether shaped member ``c``'s dropped sphere lies above
-    ``GOAL_TOLERANCE`` by more than its rounding, for an evader at altitude
-    ``z_e``: then so does its body, and the member wins alone."""
-    return z_e + c.low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + c.low_err
-
-
-def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
-    """A point of the closure of ``group``'s shaped constraints on the unit
-    ray ``d`` from the evader, or None.
-
-    The point is the nearest of their boundaries along the ray, pulled in by
-    1e-9 of its distance.  Each boundary meets the ray where
-    ``k rho^2 - 2 b rho + m = 0`` with ``b = l + d . q``, at the positive
-    root, taken in the form without cancellation.  That root is exact only
-    to rounding, so the point is kept only when every potential holds at it.
-    """
-    d0, d1, d2 = d
-    rho = math.inf
-    for c in group:
-        q, k, l, m = c.form[:4]  # noqa: E741 - named as in _Form
-        b = l + d0 * q[0] + d1 * q[1] + d2 * q[2]
-        s2 = b * b - k * m
-        if not s2 >= 0.0:
-            return None
-        s = math.sqrt(s2)
-        if k < 0.0:  # a member: m > 0, root (b - s) / k
-            reach = (b - s) / k if b <= 0.0 else m / (b + s)
-        else:  # the ball: k = 1, m <= 0, root b + s
-            reach = b + s if b >= 0.0 else m / (b - s)
-        if reach < rho:
-            rho = reach
-    rho *= 1.0 - 1e-9
-    y = (rho * d0, rho * d1, rho * d2)
-    for c in group:
-        if not (_f_original(c.key, y) if c.member else _ball_g(c.key, y)) >= 0.0:
-            return None
-    return y
-
-
-def _program(members: Coalition, evader: EvaderSpec, pursuers,
-             region: Region) -> tuple[list[_Con], _Sphere | None]:
-    """The members' race terms and the ball's sphere (None when unbounded)
-    in the evader's frame; raises on the inputs no solve accepts."""
-    cons = _constraints(members, evader, pursuers)
-    if not isinstance(region, Ball):
-        return cons, None
-    for i in members:
-        if region.g(pursuers[i].position) < -1e-9:
-            raise ValueError(f"pursuer {i} lies outside the ball play region")
-    if region.g(evader.position) < -1e-9:
-        raise ValueError("evader lies outside the ball play region")
-    return cons, (la.sub(region.center, evader.position), region.radius)
 
 
 def _solve(members: Coalition, evader: EvaderSpec, pursuers,
            region: Region, initial_point: Vec | None = None) -> InterceptionResult:
     """The direct candidates, then the polish from the kernels' points;
     ``initial_point`` forces the barrier + polish reference instead."""
-    cons, ball = _program(members, evader, pursuers, region)
+    group = _program(members, evader, pursuers, region)
     epos = evader.position
-    group = [_Constraint(con, True) for con in cons]
-    if ball is not None:
-        group.append(_Constraint(ball, False))
 
     if initial_point is None:
-        found = (_direct(cons, ball, group)
-                 or _polished(cons, ball, group))
+        found = _direct(group) or _polished(group)
         if found is None:
             raise SolverFailure("no KKT certificate at a direct candidate or "
                                 "a polished point")
-        return _result(members, epos, *found)
+        return _result(members, epos, group, *found)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
-    margin = min(la.norm(con[0]) - con[2] for con in cons)
-    mu2 = (1e-7 * margin) ** 2 if any(con[2] > 0.0 for con in cons) else 0.0
+    races = [c.key for c in group if c.member]
+    margin = min(la.norm(q) - r for q, _, r in races)
+    mu2 = (1e-7 * margin) ** 2 if any(r > 0.0 for _, _, r in races) else 0.0
     start = la.sub(initial_point, epos)
-    if _barrier_value(cons, ball, start, 0.0, mu2) is None:
+    if _barrier_value(group, start, 0.0, mu2) is None:
         raise ValueError("initial point must be strictly feasible")
-    barrier = _barrier_solve(cons, ball, start, mu2)
+    barrier = _barrier_solve(group, start, mu2)
 
     # The barrier stops at a finite duality gap, so a constraint that is
     # truly active can still show a residual slightly above any single
     # threshold.  Polish active-set hypotheses from tight to loose, and
     # return the first polished point that certifies, else the barrier
     # point itself if it does.
-    values = [_value(barrier, c) for c in group]
+    values = [c.value(barrier) for c in group]
     hypotheses: list[tuple[int, ...]] = []
     for tol in (ACTIVE_TOLERANCE, 1e-5, 1e-3):
         candidate = tuple(j for j, v in enumerate(values) if abs(v) <= tol)
         if candidate not in hypotheses:
             hypotheses.append(candidate)
-    polished = (_polish_hypothesis(cons, ball, barrier, active)
+    polished = (_polish_hypothesis(group, barrier, active)
                 for active in hypotheses)
     for y in itertools.chain(
             (found[0] for found in polished if found is not None), (barrier,)):
-        certificate = _certify_at(cons, ball, group, y)
+        certificate = _certify_at(group, y)
         if certificate is not None:
-            return _result(members, epos, y, *certificate)
+            return _result(members, epos, group, y, *certificate)
     raise SolverFailure("no KKT certificate at the barrier point or a "
                         "polished one")
 
 
-def _result(members: Coalition, epos: Vec, y: Vec, active: tuple[int, ...],
-            lam: list[float], stationarity: float,
+def _result(members: Coalition, epos: Vec, group: list[_Constraint], y: Vec,
+            active: tuple[int, ...], lam: list[float], stationarity: float,
             slack: float) -> InterceptionResult:
     """Result at ``x_E + y`` from a certificate of :func:`_certify`:
-    ``lam`` aligns with the increasing positions ``active``, so the ball's,
-    ``len(members)``, comes last and fills the region fields."""
+    ``lam`` aligns with the positions ``active`` of ``group``, whose ball
+    entry fills the region fields."""
     x = la.add(epos, y)
-    region = len(members)
     active_set = []
-    multipliers = [0.0] * region
+    multipliers = [0.0] * len(members)
+    region_active = False
+    region_multiplier = 0.0
     for j, lj in zip(active, lam):
-        if j < region:
+        if group[j].member:
             active_set.append(members[j])
             multipliers[j] = lj
+        else:
+            region_active = True
+            region_multiplier = lj
     return InterceptionResult(
         coalition=members,
         point=x,
         value=x[2],
         active_set=tuple(active_set),
         multipliers=tuple(multipliers),
-        region_active=region in active,
-        region_multiplier=lam[-1] if region in active else 0.0,
+        region_active=region_active,
+        region_multiplier=region_multiplier,
         kkt_residual=stationarity,
         slackness_residual=slack,
     )

@@ -28,22 +28,22 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
 from . import _linalg as la
 from ._linalg import Vec
-from .geometry import EvaderSpec, PursuerSpec
+from .geometry import EvaderSpec, PursuerSpec, _f_original
 from .interception import (
     GOAL_TOLERANCE,
     GameKind,
     InterceptionResult,
     Region,
     UNBOUNDED,
+    _ball_g,
     _Constraint,
     _program,
-    _wins_alone,
-    _witness,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -161,6 +161,48 @@ def _coalition_index(n: int) -> tuple[tuple[Coalition, ...], dict[Coalition, int
     return coalitions, {c: i for i, c in enumerate(coalitions)}
 
 
+def _wins_alone(c: _Constraint, z_e: float) -> bool:
+    """Whether shaped member ``c``'s dropped sphere lies above
+    ``GOAL_TOLERANCE`` by more than its rounding, for an evader at altitude
+    ``z_e``: then so does its body, and the member wins alone."""
+    return z_e + c.low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + c.low_err
+
+
+def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
+    """A point of the closure of ``group``'s shaped constraints on the unit
+    ray ``d`` from the evader, or None.
+
+    The point is the nearest of their boundaries along the ray, pulled in by
+    1e-9 of its distance.  Each boundary meets the ray where
+    ``k rho^2 - 2 b rho + m = 0`` with ``b = l + d . q``, at the positive
+    root, taken in the form without cancellation.  That root is exact only
+    to rounding, so the point is kept only when every potential holds at it.
+    """
+    d0, d1, d2 = d
+    rho = math.inf
+    for c in group:
+        q, k, l, m = c.form[:4]  # noqa: E741 - named as in _Form
+        b = l + d0 * q[0] + d1 * q[1] + d2 * q[2]
+        s2 = b * b - k * m
+        if not s2 >= 0.0:
+            return None
+        s = math.sqrt(s2)
+        if c.member:  # k < 0 < m, root (b - s) / k
+            reach = (b - s) / k if b <= 0.0 else m / (b + s)
+        else:  # the ball: k = 1, m <= 0, root b + s
+            reach = b + s if b >= 0.0 else m / (b - s)
+        if reach < rho:
+            rho = reach
+    rho *= 1.0 - 1e-9
+    y = (rho * d0, rho * d1, rho * d2)
+    for c in group:
+        # Inline rather than c.value(y): the method call costs as much as
+        # the arithmetic, on the build's hottest loop.
+        if not (_f_original(c.key, y) if c.member else _ball_g(c.key, y)) >= 0.0:
+            return None
+    return y
+
+
 def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
                 region: Region = UNBOUNDED, *, evader_ids=None) -> GameGraph:
     """Build the coalition-evader graph from player geometry.
@@ -257,11 +299,11 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         losing_singles = []
         for i in range(len(pursuers)):
             # Checks each input as the single's solve would, in its order.
-            (con,), ball = _program((i,), evader, pursuers, region)
-            if ball is not None and not ball_entry:
-                ball_entry.append(_Constraint(ball, False))
-                ball_entry[0].shape()
-            member = shaped[i] = _Constraint(con, True)
+            member, *ball = _program((i,), evader, pursuers, region)
+            if ball and not ball_entry:
+                ball_entry.append(ball[0])
+                ball[0].shape()
+            shaped[i] = member
             member.shape()
             if _wins_alone(member, z_e):
                 edges.append((index_of[(i,)], ej))

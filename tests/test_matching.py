@@ -26,6 +26,7 @@ from reachavoid import (
     max_bipartite_matching,
     reduce_3dm,
     sequential_matching,
+    solve_interception,
 )
 from reachavoid.matching import EXACT_EDGE_GUARD, all_coalitions
 
@@ -183,6 +184,10 @@ _FAULTS = {
         [_FAST, PursuerSpec((1.0, 0.0, 1.0), 0.9)],
         [EvaderSpec((0.0, 0.0, 6.0), 1.0)], _BALL,
         ValueError, "evader lies outside the ball play region"),
+    "pursuer 0 outside the ball and slow pursuer 1": (
+        [PursuerSpec((6.0, 0.0, 1.0), 2.0), PursuerSpec((1.0, 0.0, 1.0), 0.9)],
+        [_HOME], _BALL,
+        ValueError, "pursuer 0 lies outside the ball play region"),
 }
 
 
@@ -194,6 +199,17 @@ def test_build_graph_rejects_invalid_inputs_as_their_solve_does(fault):
         build_graph(*args)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_solve_checks_every_member_before_the_ball():
+    # The build meets pursuer 0 outside the ball first (see _FAULTS), but
+    # the pair's solve checks both members' speeds before any position.
+    pursuers, evaders, region, _, _ = _FAULTS[
+        "pursuer 0 outside the ball and slow pursuer 1"]
+    with pytest.raises(AssumptionViolation) as raised:
+        solve_interception((0, 1), evaders[0], pursuers, region)
+    assert str(raised.value) == ("pursuer 1 is not faster than the evader "
+                                 "(alpha=0.9)")
 
 
 def test_sequential_matching_fig3():

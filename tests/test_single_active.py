@@ -411,15 +411,19 @@ def _shed_to_first_member(calls, cons, evader, ball):
     does: constraint 1 must be shed and the point come out at (0, 0, 7/3).
 
     The polish works in the evader's frame, so the points and the ball's
-    centre are passed relative to the evader."""
+    centre are passed relative to the evader, in the constraint group a
+    solve builds: the members in order, then the ball."""
     def relative(point):
         return tuple(p - e for p, e in zip(point, evader.position))
 
     low = relative((0.0, 0.0, 7.0 / 3.0))
     start = relative((0.01, 0.0, 7.0 / 3.0 - 0.01))
-    sphere = None if ball is None else (relative(ball.center), ball.radius)
+    group = [interception._Constraint(con, True) for con in cons]
+    if ball is not None:
+        group.append(interception._Constraint(
+            (relative(ball.center), ball.radius), False))
     calls.clear()
-    outcome = interception._polish_hypothesis(cons, sphere, start, (0, 1))
+    outcome = interception._polish_hypothesis(group, start, (0, 1))
     assert outcome is not None
     point, lam = outcome
     assert calls["_polish_kkt"] == 2
