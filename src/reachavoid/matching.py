@@ -10,17 +10,26 @@ matching), hence both an exact branch-and-bound search and the three-stage
 sequential approximation are provided.
 
 The graph build needs only each coalition's kind, the sign of its lowest
-altitude, and decides it without a solve wherever one of two sound tests
-settles it.  A member's body lies inside its dropped sphere, so a single
-whose sphere clears the tie band wins.  Every body is convex and holds the
-evader, so the nearest of a coalition's boundaries along any ray from the
-evader is a point of its closure, and one below the tie band shows that
-the coalition loses.  Coalitions go by increasing size, and a pair or
-triple tries the rays toward the points its losing subcoalitions kept.  An
-evasion space only shrinks as pursuers join, so a kept point strictly
-inside a further member's body lies on a ray that witnesses the larger
-coalition too.  Only coalitions that neither test decides, among them
-every one near the tie band, are solved.
+altitude.  It goes by increasing coalition size and decides a coalition
+without a solve wherever one of three sound tests, tried in this order,
+settles it:
+
+- the win bound: a member's body lies inside its dropped sphere, so a
+  single whose sphere clears the tie band wins;
+- the kept point: an evasion space only shrinks as pursuers join
+  (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
+  keeps below the tie band shows that a larger coalition loses when every
+  further member's potential holds there.  Each kept point carries the
+  bitmask of the losing singles whose potentials hold at it, so the test
+  is a few integer operations;
+- the ray witness: every body is convex and holds the evader, so the
+  nearest of a coalition's boundaries along any ray from the evader is a
+  point of its closure, and one below the tie band shows that the
+  coalition loses.  A pair or triple tries the rays toward the points its
+  losing subcoalitions kept.
+
+Only coalitions that no test decides, among them every one near the tie
+band, are solved.
 """
 
 from __future__ import annotations
@@ -203,6 +212,21 @@ def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
     return y
 
 
+def _kept_point(kept: list[tuple[int, Vec]], want: int) -> Vec | None:
+    """The first of ``kept``'s points whose mask holds every bit of
+    ``want``, or None.
+
+    Each mask holds the bits of the pursuers whose potentials hold at its
+    point, which lies in the ball and below the tie band.  An evasion space
+    only shrinks as pursuers join (``ES(S + k) = ES(S) & body_k``), so such a
+    point lies in the closure of the coalition ``want`` names, which loses.
+    """
+    for mask, y in kept:
+        if mask & want == want:
+            return y
+    return None
+
+
 def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
                 region: Region = UNBOUNDED, *, evader_ids=None) -> GameGraph:
     """Build the coalition-evader graph from player geometry.
@@ -212,7 +236,8 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     carry exactly the minimal winning coalitions.  Coalitions are examined
     by increasing size: a pair or triple is examined only when all its
     proper subcoalitions lose, and any coalition is solved only when no win
-    bound or lose witness decides it (see :func:`build_graph_with_results`).
+    bound, kept point or ray witness decides it (see
+    :func:`build_graph_with_results`).
     """
     graph, _ = build_graph_with_results(
         pursuers, evaders, region, evader_ids=evader_ids
@@ -229,26 +254,34 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     that was solved, and holds no other; the simulation engine reuses these
     and solves any adopted coalition missing from them.
 
-    A coalition is solved only when neither of two tests decides its kind:
+    A coalition is solved only when none of three tests, tried in order,
+    decides its kind:
 
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
       ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
       recorded unsolved;
-    - **lose witness**: every body is convex and holds the evader, so along
+    - **kept point**: each losing coalition keeps a point of its closure
+      below ``-GOAL_TOLERANCE`` at which every member's potential and the
+      ball's hold.  Once every losing single of the evader is known, each
+      such point gets the bitmask of the losing singles whose potentials
+      hold there, and a pair or triple whose members' bits all lie in one
+      point's mask loses, by :func:`_kept_point`;
+    - **ray witness**: every body is convex and holds the evader, so along
       a unit ray from the evader the nearest of the coalition's boundaries
       (the ball's sphere included), pulled in by 1e-9 of its distance, is a
       point of the closure once every potential is checked there.  Below
       ``-GOAL_TOLERANCE`` it shows that the coalition loses, and it becomes
-      the coalition's kept point.  A single tries the ray to its Apollonius
-      sphere's lowest point; a pair or triple tries the rays to its members'
-      and sub-pairs' kept points (a solved loser keeps its lowest point),
-      then straight down.
+      the coalition's kept point.  A single tries the ray to its
+      Apollonius sphere's lowest point; a pair or triple tries the rays to
+      its members' and sub-pairs' points, then straight down.
 
-    Neither test decides a coalition whose lowest altitude lies in the tie
-    band ``|z| <= GOAL_TOLERANCE``, so its kind comes from its solve.  The
-    solves go through this module's ``solve_interception`` and
-    ``classify_result`` only.
+    A solved loser's lowest point is a ray target for its supersets, and
+    it gets a mask too when its members' potentials and the ball's hold
+    there by the same float check.  No test decides a coalition whose
+    lowest altitude lies in the tie band ``|z| <= GOAL_TOLERANCE``, so its
+    kind comes from its solve.  The solves go through this module's
+    ``solve_interception`` and ``classify_result`` only.
     """
     coalitions, index_of = _coalition_index(len(pursuers))
     if evader_ids is None:
@@ -262,33 +295,60 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     edges: list[tuple[int, int]] = []
     for evader, ej in zip(evaders, evader_ids):
         z_e = evader.position[2]
-        # Each losing coalition's kept point in the evader's frame, by its
-        # members, each pursuer's shaped constraint, and the ball's, which
-        # every group of this evader shares.
+        # Each losing coalition's point in the evader's frame, by its
+        # members: the target of its supersets' rays.
         points: dict[Coalition, Vec] = {}
+        # The kept points: those below the tie band at which every potential
+        # of their coalition, the ball's included, holds.  Each is queued with
+        # its members until every losing single is known (the first pair's
+        # test), then kept with its mask.
+        queued: list[tuple[Coalition, Vec]] = []
+        kept: list[tuple[int, Vec]] = []
+        # Each pursuer's shaped constraint, and the ball's, which every group
+        # of this evader shares.
         shaped: dict[int, _Constraint] = {}
         ball_entry: list[_Constraint] = []
 
         def loses(members: Coalition, rays) -> bool:
-            """Decide ``members`` by a witness on one of ``rays``, else
-            solve it; keep its point when it loses, else record its edge."""
+            """Decide ``members`` by a kept point, else by a witness on one of
+            ``rays``, else solve it; keep its point when it loses, else
+            record its edge."""
+            if len(members) > 1:
+                for coalition, y in queued:
+                    mask = 0
+                    for m in losing_singles:
+                        if m in coalition or _f_original(shaped[m].key, y) >= 0.0:
+                            mask |= 1 << m
+                    kept.append((mask, y))
+                queued.clear()
+                want = 0
+                for i in members:
+                    want |= 1 << i
+                y = _kept_point(kept, want)
+                if y is not None:
+                    points[members] = y
+                    return True
             group = [shaped[i] for i in members] + ball_entry
             for ray in rays:
                 y = _witness(group, ray)
                 if y is not None and z_e + y[2] < -GOAL_TOLERANCE:
                     points[members] = y
+                    queued.append((members, y))
                     return True
             result = solve_interception(members, evader, pursuers, region)
             results[(members, ej)] = result
             kind = classify_result(result, evader, pursuers, region)
             if kind is GameKind.EVADER_WINS:
-                points[members] = la.sub(result.point, evader.position)
+                y = points[members] = la.sub(result.point, evader.position)
+                if z_e + y[2] < -GOAL_TOLERANCE and all(
+                        c.value(y) >= 0.0 for c in group):
+                    queued.append((members, y))
                 return True
             edges.append((index_of[members], ej))
             return False
 
         def toward(*keys: Coalition):
-            """Unit rays to the kept points of ``keys``, then straight down."""
+            """Unit rays to the points of ``keys``, then straight down."""
             for key in keys:
                 y = points[key]
                 length = la.norm(y)

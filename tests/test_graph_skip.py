@@ -1,13 +1,14 @@
 """The graph build's decisions without a solve.
 
-``build_graph_with_results`` solves a coalition only when neither of two
+``build_graph_with_results`` solves a coalition only when none of three
 tests decides its kind: a single whose dropped sphere lies above the tie
 band wins, and a coalition with a point of its closure below the tie band
-(the nearest boundary along a ray from the evader, checked on every
-potential) loses.  These tests compare the build against every coalition
-of up to three solved against each evader, on seeded poses whose pursuers
-are barely faster than the evaders, so that most singles lose, and on the
-degenerate corpus of ``test_degenerate``.
+loses.  That point is either one a subcoalition kept, at which every
+further member's potential holds, or the nearest boundary along a ray from
+the evader, checked on every potential.  These tests compare the build
+against every coalition of up to three solved against each evader, on
+seeded poses whose pursuers are barely faster than the evaders, so that
+most singles lose, and on the degenerate corpus of ``test_degenerate``.
 """
 
 from __future__ import annotations
@@ -143,31 +144,60 @@ def test_decided_coalitions_of_the_degenerate_corpus_have_their_solved_kind(
     assert sizes[1] > 0 and sizes[2] > 0, sizes
 
 
+def record_kept_points(monkeypatch, evaders, events):
+    """Wrap the build's kept-point decision so that each call appends
+    ``("kept", coalition, evader index, point or None)`` to ``events``.
+
+    The evader is the one whose singles ``_program`` last checked: the build
+    checks every single of an evader before it decides any larger coalition
+    of that evader."""
+    current = []
+    program = matching._program
+    kept_point = matching._kept_point
+
+    def recorded_program(members, evader, *args):
+        current[:] = [evaders.index(evader)]
+        return program(members, evader, *args)
+
+    def recorded(kept, want):
+        y = kept_point(kept, want)
+        coalition = tuple(i for i in range(want.bit_length()) if want >> i & 1)
+        events.append(("kept", coalition, current[0], y))
+        return y
+
+    monkeypatch.setattr(matching, "_program", recorded_program)
+    monkeypatch.setattr(matching, "_kept_point", recorded)
+
+
 @pytest.mark.parametrize("size,seed,region_name", CASES, ids=IDS)
 def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
         monkeypatch, size, seed, region_name):
     pursuers, evaders = pose(size, seed)
     region = REGIONS[region_name]
-    found = []  # (group keys, point) of every point the witness test gave
+    owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
+             for i, p in enumerate(pursuers)}
+    # (coalition, evader index, point) of every point that the witness test
+    # or a kept point gave
+    found = []
     witness = matching._witness
 
     def recorded(group, ray):
         y = witness(group, ray)
         if y is not None:
-            found.append((tuple(c.key for c in group), y))
+            members = [owner[c.key] for c in group if c.member]
+            found.append((tuple(i for i, _ in members), members[0][1], y))
         return y
 
     monkeypatch.setattr(matching, "_witness", recorded)
+    kept = []
+    record_kept_points(monkeypatch, evaders, kept)
     graph, results = build_graph_with_results(pursuers, evaders, region)
+    decided = [(members, ej, y) for _, members, ej, y in kept if y is not None]
+    found.extend(decided)
     solved = every_solve(size, seed, region_name)
-    owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
-             for i, p in enumerate(pursuers)}
     witnessed = {}
-    for keys, y in found:
-        members = [owner[key] for key in keys if len(key) == 3]
-        ej = members[0][1]
+    for coalition, ej, y in found:
         evader = evaders[ej]
-        coalition = tuple(i for i, _ in members)
         x = tuple(a + b for a, b in zip(evader.position, y))
         if x[2] >= -GOAL_TOLERANCE:
             continue  # a closure point in or above the tie band decides nothing
@@ -182,7 +212,8 @@ def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
         assert result.value <= x[2] + 1e-12, (coalition, ej)
         assert (coalition, ej) not in results
         witnessed[(coalition, ej)] = x
-    # Every losing coalition decided without a solve was witnessed.
+    # Every losing coalition decided without a solve was witnessed, by a ray
+    # or by a kept point.
     for ej, by_members in enumerate(solved):
         loses = {c: kind is GameKind.EVADER_WINS for c, (_, kind) in by_members.items()}
         for members in by_members:
@@ -190,6 +221,10 @@ def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
                     and (members, ej) not in results):
                 assert (members, ej) in witnessed, (members, ej)
     assert witnessed and not mismatched(decisions(graph, results, solved))
+    # Kept points decide pairs and triples, each from below the tie band.
+    assert {len(members) for members, _, _ in decided} == {2, 3}
+    for members, ej, y in decided:
+        assert evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE, (members, ej)
 
 
 def test_skip_reaches_pairs_and_triples_and_leaves_only_multi_active_solves():
@@ -231,25 +266,42 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
 
     monkeypatch.setattr(matching, "_witness", recorded_witness)
     monkeypatch.setattr(matching, "solve_interception", recorded_solve)
+    record_kept_points(monkeypatch, evaders, events)
     graph, results = build_graph_with_results(pursuers, evaders, region)
     solved = every_solve(8, 3, region_name)
 
     singles = Counter()
+    tried = set()
     done = set()
+    by_kept = 0
     for step, members, ej, y in events:
         key = (members, ej)
-        # Nothing more is tried for a coalition once it is decided or solved.
+        # Nothing more is tried for a coalition once it is decided or solved;
+        # one decided by a kept point reaches no witness and no solve.
         assert key not in done, key
         loses = {c: kind is GameKind.EVADER_WINS
                  for c, (_, kind) in solved[ej].items()}
         # Only coalitions whose every proper subcoalition loses are tried.
         assert undecided(members, loses), key
-        if len(members) == 1 and step == "witness":
-            singles[key] += 1
+        if len(members) == 1:
+            # A single has no kept-point test, since no mask is known yet.
+            assert step != "kept", key
+            if step == "witness":
+                singles[key] += 1
+        elif step == "kept":
+            # A pair or triple tries the kept points once, before anything.
+            assert key not in tried, key
+        else:
+            assert key in tried, key
+        tried.add(key)
+        if step == "kept" and y is not None:
+            by_kept += 1
+            done.add(key)
         if step == "solve" or (
-                y is not None
+                step == "witness" and y is not None
                 and evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE):
             done.add(key)
+    assert by_kept
     # Each coalition is solved at most once and every solve is returned.
     solves = [(members, ej) for step, members, ej, _ in events if step == "solve"]
     assert len(solves) == len(set(solves)) == len(results)
@@ -259,6 +311,53 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
              ((graph.coalitions[ci], ej) for ci, ej in graph.edges)
              if len(members) == 1 and (members, ej) not in singles]
     assert bound and all(key not in results for key in bound)
+
+
+#: Three barely faster pursuers whose singles all lose; the point that
+#: pursuer 0's single keeps lies inside pursuers 1's and 2's bodies too.
+KEPT_EVADER = EvaderSpec((0.0, 0.0, 1.0), 1.0)
+KEPT_PURSUERS = [PursuerSpec((1.0, 0.0, 1.0), 1.1, 0.1),
+                 PursuerSpec((2.0, 1.0, 1.5), 1.1, 0.1),
+                 PursuerSpec((2.0, -1.0, 1.5), 1.1, 0.1)]
+
+
+@pytest.mark.parametrize("region_name", list(REGIONS))
+def test_a_kept_point_inside_further_members_decides_without_a_ray(
+        monkeypatch, region_name):
+    region = REGIONS[region_name]
+    tried = Counter()
+    witness = matching._witness
+    solve = matching.solve_interception
+
+    def recorded_witness(group, ray):
+        tried["witness", sum(c.member for c in group)] += 1
+        return witness(group, ray)
+
+    def recorded_solve(members, *args, **kwargs):
+        tried["solve", len(members)] += 1
+        return solve(members, *args, **kwargs)
+
+    monkeypatch.setattr(matching, "_witness", recorded_witness)
+    monkeypatch.setattr(matching, "solve_interception", recorded_solve)
+    graph, results = build_graph_with_results(KEPT_PURSUERS, [KEPT_EVADER], region)
+    # One ray a single; no ray and no solve for any pair or the triple.
+    assert tried == Counter({("witness", 1): 3}), tried
+    assert graph.edges == () and results == {}
+    for members in all_coalitions(3):
+        result = solve(members, KEPT_EVADER, KEPT_PURSUERS, region)
+        kind = classify_result(result, KEPT_EVADER, KEPT_PURSUERS, region)
+        assert kind is GameKind.EVADER_WINS, members
+
+
+@pytest.mark.parametrize("region_name", list(REGIONS))
+def test_no_kept_point_decides_another_evaders_coalition(region_name):
+    pursuers, evaders = pose(8, 3)
+    graph, results = build(8, 3, region_name)
+    ids = list(range(len(evaders)))[::-1]
+    reversed_graph, reversed_results = build_graph_with_results(
+        pursuers, evaders[::-1], REGIONS[region_name], evader_ids=ids)
+    assert reversed_graph.edges == graph.edges
+    assert sorted(reversed_results) == sorted(results)
 
 
 def test_witness_groups_share_one_ball_entry_per_evader(monkeypatch):
