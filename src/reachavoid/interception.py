@@ -68,11 +68,11 @@ order below changes only the cost:
   ball in the set, its members' lowest points moved onto the ball's
   sphere.  The first polished point that certifies is returned, with the
   constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
-- **barrier + polish**: only for an ``initial_point``, a log-barrier
-  continuation from it finds the point and the polish refines it on
-  active-set hypotheses from tight to loose, else the barrier point itself
-  certifies.  It shares no kernel with the paths above, so the tests use
-  it as their independent reference.
+- **barrier + polish**: :func:`_barrier_reference`, which no solve runs,
+  continues a log-barrier from a given strictly feasible point and
+  polishes the result on active-set hypotheses from tight to loose, else
+  the barrier point itself certifies.  It shares no kernel with the paths
+  above, so the tests use it as their independent reference.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude, reduces coalitions to the (at most three)
@@ -235,24 +235,6 @@ def validate_coalition(members, num_pursuers: int | None = None,
 _Sphere = tuple[Vec, float]
 
 
-def _constraints(members: Coalition, evader: EvaderSpec,
-                 pursuers) -> list[_Con]:
-    cons: list[_Con] = []
-    for i in members:
-        con = _race(pursuers[i], evader)
-        q, alpha, r = con
-        if alpha <= 1.0:
-            raise AssumptionViolation(
-                f"pursuer {i} is not faster than the evader (alpha={alpha})"
-            )
-        if la.norm(q) <= r:
-            raise CapturedConfigurationError(
-                f"evader is already within capture radius of pursuer {i}"
-            )
-        cons.append(con)
-    return cons
-
-
 def _ball_g(ball: _Sphere, y: Vec) -> float:
     (c0, c1, c2), radius = ball
     d0 = y[0] - c0
@@ -313,8 +295,19 @@ def _program(members: Coalition, evader: EvaderSpec, pursuers,
     """The solve's constraint group in the evader's frame: the members in
     order, then the ball when the region is bounded; raises on the inputs
     no solve accepts."""
-    group = [_Constraint(con, True)
-             for con in _constraints(members, evader, pursuers)]
+    group = []
+    for i in members:
+        con = _race(pursuers[i], evader)
+        q, alpha, r = con
+        if alpha <= 1.0:
+            raise AssumptionViolation(
+                f"pursuer {i} is not faster than the evader (alpha={alpha})"
+            )
+        if la.norm(q) <= r:
+            raise CapturedConfigurationError(
+                f"evader is already within capture radius of pursuer {i}"
+            )
+        group.append(_Constraint(con, True))
     if not isinstance(region, Ball):
         return group
     for i in members:
@@ -1126,26 +1119,22 @@ def _polished(group: list[_Constraint]):
     return None
 
 
-def _solve(members: Coalition, evader: EvaderSpec, pursuers,
-           region: Region, initial_point: Vec | None = None) -> InterceptionResult:
-    """The direct candidates, then the polish from the kernels' points;
-    ``initial_point`` forces the barrier + polish reference instead."""
+def _barrier_reference(coalition, evader: EvaderSpec, pursuers,
+                       region: Region, initial_point) -> InterceptionResult:
+    """The interception point by the barrier + polish from the strictly
+    feasible ``initial_point``: the tests' reference, which shares no kernel
+    with :func:`solve_interception` and so cross-checks it and the
+    uniqueness of the minimizer."""
+    members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
     epos = evader.position
-
-    if initial_point is None:
-        found = _direct(group) or _polished(group)
-        if found is None:
-            raise SolverFailure("no KKT certificate at a direct candidate or "
-                                "a polished point")
-        return _result(members, epos, group, *found)
 
     # Smoothing scale for the barrier phase, relative to the tightest
     # feasibility margin; zero when no capture radius introduces a kink.
     races = [c.key for c in group if c.member]
     margin = min(la.norm(q) - r for q, _, r in races)
     mu2 = (1e-7 * margin) ** 2 if any(r > 0.0 for _, _, r in races) else 0.0
-    start = la.sub(initial_point, epos)
+    start = la.sub(la.as_vec(initial_point), epos)
     if _barrier_value(group, start, 0.0, mu2) is None:
         raise ValueError("initial point must be strictly feasible")
     barrier = _barrier_solve(group, start, mu2)
@@ -1204,21 +1193,21 @@ def _result(members: Coalition, epos: Vec, group: list[_Constraint], y: Vec,
 
 
 def solve_interception(coalition, evader: EvaderSpec, pursuers,
-                       region: Region = UNBOUNDED, *,
-                       initial_point=None) -> InterceptionResult:
+                       region: Region = UNBOUNDED) -> InterceptionResult:
     """Solve the interception program for a coalition against one evader.
 
     Returns the unique lowest-altitude point of the evader's evasion-space
     closure (intersected with the ball region when given) together with a
-    KKT certificate.  A default solve certifies the direct kernels' points
-    or a KKT polish from them, and never runs the log-barrier.
-    ``initial_point`` instead runs the barrier + polish reference from a
-    given strictly feasible point, which shares no kernel with the default
-    paths and so cross-checks them and the uniqueness of the minimizer.
+    KKT certificate.  The solve certifies the direct kernels' points, else
+    a KKT polish from them, and never runs the log-barrier.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
-    start = la.as_vec(initial_point) if initial_point is not None else None
-    return _solve(members, evader, pursuers, region, initial_point=start)
+    group = _program(members, evader, pursuers, region)
+    found = _direct(group) or _polished(group)
+    if found is None:
+        raise SolverFailure("no KKT certificate at a direct candidate or "
+                            "a polished point")
+    return _result(members, evader.position, group, *found)
 
 
 def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
@@ -1234,8 +1223,8 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
     members = validate_coalition(coalition, len(pursuers))
     if len(members) != 3:
         raise ValueError("triple candidates require a coalition of exactly 3")
-    cons = _constraints(members, evader, pursuers)
-    points = _triple_points(*(_member_form(con) for con in cons))
+    group = _program(members, evader, pursuers, UNBOUNDED)
+    points = _triple_points(*(_member_form(c.key) for c in group))
     if points is None:
         raise CoplanarConfigurationError(
             "evader and pursuers are coplanar; boundary intersections are "
@@ -1243,7 +1232,7 @@ def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
         )
     unique: list[Vec] = []
     for y in points:
-        if max(abs(_f_original(con, y)) for con in cons) > 1e-7:
+        if max(abs(c.value(y)) for c in group) > 1e-7:
             continue
         point = la.add(evader.position, y)
         if all(la.dist(point, other) > 1e-8 for other in unique):
@@ -1261,7 +1250,7 @@ def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
     unchanged.  At most three members ever remain.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
-    result = _solve(members, evader, pursuers, region)
+    result = solve_interception(members, evader, pursuers, region)
     current = members
     for _ in range(len(members) + 1):
         active = result.active_set
@@ -1270,8 +1259,8 @@ def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
             # the same point.  Keep the lowest index.
             return (current[0],)
         y = la.sub(result.point, evader.position)
-        grads = [_f_grad_hess(con, y, hessian=False)[1]
-                 for con in _constraints(active, evader, pursuers)]
+        grads = [c.grad_hess(y, hessian=False)[1]
+                 for c in _program(active, evader, pursuers, UNBOUNDED)]
         if len(grads) <= 3 and _unique_multipliers(grads) is not None:
             return tuple(active)
         dropped = False
@@ -1279,7 +1268,7 @@ def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
             trial = tuple(i for i in active if i != drop)
             if not trial:
                 continue
-            trial_result = _solve(trial, evader, pursuers, region)
+            trial_result = solve_interception(trial, evader, pursuers, region)
             if la.dist(trial_result.point, result.point) <= 1e-7:
                 current, result = trial, trial_result
                 dropped = True
@@ -1319,11 +1308,8 @@ def classify_result(result: InterceptionResult, evader: EvaderSpec, pursuers,
             # convexity; its crossing of z=0 is a reachable exit point.
             tau = epos[2] / (epos[2] - value)
             y = la.scale(la.sub(result.point, epos), tau)
-            cons = _constraints(result.coalition, evader, pursuers)
-            feasible = all(
-                _f_original(con, y) >= -1e-9 for con in cons
-            ) and region.g(la.add(epos, y)) >= -1e-9
-            if not feasible:
+            group = _program(result.coalition, evader, pursuers, region)
+            if not all(c.value(y) >= -1e-9 for c in group):
                 raise SolverFailure(
                     "negative optimal altitude without a reachable exit point"
                 )

@@ -348,13 +348,20 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             return False
 
         def toward(*keys: Coalition):
-            """Unit rays to the points of ``keys``, then straight down."""
+            """Unit rays to the points of ``keys``, then straight down, each
+            ray once: a pair decided by a kept point may keep its member's
+            point, and a ray's witness fails the same way every time."""
+            tried = set()
             for key in keys:
                 y = points[key]
                 length = la.norm(y)
                 if length > 0.0:
-                    yield la.scale(y, 1.0 / length)
-            yield _DOWN
+                    ray = la.scale(y, 1.0 / length)
+                    if ray not in tried:
+                        tried.add(ray)
+                        yield ray
+            if _DOWN not in tried:
+                yield _DOWN
 
         losing_singles = []
         for i in range(len(pursuers)):

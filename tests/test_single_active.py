@@ -5,7 +5,7 @@ A default solve first looks for one, two or three active constraints
 constraint strictly; that point is certified with Gram-system multipliers
 and returned without the KKT polish.  Only when none certifies does it
 polish active-set guesses from the same kernels' points; it never runs the
-barrier.  Passing an ``initial_point`` always takes the barrier + polish
+barrier.  ``interception._barrier_reference`` takes the barrier + polish
 path, the independent reference, so the two can be compared on the same
 input.
 """
@@ -27,6 +27,9 @@ from reachavoid import (
 )
 from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
+
+import oracles
+from test_degenerate import corpus as degenerate_corpus
 
 AGREEMENT = 1e-7
 
@@ -64,10 +67,11 @@ def polishes(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
 
 
 def assert_paths_agree(members, evader, pursuers, region=UNBOUNDED):
-    """Solve by default and from the evader position; return the default."""
+    """Solve by default and by the reference from the evader position;
+    return the default."""
     fast = solve_interception(members, evader, pursuers, region)
-    slow = solve_interception(members, evader, pursuers, region,
-                              initial_point=evader.position)
+    slow = interception._barrier_reference(members, evader, pursuers, region,
+                                           evader.position)
     assert math.dist(fast.point, slow.point) <= AGREEMENT
     assert abs(fast.value - slow.value) <= AGREEMENT
     assert fast.active_set == slow.active_set
@@ -406,19 +410,20 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
     assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
 
 
-def _shed_to_first_member(calls, cons, evader, ball):
+def _shed_to_first_member(calls, members, evader, pursuers, ball):
     """Polish the guess that constraints 0 and 1 bind, where only member 0
     does: constraint 1 must be shed and the point come out at (0, 0, 7/3).
 
     The polish works in the evader's frame, so the points and the ball's
     centre are passed relative to the evader, in the constraint group a
-    solve builds: the members in order, then the ball."""
+    solve builds: the members in order, then the ball.  The ball is
+    appended by hand, since a solve would reject a pursuer outside it."""
     def relative(point):
         return tuple(p - e for p, e in zip(point, evader.position))
 
     low = relative((0.0, 0.0, 7.0 / 3.0))
     start = relative((0.01, 0.0, 7.0 / 3.0 - 0.01))
-    group = [interception._Constraint(con, True) for con in cons]
+    group = interception._program(members, evader, pursuers, UNBOUNDED)
     if ball is not None:
         group.append(interception._Constraint(
             (relative(ball.center), ball.radius), False))
@@ -441,8 +446,7 @@ def test_polish_sheds_inactive_member(calls):
     tangent = math.dist(low, second_position) / math.dist(low, evader.position)
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
                 PursuerSpec(second_position, 0.999 * tangent)]
-    cons = interception._constraints((0, 1), evader, pursuers)
-    _shed_to_first_member(calls, cons, evader, None)
+    _shed_to_first_member(calls, (0, 1), evader, pursuers, None)
 
 
 def test_polish_sheds_inactive_ball(calls):
@@ -454,9 +458,8 @@ def test_polish_sheds_inactive_ball(calls):
     inside = radius - 1e-3
     ball = Ball((inside * math.sin(tilt), 0.0, 7.0 / 3.0 + inside * math.cos(tilt)),
                 radius)
-    cons = interception._constraints((0,), evader,
-                                     [PursuerSpec((0.0, 0.0, 1.0), 2.0)])
-    _shed_to_first_member(calls, cons, evader, ball)
+    _shed_to_first_member(calls, (0,), evader,
+                          [PursuerSpec((0.0, 0.0, 1.0), 2.0)], ball)
 
 
 # Three barely faster pursuers and a ball of radius 169 whose sphere cuts the
@@ -496,3 +499,40 @@ def test_forced_barrier_on_large_ball():
                                 LARGE_BALL_PURSUERS, LARGE_BALL)
     assert result.active_set == (0, 1)
     assert result.region_active
+
+
+#: The default solve's kernels, none of which the reference may run.
+DEFAULT_KERNELS = ("_direct", "_polished", "_solve_single", "_pair_points",
+                   "_triple_points", "_member_form", "_ball_form")
+
+
+def test_reference_shares_no_kernel_with_the_default_solve(monkeypatch):
+    rng = random.Random(29)
+    cases = []
+    for k in range(60):
+        pursuers, evader = oracles.random_pose(rng, 1 + k % 3)
+        cases.append((tuple(range(len(pursuers))), evader, pursuers, UNBOUNDED))
+    # The evader lies on the ball's sphere, so most minimizers are region
+    # active.
+    for regime in ("ball-boundary", "ball-coaxial"):
+        cases += degenerate_corpus(regime, size=30)
+    defaults = [solve_interception(*case) for case in cases]
+    assert sum(result.region_active for result in defaults) >= 30
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the reference ran a kernel of the default solve")
+
+    for name in DEFAULT_KERNELS:
+        monkeypatch.setattr(interception, name, kernel)
+    for case, fast in zip(cases, defaults):
+        _, evader, _, region = case
+        start = evader.position
+        if isinstance(region, Ball):
+            # Strictly inside the ball, 1e-6 toward its centre.
+            gap = math.dist(region.center, start)
+            start = tuple(e + 1e-6 * (c - e) / gap
+                          for e, c in zip(start, region.center))
+        slow = interception._barrier_reference(*case, start)
+        assert slow.kkt_residual <= KKT_TOLERANCE
+        assert slow.slackness_residual <= KKT_TOLERANCE
+        assert math.dist(slow.point, fast.point) <= AGREEMENT, case
