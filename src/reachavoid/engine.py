@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import _linalg as la
 from ._linalg import Vec
@@ -159,12 +159,23 @@ def validate_scenario(scenario: Scenario) -> None:
                 )
 
 
+def _moved(spec, position: Vec):
+    """Validated player ``spec`` moved to ``position``, unchecked."""
+    moved = object.__new__(type(spec))
+    vars(moved).update(vars(spec), position=position)
+    return moved
+
+
 def step(positions, headings, speeds, dt: float) -> list[Vec]:
     """Advance straight-line motion one frame; hold sentinels stay put."""
+    return _step([la.as_vec(p) for p in positions],
+                 [la.as_vec(h) for h in headings], speeds, dt)
+
+
+def _step(positions: list[Vec], headings: list[Vec], speeds, dt: float) -> list[Vec]:
+    """:func:`step` on ``Vec`` positions and headings."""
     out: list[Vec] = []
-    for pos, heading, speed in zip(positions, headings, speeds, strict=True):
-        p = la.as_vec(pos)
-        h = la.as_vec(heading)
+    for p, h, speed in zip(positions, headings, speeds, strict=True):
         n = la.norm(h)
         if n <= 1e-12:
             out.append(p)
@@ -213,13 +224,22 @@ def capture_check(prev_positions, new_positions, pursuers, evaders, *,
     new_p, new_e = new_positions
     if evader_ids is None:
         evader_ids = tuple(range(len(evaders)))
-    exit_kind = ESCAPED if isinstance(region, Ball) else REACHED_GOAL
+    n_p, n_e = len(pursuers), len(evader_ids)
+    vecs = [[la.as_vec(points[k]) for k in range(n)] for points, n in
+            ((prev_p, n_p), (new_p, n_p), (prev_e, n_e), (new_e, n_e))]
+    return _capture_check(*vecs, [p.capture_radius for p in pursuers], evader_ids,
+                          ESCAPED if isinstance(region, Ball) else REACHED_GOAL,
+                          frame_time, dt)
+
+
+def _capture_check(prev_p: list[Vec], new_p: list[Vec], prev_e: list[Vec],
+                   new_e: list[Vec], radii, evader_ids, exit_kind: str,
+                   frame_time: float, dt: float) -> list[Event]:
+    """:func:`capture_check` on ``Vec`` positions, with the pursuers'
+    capture radii and the event kind of an exit."""
     events: list[Event] = []
-    segments = [(la.as_vec(prev_p[ip]), la.as_vec(new_p[ip]), pursuer.capture_radius)
-                for ip, pursuer in enumerate(pursuers)]
-    for je, ej in enumerate(evader_ids):
-        e0 = la.as_vec(prev_e[je])
-        e1 = la.as_vec(new_e[je])
+    segments = list(zip(prev_p, new_p, radii))
+    for e0, e1, ej in zip(prev_e, new_e, evader_ids):
         capture_tau: float | None = None
         capture_by: int | None = None
         for ip, (p0, p1, radius) in enumerate(segments):
@@ -292,6 +312,9 @@ def run(scenario: Scenario) -> Trace:
     ball = region if isinstance(region, Ball) else None
     dt = scenario.dt
     rng = random.Random(scenario.seed)
+    # Every position is a Vec from a validated spec, _step or the clamp.
+    radii = [p.capture_radius for p in pursuers]
+    exit_kind = ESCAPED if ball is not None else REACHED_GOAL
 
     p_pos: list[Vec] = [p.position for p in pursuers]
     e_pos: dict[int, Vec] = {j: e.position for j, e in enumerate(scenario.evaders)}
@@ -304,10 +327,8 @@ def run(scenario: Scenario) -> Trace:
     frame_idx = 0
     while live and frame_idx * dt < scenario.max_time - 1e-12:
         now = frame_idx * dt
-        cur_pursuers = [replace(p, position=p_pos[i]) for i, p in enumerate(pursuers)]
-        cur_evaders = {
-            j: replace(scenario.evaders[j], position=e_pos[j]) for j in live
-        }
+        cur_pursuers = [_moved(p, p_pos[i]) for i, p in enumerate(pursuers)]
+        cur_evaders = {j: _moved(scenario.evaders[j], e_pos[j]) for j in live}
 
         try:
             # Interception points are recomputed from current positions every
@@ -377,8 +398,8 @@ def run(scenario: Scenario) -> Trace:
                     e_pos[j], _nearest_exit_point(region, e_pos[j])
                 )
 
-        new_p = step(p_pos, p_head, [p.speed for p in pursuers], dt)
-        new_e = step(
+        new_p = _step(p_pos, p_head, [p.speed for p in pursuers], dt)
+        new_e = _step(
             [e_pos[j] for j in live],
             [e_head[j] for j in live],
             [scenario.evaders[j].speed for j in live],
@@ -388,11 +409,8 @@ def run(scenario: Scenario) -> Trace:
             new_p = _clamp_to_ball(ball, new_p)
             new_e = _clamp_to_ball(ball, new_e)
 
-        events = capture_check(
-            (p_pos, [e_pos[j] for j in live]), (new_p, new_e),
-            pursuers, [scenario.evaders[j] for j in live],
-            region=region, frame_time=now, dt=dt, evader_ids=live,
-        )
+        events = _capture_check(p_pos, new_p, [e_pos[j] for j in live], new_e,
+                                radii, live, exit_kind, now, dt)
 
         trace.frames.append(Frame(
             time=now,

@@ -285,9 +285,14 @@ class _Constraint:
 
     def shape(self) -> None:
         if self.form is None:
-            self.form = (_member_form(self.key) if self.member
-                         else _ball_form(self.key))
-            self.low_z, self.low_err = _sphere_low_z(self.form)
+            form = self.form = (_member_form(self.key) if self.member
+                                else _ball_form(self.key))
+            self.low_z, self.low_err = _sphere_low_z(form.q, form.k, form.m)
+
+
+def _outside(ball: Ball, position: Vec) -> bool:
+    """Whether a solve rejects ``position`` as outside ``ball``."""
+    return ball.g(position) < -1e-9
 
 
 def _program(members: Coalition, evader: EvaderSpec, pursuers,
@@ -311,9 +316,9 @@ def _program(members: Coalition, evader: EvaderSpec, pursuers,
     if not isinstance(region, Ball):
         return group
     for i in members:
-        if region.g(pursuers[i].position) < -1e-9:
+        if _outside(region, pursuers[i].position):
             raise ValueError(f"pursuer {i} lies outside the ball play region")
-    if region.g(evader.position) < -1e-9:
+    if _outside(region, evader.position):
         raise ValueError("evader lies outside the ball play region")
     group.append(_Constraint(
         (la.sub(region.center, evader.position), region.radius), False))
@@ -561,11 +566,17 @@ class _Form(NamedTuple):
     far: float
 
 
-def _member_form(con: _Con) -> _Form:
+def _member_terms(con: _Con) -> tuple[float, float, float]:
+    """``|q|`` and the ``k`` and ``m`` of a member's boundary form."""
     q, a, r = con
     d = la.norm(q)
-    return _Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
-                 (d - r) / (a + 1.0), (d - r) / (a - 1.0))
+    return d, -(a - 1.0) * (a + 1.0), (d - r) * (d + r)
+
+
+def _member_form(con: _Con) -> _Form:
+    q, a, r = con
+    d, k, m = _member_terms(con)
+    return _Form(q, k, a * r, m, (d - r) / (a + 1.0), (d - r) / (a - 1.0))
 
 
 def _ball_form(ball: _Sphere) -> _Form:
@@ -574,18 +585,18 @@ def _ball_form(ball: _Sphere) -> _Form:
     return _Form(c, 1.0, 0.0, (d - radius) * (d + radius), radius - d, radius + d)
 
 
-def _dropped_sphere(form: _Form) -> tuple[Vec, float]:
+def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
     """Centre and squared radius of ``k ||y||^2 - 2 y . q + m = 0``, the
-    sphere the form becomes with ``l`` dropped; it is the boundary itself
+    sphere a form becomes with ``l`` dropped; it is the boundary itself
     for zero capture radii and for the ball."""
-    centre = la.scale(form.q, 1.0 / form.k)
-    return centre, la.dot(centre, centre) - form.m / form.k
+    centre = la.scale(q, 1.0 / k)
+    return centre, la.dot(centre, centre) - m / k
 
 
-def _sphere_low_z(form: _Form) -> tuple[float, float]:
-    """Altitude, relative to the evader, of the lowest point of the form's
-    dropped sphere, and a bound on its rounding error."""
-    centre, radius2 = _dropped_sphere(form)
+def _sphere_low_z(q: Vec, k: float, m: float) -> tuple[float, float]:
+    """Altitude, relative to the evader, of the lowest point of the dropped
+    sphere of a form's ``q, k, m``, and a bound on its rounding error."""
+    centre, radius2 = _dropped_sphere(q, k, m)
     radius = math.sqrt(radius2)
     return centre[2] - radius, 1e-12 * (la.norm(centre) + radius)
 
@@ -593,8 +604,8 @@ def _sphere_low_z(form: _Form) -> tuple[float, float]:
 def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
     """``rho`` at the lowest common point of the two forms' dropped
     spheres, or None when they do not meet in a circle."""
-    ca, ra2 = _dropped_sphere(fa)
-    cb, rb2 = _dropped_sphere(fb)
+    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
+    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
     axis = la.sub(cb, ca)
     d = la.norm(axis)
     if d == 0.0:

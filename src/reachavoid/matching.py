@@ -15,7 +15,8 @@ without a solve wherever one of three sound tests, tried in this order,
 settles it:
 
 - the win bound: a member's body lies inside its dropped sphere, so a
-  single whose sphere clears the tie band wins;
+  single whose sphere clears the tie band wins.  It is read off the race
+  tuple ``(q, alpha, r)``: only a losing single gets a constraint;
 - the kept point: an evasion space only shrinks as pursuers join
   (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
   keeps below the tie band shows that a larger coalition loses when every
@@ -43,16 +44,20 @@ from dataclasses import dataclass
 
 from . import _linalg as la
 from ._linalg import Vec
-from .geometry import EvaderSpec, PursuerSpec, _f_original
+from .geometry import EvaderSpec, PursuerSpec, _f_original, _race
 from .interception import (
     GOAL_TOLERANCE,
+    Ball,
     GameKind,
     InterceptionResult,
     Region,
     UNBOUNDED,
     _ball_g,
     _Constraint,
+    _member_terms,
+    _outside,
     _program,
+    _sphere_low_z,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -170,11 +175,12 @@ def _coalition_index(n: int) -> tuple[tuple[Coalition, ...], dict[Coalition, int
     return coalitions, {c: i for i, c in enumerate(coalitions)}
 
 
-def _wins_alone(c: _Constraint, z_e: float) -> bool:
-    """Whether shaped member ``c``'s dropped sphere lies above
-    ``GOAL_TOLERANCE`` by more than its rounding, for an evader at altitude
-    ``z_e``: then so does its body, and the member wins alone."""
-    return z_e + c.low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + c.low_err
+def _wins_alone(low_z: float, low_err: float, z_e: float) -> bool:
+    """Whether a member's dropped sphere, whose lowest point lies ``low_z``
+    from an evader at altitude ``z_e`` with rounding bound ``low_err``,
+    lies above ``GOAL_TOLERANCE`` by more than its rounding: then so does
+    its body, and the member wins alone."""
+    return z_e + low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + low_err
 
 
 def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
@@ -260,7 +266,9 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
       ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
-      recorded unsolved;
+      recorded unsolved.  The bound comes from the race tuple
+      ``(q, alpha, r)``; only a losing single gets a constraint, and the
+      evader's ball entry is made with the first one;
     - **kept point**: each losing coalition keeps a point of its closure
       below ``-GOAL_TOLERANCE`` at which every member's potential and the
       ball's hold.  Once every losing single of the evader is known, each
@@ -281,7 +289,8 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     there by the same float check.  No test decides a coalition whose
     lowest altitude lies in the tie band ``|z| <= GOAL_TOLERANCE``, so its
     kind comes from its solve.  The solves go through this module's
-    ``solve_interception`` and ``classify_result`` only.
+    ``solve_interception`` and ``classify_result`` only.  A rejected input
+    raises what the first single solve to meet it would.
     """
     coalitions, index_of = _coalition_index(len(pursuers))
     if evader_ids is None:
@@ -293,8 +302,13 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
 
     results: dict[tuple[Coalition, int], InterceptionResult] = {}
     edges: list[tuple[int, int]] = []
+    ball = region if isinstance(region, Ball) else None
+    # The ball checks of each single's solve, made once a player.
+    pursuers_out = [ball is not None and _outside(ball, p.position)
+                    for p in pursuers]
     for evader, ej in zip(evaders, evader_ids):
         z_e = evader.position[2]
+        evader_out = ball is not None and _outside(ball, evader.position)
         # Each losing coalition's point in the evader's frame, by its
         # members: the target of its supersets' rays.
         points: dict[Coalition, Vec] = {}
@@ -304,8 +318,8 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         # test), then kept with its mask.
         queued: list[tuple[Coalition, Vec]] = []
         kept: list[tuple[int, Vec]] = []
-        # Each pursuer's shaped constraint, and the ball's, which every group
-        # of this evader shares.
+        # Each losing single's shaped constraint, and the ball's, which every
+        # group of this evader shares.
         shaped: dict[int, _Constraint] = {}
         ball_entry: list[_Constraint] = []
 
@@ -364,21 +378,27 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 yield _DOWN
 
         losing_singles = []
-        for i in range(len(pursuers)):
-            # Checks each input as the single's solve would, in its order.
-            member, *ball = _program((i,), evader, pursuers, region)
-            if ball and not ball_entry:
-                ball_entry.append(ball[0])
-                ball[0].shape()
-            shaped[i] = member
-            member.shape()
-            if _wins_alone(member, z_e):
+        for i, pursuer in enumerate(pursuers):
+            q, alpha, r = con = _race(pursuer, evader)
+            d, k, m = _member_terms(con)
+            if alpha <= 1.0 or d <= r or pursuers_out[i] or evader_out:
+                # The single's solve rejects an input: raise its error.
+                _program((i,), evader, pursuers, region)
+            if _wins_alone(*_sphere_low_z(q, k, m), z_e):
                 edges.append((index_of[(i,)], ej))
                 continue
+            # A losing single's constraint, with the evader's ball entry
+            # made by the first of them.
+            member, *ball_con = _program((i,), evader, pursuers,
+                                         UNBOUNDED if ball_entry else region)
+            if ball_con:
+                ball_entry.append(ball_con[0])
+                ball_con[0].shape()
+            shaped[i] = member
+            member.shape()
             # The ray to the lowest point of the member's Apollonius sphere,
             # -(q + alpha |q| e_z), which is its body when r = 0.
-            q, alpha, _ = member.key
-            low = (q[0], q[1], q[2] + alpha * la.norm(q))
+            low = (q[0], q[1], q[2] + alpha * d)
             if loses((i,), (la.scale(low, -1.0 / la.norm(low)),)):
                 losing_singles.append(i)
         # Increasing indices, so combinations come in all_coalitions order.

@@ -19,6 +19,7 @@ from reachavoid import (
     SizeGuardExceeded,
     build_graph,
     capture_check,
+    evader_optimal_heading,
     exact_mbmc,
     pursuer_heading,
     random_scenario,
@@ -33,6 +34,7 @@ from reachavoid.engine import (
     ESCAPED,
     REACHED_GOAL,
     _clamp_to_ball,
+    _moved,
     _nearest_exit_point,
 )
 from reachavoid.matching import EXACT_EDGE_GUARD
@@ -168,6 +170,51 @@ def test_capture_check_zero_relative_motion_never_captures():
             [pursuer], [evader], frame_time=0.0, dt=1.0,
         )
         assert events == []
+
+
+#: Vectors that no public call accepts.
+BAD_VECTORS = {"nan": (0.0, math.nan, 1.0), "inf": (0.0, 0.0, -math.inf),
+               "2-vector": (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("bad", list(BAD_VECTORS))
+def test_public_motion_and_heading_calls_reject_bad_vectors(bad):
+    vec = BAD_VECTORS[bad]
+    here = (0.0, 0.0, 1.0)
+    there = (0.0, 0.0, 3.0)
+    pursuers = [PursuerSpec(here, 2.0, 0.1)]
+    evaders = [EvaderSpec(there, 1.0)]
+
+    def check(prev_p=here, prev_e=there, new_p=here, new_e=there):
+        return capture_check(([prev_p], [prev_e]), ([new_p], [new_e]),
+                             pursuers, evaders)
+
+    calls = {
+        "step position": lambda: step([vec], [(0.0, 0.0, 1.0)], [1.0], 0.1),
+        "step heading": lambda: step([here], [vec], [1.0], 0.1),
+        "capture_check previous pursuer": lambda: check(prev_p=vec),
+        "capture_check previous evader": lambda: check(prev_e=vec),
+        "capture_check new pursuer": lambda: check(new_p=vec),
+        "capture_check new evader": lambda: check(new_e=vec),
+        "pursuer_heading source": lambda: pursuer_heading(vec, there),
+        "pursuer_heading target": lambda: pursuer_heading(here, vec),
+        "evader_optimal_heading source": lambda: evader_optimal_heading(vec, here),
+        "evader_optimal_heading target": lambda: evader_optimal_heading(there, vec),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(name)
+
+
+def test_engine_moves_a_spec_as_replace_does():
+    position = (0.5, -0.25, 2.0)
+    for spec in (PursuerSpec((0, 0, 1), 2.0, 0.1), EvaderSpec((1, 2, 3), 1.0)):
+        moved = _moved(spec, position)
+        expected = replace(spec, position=position)
+        assert type(moved) is type(expected)
+        assert moved == expected and hash(moved) == hash(expected)
+        assert spec.position != position
 
 
 def test_clamp_to_ball_pulls_a_leaving_step_back_inside():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -32,8 +33,8 @@ from reachavoid import (
     solve_interception,
 )
 from reachavoid.geometry import _race
-from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED
-from reachavoid.matching import all_coalitions
+from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, _Constraint
+from reachavoid.matching import _wins_alone, all_coalitions
 
 from test_degenerate import REGIMES, corpus
 from test_shared_solves import BALL, snapshot
@@ -148,9 +149,9 @@ def record_kept_points(monkeypatch, evaders, events):
     """Wrap the build's kept-point decision so that each call appends
     ``("kept", coalition, evader index, point or None)`` to ``events``.
 
-    The evader is the one whose singles ``_program`` last checked: the build
-    checks every single of an evader before it decides any larger coalition
-    of that evader."""
+    The evader is the one whose singles ``_program`` last built: the build
+    builds every losing single of an evader before it decides any larger
+    coalition of that evader, and a pair or triple has losing singles."""
     current = []
     program = matching._program
     kept_point = matching._kept_point
@@ -443,3 +444,146 @@ def test_only_a_single_beyond_the_tie_band_is_decided(height):
                             else GameKind.EVADER_WINS)
     if abs(height) > GOAL_TOLERANCE:
         assert decided >= 1
+
+
+#: Two evaders; pursuers 0 and 1 win alone against both by the bound, and
+#: the barely faster pursuers 2 and 3 above them lose alone to both.
+LAZY_EVADERS = [EvaderSpec((0.0, 0.0, 3.0), 1.0), EvaderSpec((1.0, 0.5, 2.5), 1.0)]
+LAZY_PURSUERS = [PursuerSpec((0.5, 0.0, 1.0), 2.5, 0.1),
+                 PursuerSpec((-0.5, 1.0, 0.8), 3.0, 0.2),
+                 PursuerSpec((0.0, 1.5, 4.0), 1.05, 0.1),
+                 PursuerSpec((1.5, -1.0, 4.2), 1.1, 0.1)]
+
+
+@pytest.mark.parametrize("region_name", list(REGIONS))
+@pytest.mark.parametrize("losers", [0, 1, 2])
+def test_constraints_are_built_for_losing_singles_only(monkeypatch, region_name,
+                                                       losers):
+    region = REGIONS[region_name]
+    pursuers = LAZY_PURSUERS[:2 + losers]
+    programs = []
+    built = Counter()
+    program = matching._program
+    init = _Constraint.__init__
+
+    def recorded_program(members, evader, *args):
+        programs.append((members, LAZY_EVADERS.index(evader)))
+        return program(members, evader, *args)
+
+    def recorded_init(self, key, member):
+        built["member" if member else "ball"] += 1
+        init(self, key, member)
+
+    monkeypatch.setattr(matching, "_program", recorded_program)
+    monkeypatch.setattr(_Constraint, "__init__", recorded_init)
+    graph, results = build_graph_with_results(pursuers, LAZY_EVADERS, region)
+    # The fast pursuers' singles are edges of both evaders, decided by the
+    # win bound; everything else loses without a solve.
+    assert graph.edges == ((0, 0), (0, 1), (1, 0), (1, 1)) and results == {}
+    # One _program call per losing single, and one ball entry per evader.
+    assert programs == [((i,), ej) for ej in range(2) for i in range(2, 2 + losers)]
+    assert built == Counter(member=2 * losers,
+                            ball=2 * (losers > 0) * (region is BALL)), built
+
+
+def single_decisions(pursuers, evaders, region, alone: bool = False):
+    """The build's single edges decided without a solve, and the singles
+    that ``_wins_alone`` of the single's shaped constraint decides.  With
+    ``alone`` each pursuer's graph is built without the others, so that no
+    pair or triple is solved."""
+    built = set()
+    for i in range(len(pursuers)) if alone else (None,):
+        players = pursuers if i is None else [pursuers[i]]
+        graph, results = build_graph_with_results(players, evaders, region)
+        built |= {((i,) if alone else graph.coalitions[ci], ej)
+                  for ci, ej in graph.edges
+                  if len(graph.coalitions[ci]) == 1
+                  and (graph.coalitions[ci], ej) not in results}
+    shaped = set()
+    for ej, evader in enumerate(evaders):
+        for i in range(len(pursuers)):
+            member = matching._program((i,), evader, pursuers, region)[0]
+            member.shape()
+            if _wins_alone(member.low_z, member.low_err, evader.position[2]):
+                shaped.add(((i,), ej))
+    return built, shaped
+
+
+def with_speeds(pursuers, speed):
+    return [PursuerSpec(p.position, speed, p.capture_radius) for p in pursuers]
+
+
+def single_decision_poses():
+    """(name, pursuers, evaders, region, alone) of the poses whose single
+    decisions are compared."""
+    pursuers, evaders = pose(8, 3)
+    for region_name, region in REGIONS.items():
+        yield f"8v8-seed3-{region_name}", pursuers, evaders, region, False
+    # Evaders of speed 1 against pursuers of speed 1 + eps, each pursuer
+    # alone: at 1e-9 the solve of pair (0, 1) against evader 2 does not
+    # certify, and only the singles are compared here.
+    unit = [EvaderSpec(e.position, 1.0) for e in evaders]
+    for eps in (1e-9, 1e-6):
+        for region_name, region in REGIONS.items():
+            yield (f"alpha-1={eps:g}-{region_name}", with_speeds(pursuers, 1.0 + eps),
+                   unit, region, True)
+    # Each capture radius within 1e-9 of the pursuer's distance to the
+    # evader, for one evader at a time.
+    for ej, evader in enumerate(evaders[:3]):
+        near = [PursuerSpec(p.position, p.speed,
+                            math.dist(p.position, evader.position) - 1e-9)
+                for p in pursuers]
+        for region_name, region in REGIONS.items():
+            yield (f"radius-near-|q|-evader{ej}-{region_name}", near, [evader],
+                   region, False)
+
+
+POSES_OF_SINGLES = list(single_decision_poses())
+
+
+@pytest.mark.parametrize("name,pursuers,evaders,region,alone", POSES_OF_SINGLES,
+                         ids=[entry[0] for entry in POSES_OF_SINGLES])
+def test_single_win_bound_is_decided_as_by_its_shaped_constraint(
+        name, pursuers, evaders, region, alone):
+    built, shaped = single_decisions(pursuers, evaders, region, alone)
+    assert built == shaped
+
+
+def test_single_win_bound_matches_its_shaped_constraint_at_the_threshold():
+    # Each scene's players moved up together to the float steps around the
+    # shift at which its single's win bound flips.
+    flips = 0
+    for evader, pursuer, _ in SCENES:
+
+        def moved(dz):
+            def up(point):
+                return (point[0], point[1], point[2] + dz)
+            return ([PursuerSpec(up(pursuer.position), pursuer.speed,
+                                 pursuer.capture_radius)],
+                    [EvaderSpec(up(evader.position), evader.speed)])
+
+        def wins(dz):
+            pursuers, evaders = moved(dz)
+            member = matching._program((0,), evaders[0], pursuers, UNBOUNDED)[0]
+            member.shape()
+            return _wins_alone(member.low_z, member.low_err,
+                               evaders[0].position[2])
+
+        lo, hi = -100.0, 100.0  # loses, wins
+        assert not wins(lo) and wins(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if not wins(mid) else (lo, mid)
+        dz = lo
+        for _ in range(8):
+            dz = math.nextafter(dz, -math.inf)
+        decided = set()
+        for _ in range(17):
+            built, shaped = single_decisions(*moved(dz), UNBOUNDED)
+            assert built == shaped, dz
+            decided.add(bool(shaped))
+            dz = math.nextafter(dz, math.inf)
+        flips += decided == {True, False}
+    assert flips == len(SCENES)
