@@ -3,11 +3,15 @@
 Every ``rematch_every`` frames the live players are rematched
 (coalition-evader graph plus the sequential or exact matcher), but a new
 matching is adopted only when it is strictly larger or a capture happened
-since the last adoption.  Matched pursuers race straight at their
-coalition's current interception point, unmatched pursuers chase the
-nearest live evader, and each evader follows its configured policy.  Motion
-integrates straight lines exactly, and captures and exit crossings are
-resolved at sub-frame times by closed-form interpolation along those lines.
+since the last adoption.  No conflict-free matching holds more than
+``min(live evaders, pursuers)`` edges, so a rematch frame whose adopted
+matching is already that large, with no capture since the last adoption,
+skips the build and the matcher: they could not change what is adopted.
+Matched pursuers race straight at their coalition's current interception
+point, unmatched pursuers chase the nearest live evader, and each evader
+follows its configured policy.  Motion integrates straight lines exactly,
+and captures and exit crossings are resolved at sub-frame times by
+closed-form interpolation along those lines.
 """
 
 from __future__ import annotations
@@ -303,8 +307,13 @@ def run(scenario: Scenario) -> Trace:
     rematch, adopt the new matching only if strictly larger or after a
     capture, steer matched pursuers at their coalition's interception
     point, apply policies to everyone else, integrate, and resolve
-    capture/exit events at sub-frame accuracy.  Identical scenarios
-    (including the seed) produce identical traces.
+    capture/exit events at sub-frame accuracy.  A frame where no new
+    matching could be adopted skips the build and the rematch: no capture
+    since the last adoption, and an adopted matching of
+    ``min(len(live), len(pursuers))`` edges, the most a conflict-free
+    matching holds.  Every solve is a pure function of its inputs, so the
+    trace is the one that rematching in such frames gives.  Identical
+    scenarios (including the seed) produce identical traces.
     """
     validate_scenario(scenario)
     pursuers = scenario.pursuers
@@ -333,11 +342,18 @@ def run(scenario: Scenario) -> Trace:
         try:
             # Interception points are recomputed from current positions every
             # frame; solve results can only be reused within the frame that
-            # produced them.  The build returns only the coalitions it
-            # solved, not those its win bound decided, so an adopted
-            # coalition missing from them is solved below.
+            # produced them.  The cache holds the coalitions this frame's
+            # build solved: not those its win bound decided, and none in a
+            # frame without a build.  An adopted coalition missing from it
+            # is solved below.
             results_cache = {}
-            if frame_idx % scenario.rematch_every == 0:
+            # Coalitions in a matching are disjoint and nonempty, and each
+            # live evader takes at most one, so no matching is larger than
+            # min(len(live), len(pursuers)).  Once the adopted one is that
+            # large, only a capture can make a new matching adoptable.
+            if frame_idx % scenario.rematch_every == 0 and (
+                capture_flag or len(adopted) < min(len(live), len(pursuers))
+            ):
                 graph, results_cache = build_graph_with_results(
                     cur_pursuers, [cur_evaders[j] for j in live], region,
                     evader_ids=live,

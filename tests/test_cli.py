@@ -256,7 +256,10 @@ def test_cmd_simulate_solver_failure_writes_partial_trace(tmp_path, monkeypatch,
     # is 3.
     import reachavoid.engine as engine
 
-    original = engine.build_graph_with_results
+    # The build runs only in frame 0 of this one-on-one game, while the
+    # adopted single is solved in every frame, so the third such solve is
+    # frame 2's.
+    original = engine.solve_interception
     calls = []
 
     def failing_third_call(*args, **kwargs):
@@ -265,7 +268,7 @@ def test_cmd_simulate_solver_failure_writes_partial_trace(tmp_path, monkeypatch,
             raise SolverFailure("injected")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "build_graph_with_results", failing_third_call)
+    monkeypatch.setattr(engine, "solve_interception", failing_third_call)
     capture = write(tmp_path, "capture.json", CAPTURE_RUN)
     out_path = tmp_path / "trace.jsonl"
     csv_path = tmp_path / "positions.csv"

@@ -491,10 +491,11 @@ def test_rematch_every_two_keeps_matching_and_resolves_it():
 def test_game_path_does_not_load_numpy():
     script = textwrap.dedent("""
         import math
+        import random
         import sys
 
-        from reachavoid import (EvaderSpec, PursuerSpec, interception,
-                                random_scenario, run, triple_candidates)
+        from reachavoid import (EvaderSpec, PursuerSpec, Scenario,
+                                interception, run, triple_candidates)
 
         kernel = interception._triple_points
         calls = []
@@ -504,9 +505,26 @@ def test_game_path_does_not_load_numpy():
             return kernel(*args)
 
         interception._triple_points = counted
-        # A game whose build still solves triples: most are decided without
-        # a solve.
-        run(random_scenario(11, max_pursuers=8, max_evaders=8))
+        # A one-frame 8v8 game with barely faster pursuers, whose build
+        # still solves triples: most are decided without a solve, and a
+        # full game builds only until its matching is as large as it can be.
+        rng = random.Random(37)
+        evaders = tuple(
+            EvaderSpec(position=(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                                 rng.uniform(0.5, 2.5)), speed=1.0)
+            for _ in range(8))
+        pursuers = []
+        while len(pursuers) < 8:
+            pursuer = PursuerSpec(
+                position=(rng.uniform(-3, 3), rng.uniform(-3, 3),
+                          rng.uniform(0.2, 2.2)),
+                speed=rng.uniform(1.05, 1.8),
+                capture_radius=rng.uniform(0.08, 0.3))
+            if all(math.dist(pursuer.position, e.position)
+                   > 2 * pursuer.capture_radius for e in evaders):
+                pursuers.append(pursuer)
+        run(Scenario(pursuers=tuple(pursuers), evaders=evaders,
+                     max_time=0.01))
         game_calls = len(calls)
         ring = [PursuerSpec(position=(1.5 * math.cos(2 * math.pi * k / 3),
                                       1.5 * math.sin(2 * math.pi * k / 3),
@@ -523,3 +541,68 @@ def test_game_path_does_not_load_numpy():
     game_calls, numpy_loaded = done.stdout.split()
     assert int(game_calls) > 0  # the game solved triples
     assert numpy_loaded == "False"
+
+
+@pytest.mark.parametrize("scenario", [
+    random_scenario(0, max_pursuers=4, max_evaders=4),
+    # One pursuer against four evaders: the pursuer count bounds the matching.
+    random_scenario(6, max_pursuers=4, max_evaders=4),
+    random_scenario(0, max_pursuers=4, max_evaders=4,
+                    region=Ball(center=(0, 0, 1.2), radius=6.0), matcher="exact"),
+    random_scenario(8, max_pursuers=4, max_evaders=4,
+                    region=Ball(center=(0, 0, 1.2), radius=6.0), matcher="exact"),
+    replace(random_scenario(4, max_pursuers=4, max_evaders=4), rematch_every=2),
+    replace(random_scenario(0, max_pursuers=4, max_evaders=4), rematch_every=2),
+], ids=["sma", "sma-one-pursuer", "ball-exact", "ball-exact-fewer-pursuers",
+        "rematch-2-fewer-pursuers", "rematch-2"])
+def test_rematch_is_skipped_only_where_no_matching_could_be_adopted(
+        scenario, monkeypatch):
+    import reachavoid.engine as engine
+
+    original = engine.build_graph_with_results
+    built_at = []
+
+    def recorded(pursuers, *args, **kwargs):
+        built_at.append(tuple(p.position for p in pursuers))
+        return original(pursuers, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_graph_with_results", recorded)
+    trace = run(scenario)
+    frames = trace.frames[:-1]
+    index = {frame.pursuer_positions: k for k, frame in enumerate(frames)}
+    built = {index[positions] for positions in built_at}
+    assert len(built) == len(built_at)
+    every = scenario.rematch_every
+    assert 0 in built
+    assert all(k % every == 0 for k in built)
+
+    # The first rematch frame after each capture rebuilds.
+    captured = {e.evader for e in trace.events if e.kind == CAPTURED}
+    for k in range(len(frames) - 1):
+        left = ({j for j, _ in frames[k].evader_positions}
+                - {j for j, _ in frames[k + 1].evader_positions})
+        if left & captured:
+            first = -(-(k + 1) // every) * every
+            if first < len(frames):
+                assert first in built, (k, first)
+
+    # A skipped rematch frame could not have adopted anything: a fresh
+    # build and match at its positions is no larger than the kept matching.
+    skipped = [k for k in range(0, len(frames), every) if k not in built]
+    assert skipped
+    for k in skipped:
+        frame = frames[k]
+        pursuers = [replace(p, position=pos) for p, pos
+                    in zip(scenario.pursuers, frame.pursuer_positions)]
+        live = [j for j, _ in frame.evader_positions]
+        evaders = [replace(scenario.evaders[j], position=pos)
+                   for j, pos in frame.evader_positions]
+        graph = build_graph(pursuers, evaders, scenario.region, evader_ids=live)
+        if scenario.matcher == "exact":
+            try:
+                pairs = exact_mbmc(graph)
+            except SizeGuardExceeded:
+                pairs = sequential_matching(graph)
+        else:
+            pairs = sequential_matching(graph)
+        assert len(pairs) <= len(frame.matching), k
