@@ -99,8 +99,9 @@ def solve_sym3(h11: float, h12: float, h13: float,
                h22: float, h23: float, h33: float,
                b1: float, b2: float, b3: float) -> Vec:
     """Solve a symmetric 3x3 system; falls back to pivoted elimination if needed."""
-    # Cofactor expansion is fine for the well-scaled SPD systems the barrier
-    # produces; the fallback covers near-singular corner cases.
+    # Cofactor expansion is fine for the Gram systems of
+    # interception._gram_multipliers, which are SPD when the gradients span
+    # space; the fallback covers near-singular corner cases.
     c11 = h22 * h33 - h23 * h23
     c12 = h13 * h23 - h12 * h33
     c13 = h12 * h23 - h13 * h22

@@ -34,6 +34,7 @@ from .interception import (
 from .matching import (
     SizeGuardExceeded,
     ThreeDMInstance,
+    _whole,
     build_graph,
     exact_mbmc,
     graph_from_json,
@@ -63,7 +64,10 @@ def _require(doc: dict, key: str, context: str):
 
 def _number(value, context: str, kind=float):
     """``value`` converted by ``kind``; a JSON null, list, object or
-    unparsable string is an input error naming the field."""
+    unparsable string is an input error naming the field, and so is a
+    boolean or a fractional number when ``kind`` is ``int``."""
+    if kind is int and not _whole(value):
+        raise ScenarioError(f"{context}: expected an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -334,7 +338,9 @@ def cmd_reduce3dm(args) -> int:
     try:
         doc = json.loads(Path(args.instance).read_text())
         instance = ThreeDMInstance(
-            m=doc["m"], triples=tuple(tuple(t) for t in doc["triples"])
+            m=_number(doc["m"], "m", int),
+            triples=tuple(tuple(_number(v, f"triples[{i}]", int) for v in t)
+                          for i, t in enumerate(doc["triples"])),
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"--instance: {exc}") from exc

@@ -300,11 +300,6 @@ def polar_direction(frame: PolarFrame, theta: float, psi: float) -> Vec:
     )
 
 
-def _rho_of_psi(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
-                theta: float, psi: float) -> float:
-    return boundary_radius(pursuer, evader, polar_direction(frame, theta, psi))
-
-
 def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
                      theta: float, psi: float) -> tuple[float, float, float]:
     """Radial boundary function and its first two psi-derivatives at fixed theta."""
@@ -321,32 +316,20 @@ def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame
 
 
 def cross_section_curvature(pursuer: PursuerSpec, evader: EvaderSpec,
-                            frame: PolarFrame, theta: float, psi: float,
-                            method: str = "analytic") -> float:
+                            frame: PolarFrame, theta: float, psi: float) -> float:
     """Curvature of the planar boundary cross-section at angle ``psi``.
 
     Fixing ``theta`` selects a plane through the evader; the boundary traces
     a closed curve ``rho(psi)`` in that plane whose curvature is
 
-        kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2).
+        kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2),
 
-    ``method="analytic"`` differentiates the radial formula exactly;
-    ``method="fd"`` uses central differences and exists to cross-validate
-    the analytic chain.  Strict convexity of the evasion space makes the
-    result positive everywhere.
+    with ``rho`` and its derivatives from the radial formula, differentiated
+    exactly.  Strict convexity of the evasion space makes the result
+    positive everywhere.
     """
     if la.dist(frame.origin, evader.position) > 1e-9:
         raise ValueError("frame origin must coincide with the evader position")
-    if method == "analytic":
-        rho, rho_d, rho_dd = _rho_derivatives(pursuer, evader, frame, theta, psi)
-    elif method == "fd":
-        h = 1e-4
-        rho = _rho_of_psi(pursuer, evader, frame, theta, psi)
-        rho_plus = _rho_of_psi(pursuer, evader, frame, theta, psi + h)
-        rho_minus = _rho_of_psi(pursuer, evader, frame, theta, psi - h)
-        rho_d = (rho_plus - rho_minus) / (2.0 * h)
-        rho_dd = (rho_plus - 2.0 * rho + rho_minus) / (h * h)
-    else:
-        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
+    rho, rho_d, rho_dd = _rho_derivatives(pursuer, evader, frame, theta, psi)
     numerator = rho * rho + 2.0 * rho_d * rho_d - rho * rho_dd
     return numerator / (rho * rho + rho_d * rho_d) ** 1.5

@@ -658,13 +658,26 @@ def graph_to_json(graph: GameGraph) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _whole(value) -> bool:
+    """Whether ``int`` keeps a JSON value whole: false for a boolean or a
+    number with a fractional part, which it would silently truncate."""
+    return not (isinstance(value, bool)
+                or isinstance(value, float) and not value.is_integer())
+
+
 def graph_from_json(text: str) -> GameGraph:
     doc = json.loads(text)
     try:
-        return GameGraph(
-            coalitions=tuple(tuple(c) for c in doc["coalitions"]),
-            evaders=tuple(doc["evaders"]),
-            edges=tuple(tuple(e) for e in doc["edges"]),
-        )
+        coalitions = tuple(tuple(c) for c in doc["coalitions"])
+        evaders = tuple(doc["evaders"])
+        edges = tuple(tuple(e) for e in doc["edges"])
+        fields = ([(f"coalitions[{i}]", c) for i, c in enumerate(coalitions)]
+                  + [("evaders", evaders)]
+                  + [(f"edges[{i}]", e) for i, e in enumerate(edges)])
+        for field, values in fields:
+            for value in values:
+                if not _whole(value):
+                    raise ValueError(f"{field}: expected integers, got {value!r}")
+        return GameGraph(coalitions=coalitions, evaders=evaders, edges=edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc

@@ -1,10 +1,10 @@
 """Independent verification helpers for the test suite.
 
 Everything here deliberately avoids the library's solution paths: boundary
-radii come from scalar bisection of the potential along a ray, minimum
-altitudes from dense direction grids with local refinement, optimal
-matchings from full subset enumeration, and 3-dimensional matchings from
-backtracking search.
+radii come from scalar bisection of the potential along a ray, curvatures
+from central differences of the boundary radius, minimum altitudes from
+dense direction grids with local refinement, optimal matchings from full
+subset enumeration, and 3-dimensional matchings from backtracking search.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import numpy as np
 
 from reachavoid import (
     EvaderSpec,
+    PolarFrame,
     PursuerSpec,
     ThreeDMInstance,
     boundary_radius,
+    polar_direction,
     potential,
 )
 
@@ -60,6 +62,20 @@ def fd_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x, h: float = 1e-6):
             - potential(pursuer, evader, x - offset)
         ) / (2.0 * h)
     return grad
+
+
+def fd_curvature(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
+                 theta: float, psi: float) -> float:
+    """Cross-section curvature from central differences (step 1e-4) of the
+    boundary radius over ``psi``."""
+    def rho(angle: float) -> float:
+        return boundary_radius(pursuer, evader, polar_direction(frame, theta, angle))
+
+    h = 1e-4
+    r, r_plus, r_minus = rho(psi), rho(psi + h), rho(psi - h)
+    r_d = (r_plus - r_minus) / (2.0 * h)
+    r_dd = (r_plus - 2.0 * r + r_minus) / (h * h)
+    return (r * r + 2.0 * r_d * r_d - r * r_dd) / (r * r + r_d * r_d) ** 1.5
 
 
 def fibonacci_directions(n: int) -> np.ndarray:

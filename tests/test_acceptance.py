@@ -29,14 +29,11 @@ from reachavoid import (
     triple_candidates,
 )
 from reachavoid.cli import trace_to_jsonl
-from reachavoid.interception import (
-    UNBOUNDED,
-    CoplanarConfigurationError,
-    _barrier_reference,
-)
+from reachavoid.interception import UNBOUNDED, CoplanarConfigurationError
 
 import minisim
 import oracles
+from barrier import barrier_reference
 from test_matching import fig3_graph, random_graph
 
 
@@ -97,7 +94,7 @@ def test_criterion_2_kkt_certificates_and_uniqueness():
                     c + rng.uniform(-0.4, 0.4) for c in evader.position
                 )
                 try:
-                    resolved = _barrier_reference(
+                    resolved = barrier_reference(
                         members, evader, pursuers, UNBOUNDED, start
                     )
                     break
@@ -137,8 +134,7 @@ def test_criterion_3_convexity_and_curvature():
         theta = rng.uniform(0, math.pi)
         psi = rng.uniform(0, 2 * math.pi)
         analytic = cross_section_curvature(pursuers[0], evader, frame, theta, psi)
-        fd = cross_section_curvature(pursuers[0], evader, frame, theta, psi,
-                                     method="fd")
+        fd = oracles.fd_curvature(pursuers[0], evader, frame, theta, psi)
         ok &= analytic > 0.0
         worst_gap = max(worst_gap, abs(analytic - fd))
     ok &= worst_gap <= 1e-5

@@ -157,9 +157,14 @@ ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
      "input error: region.ball.radius: expected a number\n"),
     ({"pursuers": ONE_PURSUER, "evaders": [], "seed": "x"},
      "input error: seed: expected a number\n"),
+    ({"pursuers": ONE_PURSUER, "evaders": [], "rematch_every": 2.9},
+     "input error: rematch_every: expected an integer, got 2.9\n"),
+    ({"pursuers": ONE_PURSUER, "evaders": [], "seed": True},
+     "input error: seed: expected an integer, got True\n"),
 ], ids=["position", "missing-position", "top-level", "pursuer-entry",
         "evader-entry", "evader-speed", "null-speed", "null-component",
-        "object-radius", "list-dt", "null-ball-radius", "text-seed"])
+        "object-radius", "list-dt", "null-ball-radius", "text-seed",
+        "fractional-rematch", "boolean-seed"])
 def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
     path = write(tmp_path, "bad.json", doc)
     assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2
@@ -178,6 +183,15 @@ def test_cmd_match_unreadable_graph_file(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["match", "--graph-file", missing]) == 2
     assert "input error: --graph-file:" in capsys.readouterr().err
+
+
+def test_cmd_match_fractional_graph_file(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"coalitions": [[0], [1]], "evaders": [0],
+                                "edges": [[1.9, 0]]}))
+    assert main(["match", "--graph-file", str(path)]) == 2
+    assert "input error: --graph-file: edges[0]: expected integers, got 1.9" \
+        in capsys.readouterr().err
 
 
 def test_cmd_intercept(tmp_path, capsys):
@@ -350,6 +364,14 @@ def test_cmd_reduce3dm_bad_instance(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"m": 2}))
     assert main(["reduce3dm", "--instance", str(path)]) == 2
+
+
+def test_cmd_reduce3dm_fractional_instance(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"m": 2, "triples": [[0, 1.2, 0]]}))
+    assert main(["reduce3dm", "--instance", str(path)]) == 2
+    assert "input error: --instance: triples[0]: expected an integer, got 1.2" \
+        in capsys.readouterr().err
 
 
 def test_cmd_bench_empty(tmp_path):

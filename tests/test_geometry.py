@@ -286,7 +286,7 @@ def test_curvature_positive_and_consistent_on_random_sections():
         theta = rng.uniform(0, math.pi)
         psi = rng.uniform(0, 2 * math.pi)
         analytic = cross_section_curvature(pursuers[0], evader, frame, theta, psi)
-        fd = cross_section_curvature(pursuers[0], evader, frame, theta, psi, method="fd")
+        fd = oracles.fd_curvature(pursuers[0], evader, frame, theta, psi)
         assert analytic > 0.0
         assert abs(analytic - fd) <= 1e-5
 
@@ -300,10 +300,7 @@ def test_curvature_generic_pose_positive():
             assert cross_section_curvature(pursuer, evader, frame, theta, psi) > 0.0
 
 
-def test_curvature_rejects_mismatched_frame_and_method():
+def test_curvature_rejects_mismatched_frame():
     frame = PolarFrame(origin=(5, 5, 5))
     with pytest.raises(ValueError):
         cross_section_curvature(P_AXIS, E_AXIS, frame, 0.0, 0.0)
-    good = PolarFrame(origin=E_AXIS.position)
-    with pytest.raises(ValueError):
-        cross_section_curvature(P_AXIS, E_AXIS, good, 0.0, 0.0, method="bogus")

@@ -19,13 +19,10 @@ from reachavoid import (
     triple_candidates,
     validate_coalition,
 )
-from reachavoid.interception import (
-    UNBOUNDED,
-    _barrier_reference,
-    _gram_multipliers,
-)
+from reachavoid.interception import UNBOUNDED, _gram_multipliers
 
 import oracles
+from barrier import barrier_reference
 
 P_AXIS = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.0)
 P_AXIS_R = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.5)
@@ -133,7 +130,7 @@ def test_uniqueness_from_warm_starts():
                     c + rng.uniform(-0.4, 0.4) for c in evader.position
                 )
                 try:
-                    resolved = _barrier_reference(
+                    resolved = barrier_reference(
                         tuple(range(n)), evader, pursuers, UNBOUNDED, start
                     )
                     break
@@ -144,7 +141,7 @@ def test_uniqueness_from_warm_starts():
 
 def test_infeasible_warm_start_rejected():
     with pytest.raises(ValueError):
-        _barrier_reference((0,), E_AXIS, [P_AXIS], UNBOUNDED, (0, 0, 100.0))
+        barrier_reference((0,), E_AXIS, [P_AXIS], UNBOUNDED, (0, 0, 100.0))
 
 
 def test_monotone_refinement():

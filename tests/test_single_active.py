@@ -4,24 +4,29 @@ A default solve first looks for one, two or three active constraints
 (members or the ball sphere) whose common lowest point satisfies every other
 constraint strictly; that point is certified with Gram-system multipliers
 and returned without the KKT polish.  Only when none certifies does it
-polish active-set guesses from the same kernels' points; it never runs the
-barrier.  ``interception._barrier_reference`` takes the barrier + polish
-path, the independent reference, so the two can be compared on the same
-input.
+polish active-set guesses from the same kernels' points.  The tests'
+barrier + polish reference (``barrier.barrier_reference``) shares none of
+these kernels, so the two can be compared on the same input; the package
+itself defines no barrier.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import reachavoid
 from reachavoid import (
     Ball,
     EvaderSpec,
     PursuerSpec,
+    cross_section_curvature,
     in_closure,
     solve_interception,
 )
@@ -29,6 +34,7 @@ from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
 
 import oracles
+from barrier import barrier_reference
 from test_degenerate import corpus as degenerate_corpus
 
 AGREEMENT = 1e-7
@@ -37,8 +43,8 @@ AGREEMENT = 1e-7
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of polish hypotheses tried, polish runs, angle-kernel
-    evaluations, barrier runs, pair seeds climbed onto their curve and single
-    lowest points."""
+    evaluations, pair seeds climbed onto their curve and single lowest
+    points."""
     counts = Counter()
 
     def counted(name):
@@ -53,7 +59,6 @@ def calls(monkeypatch):
     counted("_polish_hypothesis")
     counted("_polish_kkt")
     counted("_section_altitude")
-    counted("_barrier_solve")
     counted("_climb")
     counted("_solve_single")
     return counts
@@ -70,8 +75,7 @@ def assert_paths_agree(members, evader, pursuers, region=UNBOUNDED):
     """Solve by default and by the reference from the evader position;
     return the default."""
     fast = solve_interception(members, evader, pursuers, region)
-    slow = interception._barrier_reference(members, evader, pursuers, region,
-                                           evader.position)
+    slow = barrier_reference(members, evader, pursuers, region, evader.position)
     assert math.dist(fast.point, slow.point) <= AGREEMENT
     assert abs(fast.value - slow.value) <= AGREEMENT
     assert fast.active_set == slow.active_set
@@ -384,7 +388,7 @@ def test_active_ball_certifies_directly(calls):
 def test_coaxial_and_dependent_pairs_fall_through(calls):
     # With the evader and both pursuers on one tilted line the two bodies
     # share their axis, so no pair frame exists and the polish from the
-    # members' own lowest points solves it, without the barrier.
+    # members' own lowest points solves it.
     evader = EvaderSpec((0.0, 0.0, 2.0), 1.0)
     axis = (math.cos(0.6), 0.3 * math.cos(0.6), math.sin(0.6))
     length = math.hypot(*axis)
@@ -395,7 +399,6 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
                     2.0, 0.0),
     ]
     assert polishes(calls, (0, 1), evader, pursuers) >= 1
-    assert calls["_barrier_solve"] == 0
     assert assert_paths_agree((0, 1), evader, pursuers).active_set == (0, 1)
 
     # Both boundaries pass through (0, 0, 7/3) with gradients along the
@@ -405,7 +408,6 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
                 PursuerSpec((0.0, 0.0, 0.0), 3.0, 1.0 / 3.0)]
     calls.clear()
     assert polishes(calls, (0, 1), evader, pursuers) >= 1
-    assert calls["_barrier_solve"] == 0
     result = solve_interception((0, 1), evader, pursuers)
     assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
 
@@ -532,7 +534,19 @@ def test_reference_shares_no_kernel_with_the_default_solve(monkeypatch):
             gap = math.dist(region.center, start)
             start = tuple(e + 1e-6 * (c - e) / gap
                           for e, c in zip(start, region.center))
-        slow = interception._barrier_reference(*case, start)
+        slow = barrier_reference(*case, start)
         assert slow.kkt_residual <= KKT_TOLERANCE
         assert slow.slackness_residual <= KKT_TOLERANCE
         assert math.dist(slow.point, fast.point) <= AGREEMENT, case
+
+
+def test_package_keeps_no_test_reference():
+    # The barrier reference and the finite-difference curvature live in the
+    # tests (barrier.py, oracles.fd_curvature), not in the package.
+    modules = [reachavoid] + [
+        importlib.import_module(f"reachavoid.{info.name}")
+        for info in pkgutil.iter_modules(reachavoid.__path__)]
+    for module in modules:
+        names = [name for name in vars(module) if "barrier" in name.lower()]
+        assert names == [], (module.__name__, names)
+    assert "method" not in inspect.signature(cross_section_curvature).parameters
