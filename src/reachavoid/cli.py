@@ -63,11 +63,13 @@ def _require(doc: dict, key: str, context: str):
 
 
 def _number(value, context: str, kind=float):
-    """``value`` converted by ``kind``; a JSON null, list, object or
-    unparsable string is an input error naming the field, and so is a
-    boolean or a fractional number when ``kind`` is ``int``."""
+    """``value`` converted by ``kind``; a JSON null, boolean, list, object
+    or unparsable string is an input error naming the field, and so is a
+    fractional number when ``kind`` is ``int``."""
     if kind is int and not _whole(value):
         raise ScenarioError(f"{context}: expected an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise ScenarioError(f"{context}: expected a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -194,13 +194,20 @@ def _step(positions: list[Vec], headings: list[Vec], speeds, dt: float) -> list[
 def _earliest_capture(prev_e: Vec, new_e: Vec, prev_p: Vec, new_p: Vec,
                       radius: float) -> float | None:
     """Sub-frame parameter where the pair distance first equals the radius."""
-    w = la.sub(prev_e, prev_p)
-    d = la.sub(la.sub(new_e, prev_e), la.sub(new_p, prev_p))
-    c = la.dot(w, w) - radius * radius
+    # On scalars: this runs for every pursuer-evader pair every frame.
+    ex, ey, ez = prev_e
+    px, py, pz = prev_p
+    w0 = ex - px
+    w1 = ey - py
+    w2 = ez - pz
+    c = w0 * w0 + w1 * w1 + w2 * w2 - radius * radius
     if c <= 0.0:
         return 0.0
-    a = la.dot(d, d)
-    b = 2.0 * la.dot(w, d)
+    d0 = (new_e[0] - ex) - (new_p[0] - px)
+    d1 = (new_e[1] - ey) - (new_p[1] - py)
+    d2 = (new_e[2] - ez) - (new_p[2] - pz)
+    a = d0 * d0 + d1 * d1 + d2 * d2
+    b = 2.0 * (w0 * d0 + w1 * d1 + w2 * d2)
     if a <= 1e-300:
         return None
     disc = b * b - 4.0 * a * c

@@ -46,7 +46,9 @@ order below changes only the cost:
   evader-pursuer axis), seeded at the lowest point of the Apollonius
   sphere, which is exact when r = 0, and bracketed by the lower half of the
   section circle; the ball's lowest point is explicit.
-  This is the common case.
+  This is the common case.  A lone member in the unbounded region, the
+  engine's per-frame re-solve, is certified in closed form: one multiplier
+  ``min(-g_z / |g|^2, 0)``, one stationarity and one slackness residual.
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
   two spheres obtained by dropping l (exact for r = 0 and for the ball).
@@ -704,6 +706,11 @@ def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
     return [min(la.dot(g, z), 0.0) for g in grads]
 
 
+def _lone_multiplier(g0: float, g1: float, g2: float) -> float:
+    """Multiplier of ``(0, 0, -1)`` on one gradient, clamped to <= 0."""
+    return min(-g2 / (g0 * g0 + g1 * g1 + g2 * g2), 0.0)
+
+
 def _unique_multipliers(grads) -> list[float] | None:
     """Multipliers of ``(0, 0, -1)`` on k <= 3 gradients, clamped to <= 0.
 
@@ -713,8 +720,7 @@ def _unique_multipliers(grads) -> list[float] | None:
     multipliers are not unique.
     """
     if len(grads) == 1:
-        (a,) = grads
-        return [min(-a[2] / la.dot(a, a), 0.0)]
+        return [_lone_multiplier(*grads[0])]
     if len(grads) == 2:
         a, b = grads
         normal = la.cross(a, b)
@@ -737,8 +743,9 @@ def _unique_multipliers(grads) -> list[float] | None:
 
 def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     """Certify ``y`` as the minimizer with exactly the constraints at the
-    increasing positions ``active`` of ``group`` binding; every path
-    certifies only through this.
+    increasing positions ``active`` of ``group`` binding; every path but
+    :func:`_lone`, which is this written out for one member, certifies
+    only through this.
 
     The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
     boundary and every other one strictly beyond it; the multipliers come
@@ -775,10 +782,36 @@ def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     return active, multipliers, stationarity, slack
 
 
+def _lone(con: _Constraint):
+    """The minimizer of a lone member in the unbounded region, certified in
+    closed form at the member's own lowest point, as :func:`_direct`
+    returns it, or None.
+
+    This is :func:`_certify` for one active member and no other constraint,
+    with the same arithmetic in the same order: ``|f|`` within
+    ``ACTIVE_TOLERANCE``, the multiplier of :func:`_lone_multiplier`, then
+    stationarity and slackness within ``KKT_TOLERANCE``.  Every test fails
+    on NaN.
+    """
+    y = con.lowest()
+    value, (g0, g1, g2), _ = _f_grad_hess(con.key, y, hessian=False)
+    if not abs(value) <= ACTIVE_TOLERANCE:
+        return None
+    lam = _lone_multiplier(g0, g1, g2)
+    r0 = lam * g0
+    r1 = lam * g1
+    r2 = 1.0 + lam * g2
+    stationarity = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+    slack = abs(lam * value)
+    if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
+        return None
+    return y, (0,), [lam], stationarity, slack
+
+
 def _direct(group: list[_Constraint]):
-    """The minimizer certified directly from one to three active
-    constraints, as ``(y, active, multipliers, stationarity, slackness)``
-    (see :func:`_certify`), or None.
+    """The minimizer of two or more constraints certified directly from one
+    to three active ones, as ``(y, active, multipliers, stationarity,
+    slackness)`` (see :func:`_certify`), or None.
 
     Tries each constraint's own lowest point (likely highest first), then
     pairs of members, then a member with the ball, then triples (lowest
@@ -786,21 +819,17 @@ def _direct(group: list[_Constraint]):
     program is its unique minimizer, so the order only affects cost.
     """
     count = len(group)
-    order = range(count)
-    if count > 1:
-        for c in group:
-            c.shape()
-        # A single-active minimizer is the highest of the constraints' own
-        # lowest points, which their dropped spheres approximate.
-        order = sorted(order, key=[c.low_z for c in group].__getitem__,
-                       reverse=True)
+    for c in group:
+        c.shape()
+    # A single-active minimizer is the highest of the constraints' own
+    # lowest points, which their dropped spheres approximate.
+    order = sorted(range(count), key=[c.low_z for c in group].__getitem__,
+                   reverse=True)
     for j in order:
         low = group[j].lowest()
         certificate = _certify(group, low, (j,))
         if certificate is not None:
             return (low, *certificate)
-    if count == 1:
-        return None
 
     n = sum(c.member for c in group)  # the ball, if any, is constraint n
     subsets = list(itertools.combinations(range(n), 2))
@@ -991,7 +1020,8 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
-    found = _direct(group) or _polished(group)
+    found = ((_lone(group[0]) if len(group) == 1 else _direct(group))
+             or _polished(group))
     if found is None:
         raise SolverFailure("no KKT certificate at a direct candidate or "
                             "a polished point")

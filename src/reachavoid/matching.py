@@ -665,19 +665,31 @@ def _whole(value) -> bool:
                 or isinstance(value, float) and not value.is_integer())
 
 
+def _json_list(value, field: str) -> list:
+    """``value`` when it is a JSON list; anything else, a string included,
+    is a ValueError naming ``field``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list, got {value!r}")
+    return value
+
+
+def _json_integers(value, field: str) -> tuple[int | float, ...]:
+    """A JSON list of whole numbers as a tuple; a ValueError naming
+    ``field`` otherwise."""
+    for item in _json_list(value, field):
+        if not isinstance(item, (int, float)) or not _whole(item):
+            raise ValueError(f"{field}: expected integers, got {item!r}")
+    return tuple(value)
+
+
 def graph_from_json(text: str) -> GameGraph:
     doc = json.loads(text)
     try:
-        coalitions = tuple(tuple(c) for c in doc["coalitions"])
-        evaders = tuple(doc["evaders"])
-        edges = tuple(tuple(e) for e in doc["edges"])
-        fields = ([(f"coalitions[{i}]", c) for i, c in enumerate(coalitions)]
-                  + [("evaders", evaders)]
-                  + [(f"edges[{i}]", e) for i, e in enumerate(edges)])
-        for field, values in fields:
-            for value in values:
-                if not _whole(value):
-                    raise ValueError(f"{field}: expected integers, got {value!r}")
+        coalitions = tuple(_json_integers(c, f"coalitions[{i}]") for i, c in
+                           enumerate(_json_list(doc["coalitions"], "coalitions")))
+        evaders = _json_integers(doc["evaders"], "evaders")
+        edges = tuple(_json_integers(e, f"edges[{i}]") for i, e in
+                      enumerate(_json_list(doc["edges"], "edges")))
         return GameGraph(coalitions=coalitions, evaders=evaders, edges=edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc

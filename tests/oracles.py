@@ -5,6 +5,9 @@ radii come from scalar bisection of the potential along a ray, curvatures
 from central differences of the boundary radius, minimum altitudes from
 dense direction grids with local refinement, optimal matchings from full
 subset enumeration, and 3-dimensional matchings from backtracking search.
+The one exception is :func:`lone_reference`, the package's generic
+certificate written out for a lone member, against which its closed form
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import random
 import numpy as np
 
 from reachavoid import (
+    UNBOUNDED,
     EvaderSpec,
+    InterceptionResult,
     PolarFrame,
     PursuerSpec,
     ThreeDMInstance,
@@ -23,6 +28,7 @@ from reachavoid import (
     polar_direction,
     potential,
 )
+from reachavoid import interception
 
 
 def bisect_boundary(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> float:
@@ -242,3 +248,70 @@ def ring_pose(rng: random.Random):
         speed=1.0,
     )
     return pursuers, evader
+
+
+# ---------------------------------------------------------------------------
+# the generic certificate of a lone member, as an exact reference
+
+
+def lone_reference(pursuer: PursuerSpec,
+                   evader: EvaderSpec) -> tuple[InterceptionResult | None, bool]:
+    """The unbounded solve of ``(pursuer,)`` against ``evader`` through the
+    generic certificate, None when nothing certifies, and whether it
+    certified the member's own lowest point (else the KKT polish is tried).
+
+    The certificate is written out from ``_gram_multipliers`` with
+    stationarity summed over the active gradients, as the generic loop
+    does for any active set.
+    """
+    group = interception._program((0,), evader, [pursuer], UNBOUNDED)
+    y = group[0].lowest()
+    value, grad, _ = group[0].grad_hess(y, hessian=False)
+    found = None
+    if abs(value) <= interception.ACTIVE_TOLERANCE:
+        multipliers = interception._gram_multipliers([grad])
+        r0 = r1 = 0.0
+        r2 = 1.0
+        slack = 0.0
+        for lj, g, v in zip(multipliers, [grad], [value]):
+            r0 += lj * g[0]
+            r1 += lj * g[1]
+            r2 += lj * g[2]
+            slack = max(slack, abs(lj * v))
+        stationarity = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+        if (stationarity <= interception.KKT_TOLERANCE
+                and slack <= interception.KKT_TOLERANCE):
+            found = (y, (0,), multipliers, stationarity, slack)
+    direct = found is not None
+    if not direct:
+        found = interception._polished(group)
+        if found is None:
+            return None, False
+    return interception._result((0,), evader.position, group, *found), direct
+
+
+def lone_pose(rng: random.Random, regime: str, scale: float = 1.0):
+    """One pursuer and one evader, with every length times ``scale``.
+
+    ``regime`` is ``"generic"`` (speed ratio in [1.05, 3], capture radius
+    up to 0.99 of the distance), ``"barely-faster"`` (speed ratio
+    1 + 1e-6), ``"grazing"`` (the evader 1e-9 outside the capture sphere)
+    or ``"vertical"`` (the pursuer straight above or below the evader).
+    """
+    evader = EvaderSpec(tuple(scale * rng.uniform(-2.0, 2.0) for _ in range(2))
+                        + (scale * rng.uniform(0.5, 3.0),), rng.uniform(0.5, 2.0))
+    distance = scale * rng.uniform(0.3, 3.0)
+    if regime == "vertical":
+        axis = (0.0, 0.0, rng.choice((-1.0, 1.0)))
+    else:
+        axis = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
+        length = math.sqrt(sum(c * c for c in axis))
+        axis = tuple(c / length for c in axis)
+    position = tuple(e + distance * c for e, c in zip(evader.position, axis))
+    alpha = 1.0 + 1e-6 if regime == "barely-faster" else rng.uniform(1.05, 3.0)
+    if regime == "grazing":
+        radius = math.dist(position, evader.position) - 1e-9
+    else:
+        radius = distance * rng.choice((0.0, rng.uniform(0.0, 0.5),
+                                        rng.uniform(0.9, 0.99)))
+    return PursuerSpec(position, alpha * evader.speed, radius), evader

@@ -161,10 +161,19 @@ ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
      "input error: rematch_every: expected an integer, got 2.9\n"),
     ({"pursuers": ONE_PURSUER, "evaders": [], "seed": True},
      "input error: seed: expected an integer, got True\n"),
+    ({"pursuers": [{"pos": [0, 0, 1], "speed": 2.0, "radius": True}],
+      "evaders": []},
+     "input error: pursuers[0].radius: expected a number, got True\n"),
+    ({"pursuers": ONE_PURSUER, "evaders": [], "dt": True},
+     "input error: dt: expected a number, got True\n"),
+    ({"pursuers": ONE_PURSUER,
+      "evaders": [{"pos": [0, True, 3], "speed": 1.0}]},
+     "input error: evaders[0].pos[1]: expected a number, got True\n"),
 ], ids=["position", "missing-position", "top-level", "pursuer-entry",
         "evader-entry", "evader-speed", "null-speed", "null-component",
         "object-radius", "list-dt", "null-ball-radius", "text-seed",
-        "fractional-rematch", "boolean-seed"])
+        "fractional-rematch", "boolean-seed", "boolean-radius", "boolean-dt",
+        "boolean-component"])
 def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
     path = write(tmp_path, "bad.json", doc)
     assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2
@@ -192,6 +201,16 @@ def test_cmd_match_fractional_graph_file(tmp_path, capsys):
     assert main(["match", "--graph-file", str(path)]) == 2
     assert "input error: --graph-file: edges[0]: expected integers, got 1.9" \
         in capsys.readouterr().err
+
+
+def test_cmd_match_string_graph_file(tmp_path, capsys):
+    # Strings where integer lists belong would read as lists of digits.
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({"coalitions": ["01", "2"], "evaders": "01",
+                                "edges": ["00", [1, 1]]}))
+    assert main(["match", "--graph-file", str(path)]) == 2
+    assert ("input error: --graph-file: coalitions[0]: expected a list, "
+            "got '01'") in capsys.readouterr().err
 
 
 def test_cmd_intercept(tmp_path, capsys):

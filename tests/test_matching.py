@@ -434,3 +434,19 @@ def test_graph_json_round_trip():
     assert graph_from_json(text) == graph
     with pytest.raises(ValueError):
         graph_from_json(json.dumps({"coalitions": [[0]]}))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"coalitions": "0", "evaders": [0], "edges": []},
+     "coalitions: expected a list, got '0'"),
+    ({"coalitions": [["0"]], "evaders": [0], "edges": []},
+     "coalitions[0]: expected integers, got '0'"),
+    ({"coalitions": [[0]], "evaders": "0", "edges": []},
+     "evaders: expected a list, got '0'"),
+    ({"coalitions": [[0]], "evaders": [0], "edges": [[0, "0"]]},
+     "edges[0]: expected integers, got '0'"),
+])
+def test_graph_from_json_rejects_strings_for_integer_lists(doc, message):
+    with pytest.raises(ValueError) as raised:
+        graph_from_json(json.dumps(doc))
+    assert str(raised.value) == message

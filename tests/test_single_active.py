@@ -504,8 +504,9 @@ def test_forced_barrier_on_large_ball():
 
 
 #: The default solve's kernels, none of which the reference may run.
-DEFAULT_KERNELS = ("_direct", "_polished", "_solve_single", "_pair_points",
-                   "_triple_points", "_member_form", "_ball_form")
+DEFAULT_KERNELS = ("_lone", "_direct", "_polished", "_solve_single",
+                   "_pair_points", "_triple_points", "_member_form",
+                   "_ball_form")
 
 
 def test_reference_shares_no_kernel_with_the_default_solve(monkeypatch):
