@@ -50,7 +50,6 @@ from .matching import (
     SizeGuardExceeded,
     ThreeDMInstance,
     build_graph,
-    build_graph_with_results,
     coalition_count,
     edges_conflict,
     exact_mbmc,

@@ -106,6 +106,27 @@ def region_to_json(region: Region):
     return {"ball": {"center": list(region.center), "radius": region.radius}}
 
 
+def _players(doc: dict, field: str, make) -> list:
+    """``make(entry, context)`` for each entry of the list ``doc[field]``
+    (none when absent); a non-list, a non-object entry or a ``ValueError``
+    from ``make`` is an input error naming the field or the entry."""
+    items = doc.get(field, [])
+    if not isinstance(items, list):
+        raise ScenarioError(f"{field}: expected a list, got {items!r}")
+    specs = []
+    for k, item in enumerate(items):
+        context = f"{field}[{k}]"
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{context}: expected an object")
+        try:
+            specs.append(make(item, context))
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"{context}: {exc}") from exc
+    return specs
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -114,38 +135,17 @@ def scenario_from_json(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
 
-    pursuers = []
-    for i, item in enumerate(doc.get("pursuers", [])):
-        context = f"pursuers[{i}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{context}: expected an object")
-        try:
-            pursuers.append(PursuerSpec(
-                position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
-                speed=_number(_require(item, "speed", context), f"{context}.speed"),
-                capture_radius=_number(item.get("radius", 0.0), f"{context}.radius"),
-            ))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-
-    evaders = []
-    policies = []
-    for j, item in enumerate(doc.get("evaders", [])):
-        context = f"evaders[{j}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{context}: expected an object")
-        try:
-            evaders.append(EvaderSpec(
-                position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
-                speed=_number(_require(item, "speed", context), f"{context}.speed"),
-            ))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-        policies.append(str(item.get("policy", "straight")))
+    pursuers = _players(doc, "pursuers", lambda item, context: PursuerSpec(
+        position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
+        speed=_number(_require(item, "speed", context), f"{context}.speed"),
+        capture_radius=_number(item.get("radius", 0.0), f"{context}.radius"),
+    ))
+    evaders = _players(doc, "evaders", lambda item, context: EvaderSpec(
+        position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
+        speed=_number(_require(item, "speed", context), f"{context}.speed"),
+    ))
+    policies = [str(item.get("policy", "straight"))
+                for item in doc.get("evaders", [])]
 
     scenario = Scenario(
         pursuers=tuple(pursuers),

@@ -7,11 +7,12 @@ since the last adoption.  No conflict-free matching holds more than
 ``min(live evaders, pursuers)`` edges, so a rematch frame whose adopted
 matching is already that large, with no capture since the last adoption,
 skips the build and the matcher: they could not change what is adopted.
-Matched pursuers race straight at their coalition's current interception
-point, unmatched pursuers chase the nearest live evader, and each evader
-follows its configured policy.  Motion integrates straight lines exactly,
-and captures and exit crossings are resolved at sub-frame times by
-closed-form interpolation along those lines.
+Each frame solves every adopted coalition at the current positions, the
+one source of its interception point, and its matched pursuers race
+straight at that point; unmatched pursuers chase the nearest live evader,
+and each evader follows its configured policy.  Motion integrates
+straight lines exactly, and captures and exit crossings are resolved at
+sub-frame times by closed-form interpolation along those lines.
 """
 
 from __future__ import annotations
@@ -312,13 +313,13 @@ def run(scenario: Scenario) -> Trace:
 
     The loop per frame: rebuild the coalition-evader graph on live players,
     rematch, adopt the new matching only if strictly larger or after a
-    capture, steer matched pursuers at their coalition's interception
-    point, apply policies to everyone else, integrate, and resolve
-    capture/exit events at sub-frame accuracy.  A frame where no new
-    matching could be adopted skips the build and the rematch: no capture
-    since the last adoption, and an adopted matching of
-    ``min(len(live), len(pursuers))`` edges, the most a conflict-free
-    matching holds.  Every solve is a pure function of its inputs, so the
+    capture, solve each adopted coalition at the frame's positions and
+    steer its members at that interception point, apply policies to
+    everyone else, integrate, and resolve capture/exit events at sub-frame
+    accuracy.  A frame where no new matching could be adopted skips the
+    build and the rematch: no capture since the last adoption, and an
+    adopted matching of ``min(len(live), len(pursuers))`` edges, the most
+    a conflict-free matching holds.  Every solve is a pure function of its inputs, so the
     trace is the one that rematching in such frames gives.  Identical
     scenarios (including the seed) produce identical traces.
     """
@@ -347,13 +348,6 @@ def run(scenario: Scenario) -> Trace:
         cur_evaders = {j: _moved(scenario.evaders[j], e_pos[j]) for j in live}
 
         try:
-            # Interception points are recomputed from current positions every
-            # frame; solve results can only be reused within the frame that
-            # produced them.  The cache holds the coalitions this frame's
-            # build solved: not those its win bound decided, and none in a
-            # frame without a build.  An adopted coalition missing from it
-            # is solved below.
-            results_cache = {}
             # Coalitions in a matching are disjoint and nonempty, and each
             # live evader takes at most one, so no matching is larger than
             # min(len(live), len(pursuers)).  Once the adopted one is that
@@ -361,7 +355,8 @@ def run(scenario: Scenario) -> Trace:
             if frame_idx % scenario.rematch_every == 0 and (
                 capture_flag or len(adopted) < min(len(live), len(pursuers))
             ):
-                graph, results_cache = build_graph_with_results(
+                # perfbench's tracer times the build under this name.
+                graph, _ = build_graph_with_results(
                     cur_pursuers, [cur_evaders[j] for j in live], region,
                     evader_ids=live,
                 )
@@ -385,11 +380,9 @@ def run(scenario: Scenario) -> Trace:
             intercept_points: dict[int, Vec] = {}
             for ej in sorted(adopted):
                 members = adopted[ej]
-                result = results_cache.get((members, ej))
-                if result is None:
-                    result = solve_interception(
-                        members, cur_evaders[ej], cur_pursuers, region
-                    )
+                result = solve_interception(
+                    members, cur_evaders[ej], cur_pursuers, region
+                )
                 intercept_points[ej] = result.point
                 for i in members:
                     matched_pursuers.add(i)

@@ -241,27 +241,8 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     (win or tie) while every proper subcoalition loses outright, so edges
     carry exactly the minimal winning coalitions.  Coalitions are examined
     by increasing size: a pair or triple is examined only when all its
-    proper subcoalitions lose, and any coalition is solved only when no win
-    bound, kept point or ray witness decides it (see
-    :func:`build_graph_with_results`).
-    """
-    graph, _ = build_graph_with_results(
-        pursuers, evaders, region, evader_ids=evader_ids
-    )
-    return graph
-
-
-def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
-                             evader_ids=None):
-    """As :func:`build_graph`, also returning the solve results.
-
-    The second return value maps ``(coalition, evader_id)`` to the
-    :class:`~reachavoid.interception.InterceptionResult` of every coalition
-    that was solved, and holds no other; the simulation engine reuses these
-    and solves any adopted coalition missing from them.
-
-    A coalition is solved only when none of three tests, tried in order,
-    decides its kind:
+    proper subcoalitions lose.  A coalition is solved only when none of
+    three tests, tried in order, decides its kind:
 
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
@@ -291,6 +272,20 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     kind comes from its solve.  The solves go through this module's
     ``solve_interception`` and ``classify_result`` only.  A rejected input
     raises what the first single solve to meet it would.
+    """
+    graph, _ = build_graph_with_results(
+        pursuers, evaders, region, evader_ids=evader_ids
+    )
+    return graph
+
+
+def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
+                             evader_ids=None):
+    """As :func:`build_graph`, plus the result of every coalition it solved.
+
+    The second return value maps ``(coalition, evader_id)`` to the
+    :class:`~reachavoid.interception.InterceptionResult` of each coalition
+    the build solved, and holds no other.
     """
     coalitions, index_of = _coalition_index(len(pursuers))
     if evader_ids is None:

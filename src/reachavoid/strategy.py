@@ -16,9 +16,7 @@ from .interception import (
     GOAL_TOLERANCE,
     Region,
     UNBOUNDED,
-    reduce_coalition,
     solve_interception,
-    validate_coalition,
 )
 
 #: Degenerate-heading sentinel: a player already at the interception point
@@ -61,13 +59,10 @@ def value_function(coalition, evader: EvaderSpec, pursuers,
     """Capture altitude under mutually optimal play.
 
     Only defined when the coalition wins; ties and evader wins raise
-    ``ValueError``.  Coalitions larger than three are first reduced to the
-    members that pin down the interception point.
+    ``ValueError``.  The value is the certified lowest altitude of the
+    coalition's one solve, whatever its size.
     """
-    members = validate_coalition(coalition, len(pursuers), max_size=None)
-    if len(members) > 3:
-        members = reduce_coalition(members, evader, pursuers, region)
-    result = solve_interception(members, evader, pursuers, region)
+    result = solve_interception(coalition, evader, pursuers, region)
     if result.value <= GOAL_TOLERANCE:
         raise ValueError(
             "value function requires a pursuit-winning configuration "

@@ -169,11 +169,20 @@ ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
     ({"pursuers": ONE_PURSUER,
       "evaders": [{"pos": [0, True, 3], "speed": 1.0}]},
      "input error: evaders[0].pos[1]: expected a number, got True\n"),
+    ({"pursuers": 5, "evaders": []},
+     "input error: pursuers: expected a list, got 5\n"),
+    ({"pursuers": None, "evaders": []},
+     "input error: pursuers: expected a list, got None\n"),
+    ({"pursuers": "ab", "evaders": []},
+     "input error: pursuers: expected a list, got 'ab'\n"),
+    ({"pursuers": ONE_PURSUER, "evaders": None},
+     "input error: evaders: expected a list, got None\n"),
 ], ids=["position", "missing-position", "top-level", "pursuer-entry",
         "evader-entry", "evader-speed", "null-speed", "null-component",
         "object-radius", "list-dt", "null-ball-radius", "text-seed",
         "fractional-rematch", "boolean-seed", "boolean-radius", "boolean-dt",
-        "boolean-component"])
+        "boolean-component", "number-pursuers", "null-pursuers",
+        "string-pursuers", "null-evaders"])
 def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
     path = write(tmp_path, "bad.json", doc)
     assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2

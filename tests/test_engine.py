@@ -606,3 +606,28 @@ def test_rematch_is_skipped_only_where_no_matching_could_be_adopted(
         else:
             pairs = sequential_matching(graph)
         assert len(pairs) <= len(frame.matching), k
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+@pytest.mark.parametrize("region, matcher", [
+    (UNBOUNDED, "sma"),
+    (Ball(center=(0, 0, 1.2), radius=6.0), "exact"),
+], ids=["sma", "ball-exact"])
+def test_each_adopted_coalition_is_solved_once_per_frame(
+        seed, region, matcher, monkeypatch):
+    # The engine's own solve is the one source of an adopted point, so
+    # every frame solves each coalition of its matching exactly once.
+    import reachavoid.engine as engine
+
+    original = engine.solve_interception
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_interception", counted)
+    trace = run(random_scenario(seed, max_pursuers=4, max_evaders=4,
+                                region=region, matcher=matcher))
+    assert calls == sum(len(f.matching) for f in trace.frames[:-1])

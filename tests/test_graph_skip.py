@@ -26,7 +26,6 @@ from reachavoid import (
     EvaderSpec,
     GameKind,
     PursuerSpec,
-    build_graph_with_results,
     classify_result,
     matching,
     potential,
@@ -34,7 +33,7 @@ from reachavoid import (
 )
 from reachavoid.geometry import _race
 from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, _Constraint
-from reachavoid.matching import _wins_alone, all_coalitions
+from reachavoid.matching import _wins_alone, all_coalitions, build_graph_with_results
 
 from test_degenerate import REGIMES, corpus
 from test_shared_solves import BALL, snapshot

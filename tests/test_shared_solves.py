@@ -1,11 +1,11 @@
 """The graph build's solves and the poses that exercise them.
 
 ``build_graph_with_results`` returns the result of every coalition it
-solves, and the simulation engine reuses those results in place of its own
-solves, so each must equal (dataclass equality) a fresh solve of the same
-coalition and evader.  ``snapshot`` makes the barely-faster poses on which
-builds still solve pairs and triples; other test modules share it and
-``BALL``.
+solves, and each must equal (dataclass equality) a fresh solve of the same
+coalition and evader: the build's solves are the public solve, with no
+state carried between the coalitions of one build.  ``snapshot`` makes
+the barely-faster poses on which builds still solve pairs and triples;
+other test modules share it and ``BALL``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from reachavoid import (
     Ball,
     EvaderSpec,
     PursuerSpec,
-    build_graph_with_results,
     solve_interception,
 )
 from reachavoid.interception import UNBOUNDED
+from reachavoid.matching import build_graph_with_results
 
 BALL = Ball((0.0, 0.0, 1.0), 4.5)
 
