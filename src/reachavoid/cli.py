@@ -34,6 +34,7 @@ from .interception import (
 from .matching import (
     SizeGuardExceeded,
     ThreeDMInstance,
+    _json_list,
     _whole,
     build_graph,
     exact_mbmc,
@@ -271,7 +272,10 @@ def cmd_intercept(args) -> int:
 
 
 def cmd_match(args) -> int:
-    if args.graph_file:
+    if (args.scenario is None) == (args.graph_file is None):
+        raise ScenarioError("match: exactly one of --scenario or --graph-file "
+                            "is required")
+    if args.graph_file is not None:
         try:
             graph = graph_from_json(Path(args.graph_file).read_text())
         except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -339,10 +343,14 @@ def cmd_simulate(args) -> int:
 def cmd_reduce3dm(args) -> int:
     try:
         doc = json.loads(Path(args.instance).read_text())
+        if not isinstance(doc, dict):
+            raise ScenarioError("top level: expected an object")
         instance = ThreeDMInstance(
             m=_number(doc["m"], "m", int),
-            triples=tuple(tuple(_number(v, f"triples[{i}]", int) for v in t)
-                          for i, t in enumerate(doc["triples"])),
+            triples=tuple(
+                tuple(_number(v, f"triples[{i}]", int)
+                      for v in _json_list(t, f"triples[{i}]"))
+                for i, t in enumerate(_json_list(doc["triples"], "triples"))),
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"--instance: {exc}") from exc
@@ -439,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "match" and not (args.scenario or args.graph_file):
-        print("match: one of --scenario or --graph-file is required", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except SizeGuardExceeded as exc:

@@ -264,7 +264,10 @@ class _Constraint:
         if self.form is None:
             form = self.form = (_member_form(self.key) if self.member
                                 else _ball_form(self.key))
-            self.low_z, self.low_err = _sphere_low_z(form.q, form.k, form.m)
+            centre, radius2 = _dropped_sphere(form.q, form.k, form.m)
+            radius = math.sqrt(radius2)
+            self.low_z = centre[2] - radius
+            self.low_err = 1e-12 * (la.norm(centre) + radius)
 
 
 def _outside(ball: Ball, position: Vec) -> bool:
@@ -387,17 +390,11 @@ class _Form(NamedTuple):
     far: float
 
 
-def _member_terms(con: _Con) -> tuple[float, float, float]:
-    """``|q|`` and the ``k`` and ``m`` of a member's boundary form."""
-    q, a, r = con
-    d = la.norm(q)
-    return d, -(a - 1.0) * (a + 1.0), (d - r) * (d + r)
-
-
 def _member_form(con: _Con) -> _Form:
     q, a, r = con
-    d, k, m = _member_terms(con)
-    return _Form(q, k, a * r, m, (d - r) / (a + 1.0), (d - r) / (a - 1.0))
+    d = la.norm(q)
+    return _Form(q, -(a - 1.0) * (a + 1.0), a * r, (d - r) * (d + r),
+                 (d - r) / (a + 1.0), (d - r) / (a - 1.0))
 
 
 def _ball_form(ball: _Sphere) -> _Form:
@@ -412,14 +409,6 @@ def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
     for zero capture radii and for the ball."""
     centre = la.scale(q, 1.0 / k)
     return centre, la.dot(centre, centre) - m / k
-
-
-def _sphere_low_z(q: Vec, k: float, m: float) -> tuple[float, float]:
-    """Altitude, relative to the evader, of the lowest point of the dropped
-    sphere of a form's ``q, k, m``, and a bound on its rounding error."""
-    centre, radius2 = _dropped_sphere(q, k, m)
-    radius = math.sqrt(radius2)
-    return centre[2] - radius, 1e-12 * (la.norm(centre) + radius)
 
 
 def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:

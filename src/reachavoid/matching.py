@@ -15,14 +15,14 @@ without a solve wherever one of three sound tests, tried in this order,
 settles it:
 
 - the win bound: a member's body lies inside its dropped sphere, so a
-  single whose sphere clears the tie band wins.  It is read off the race
-  tuple ``(q, alpha, r)``: only a losing single gets a constraint;
+  single whose sphere clears the tie band wins.  It is read off each
+  single's shaped ``_program`` constraint, made before any decision;
 - the kept point: an evasion space only shrinks as pursuers join
   (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
   keeps below the tie band shows that a larger coalition loses when every
-  further member's potential holds there.  Each kept point carries the
-  bitmask of the losing singles whose potentials hold at it, so the test
-  is a few integer operations;
+  further member's potential holds there.  Each kept point gets, when it
+  is kept, the bitmask of the undecided singles whose potentials hold at
+  it, so the test is a few integer operations;
 - the ray witness: every body is convex and holds the evader, so the
   nearest of a coalition's boundaries along any ray from the evader is a
   point of its closure, and one below the tie band shows that the
@@ -44,20 +44,16 @@ from dataclasses import dataclass
 
 from . import _linalg as la
 from ._linalg import Vec
-from .geometry import EvaderSpec, PursuerSpec, _f_original, _race
+from .geometry import EvaderSpec, PursuerSpec, _f_original
 from .interception import (
     GOAL_TOLERANCE,
-    Ball,
     GameKind,
     InterceptionResult,
     Region,
     UNBOUNDED,
     _ball_g,
     _Constraint,
-    _member_terms,
-    _outside,
     _program,
-    _sphere_low_z,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -242,20 +238,21 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     carry exactly the minimal winning coalitions.  Coalitions are examined
     by increasing size: a pair or triple is examined only when all its
     proper subcoalitions lose.  A coalition is solved only when none of
-    three tests, tried in order, decides its kind:
+    three tests, tried in order, decides its kind.  Each evader's singles
+    get their ``_program`` constraints first, in pursuer order:
 
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
       ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
-      recorded unsolved.  The bound comes from the race tuple
-      ``(q, alpha, r)``; only a losing single gets a constraint, and the
-      evader's ball entry is made with the first one;
+      recorded unsolved.  The bound comes from the single's shaped
+      constraint; the singles it leaves undecided share the ball entry of
+      the first of them;
     - **kept point**: each losing coalition keeps a point of its closure
       below ``-GOAL_TOLERANCE`` at which every member's potential and the
-      ball's hold.  Once every losing single of the evader is known, each
-      such point gets the bitmask of the losing singles whose potentials
-      hold there, and a pair or triple whose members' bits all lie in one
-      point's mask loses, by :func:`_kept_point`;
+      ball's hold.  When it is kept, it gets the bitmask of the undecided
+      singles whose potentials hold there, and a pair or triple whose
+      members' bits all lie in one point's mask loses, by
+      :func:`_kept_point`;
     - **ray witness**: every body is convex and holds the evader, so along
       a unit ray from the evader the nearest of the coalition's boundaries
       (the ball's sphere included), pulled in by 1e-9 of its distance, is a
@@ -271,7 +268,8 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     lowest altitude lies in the tie band ``|z| <= GOAL_TOLERANCE``, so its
     kind comes from its solve.  The solves go through this module's
     ``solve_interception`` and ``classify_result`` only.  A rejected input
-    raises what the first single solve to meet it would.
+    raises what the first single solve to meet it would, before any of its
+    evader's decisions.
     """
     graph, _ = build_graph_with_results(
         pursuers, evaders, region, evader_ids=evader_ids
@@ -297,39 +295,44 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
 
     results: dict[tuple[Coalition, int], InterceptionResult] = {}
     edges: list[tuple[int, int]] = []
-    ball = region if isinstance(region, Ball) else None
-    # The ball checks of each single's solve, made once a player.
-    pursuers_out = [ball is not None and _outside(ball, p.position)
-                    for p in pursuers]
     for evader, ej in zip(evaders, evader_ids):
         z_e = evader.position[2]
-        evader_out = ball is not None and _outside(ball, evader.position)
+        # Each single the win bound leaves undecided, shaped, and the ball
+        # entry all of this evader's groups share.  _program raises what the
+        # single's solve would, before any of this evader's solves.
+        shaped: dict[int, _Constraint] = {}
+        ball_entry: list[_Constraint] = []
+        for i in range(len(pursuers)):
+            member, *ball = _program((i,), evader, pursuers, region)
+            member.shape()
+            if _wins_alone(member.low_z, member.low_err, z_e):
+                edges.append((index_of[(i,)], ej))
+                continue
+            if ball and not ball_entry:
+                ball[0].shape()
+                ball_entry = ball
+            shaped[i] = member
         # Each losing coalition's point in the evader's frame, by its
         # members: the target of its supersets' rays.
         points: dict[Coalition, Vec] = {}
         # The kept points: those below the tie band at which every potential
-        # of their coalition, the ball's included, holds.  Each is queued with
-        # its members until every losing single is known (the first pair's
-        # test), then kept with its mask.
-        queued: list[tuple[Coalition, Vec]] = []
+        # of their coalition, the ball's included, holds, each with the mask
+        # of the shaped singles whose potentials hold there.  A pair's or
+        # triple's members all lose alone, so only their bits are asked for.
         kept: list[tuple[int, Vec]] = []
-        # Each losing single's shaped constraint, and the ball's, which every
-        # group of this evader shares.
-        shaped: dict[int, _Constraint] = {}
-        ball_entry: list[_Constraint] = []
+
+        def keep(members: Coalition, y: Vec) -> None:
+            mask = 0
+            for m, con in shaped.items():
+                if m in members or _f_original(con.key, y) >= 0.0:
+                    mask |= 1 << m
+            kept.append((mask, y))
 
         def loses(members: Coalition, rays) -> bool:
             """Decide ``members`` by a kept point, else by a witness on one of
             ``rays``, else solve it; keep its point when it loses, else
             record its edge."""
             if len(members) > 1:
-                for coalition, y in queued:
-                    mask = 0
-                    for m in losing_singles:
-                        if m in coalition or _f_original(shaped[m].key, y) >= 0.0:
-                            mask |= 1 << m
-                    kept.append((mask, y))
-                queued.clear()
                 want = 0
                 for i in members:
                     want |= 1 << i
@@ -342,7 +345,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 y = _witness(group, ray)
                 if y is not None and z_e + y[2] < -GOAL_TOLERANCE:
                     points[members] = y
-                    queued.append((members, y))
+                    keep(members, y)
                     return True
             result = solve_interception(members, evader, pursuers, region)
             results[(members, ej)] = result
@@ -351,7 +354,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 y = points[members] = la.sub(result.point, evader.position)
                 if z_e + y[2] < -GOAL_TOLERANCE and all(
                         c.value(y) >= 0.0 for c in group):
-                    queued.append((members, y))
+                    keep(members, y)
                 return True
             edges.append((index_of[members], ej))
             return False
@@ -373,27 +376,11 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 yield _DOWN
 
         losing_singles = []
-        for i, pursuer in enumerate(pursuers):
-            q, alpha, r = con = _race(pursuer, evader)
-            d, k, m = _member_terms(con)
-            if alpha <= 1.0 or d <= r or pursuers_out[i] or evader_out:
-                # The single's solve rejects an input: raise its error.
-                _program((i,), evader, pursuers, region)
-            if _wins_alone(*_sphere_low_z(q, k, m), z_e):
-                edges.append((index_of[(i,)], ej))
-                continue
-            # A losing single's constraint, with the evader's ball entry
-            # made by the first of them.
-            member, *ball_con = _program((i,), evader, pursuers,
-                                         UNBOUNDED if ball_entry else region)
-            if ball_con:
-                ball_entry.append(ball_con[0])
-                ball_con[0].shape()
-            shaped[i] = member
-            member.shape()
+        for i, member in shaped.items():
             # The ray to the lowest point of the member's Apollonius sphere,
             # -(q + alpha |q| e_z), which is its body when r = 0.
-            low = (q[0], q[1], q[2] + alpha * d)
+            q, alpha, _ = member.key
+            low = (q[0], q[1], q[2] + alpha * la.norm(q))
             if loses((i,), (la.scale(low, -1.0 / la.norm(low)),)):
                 losing_singles.append(i)
         # Increasing indices, so combinations come in all_coalitions order.

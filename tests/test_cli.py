@@ -251,6 +251,17 @@ def test_cmd_match_requires_input(capsys):
     assert main(["match"]) == 2
 
 
+def test_cmd_match_refuses_both_inputs(tmp_path, capsys):
+    graph = tmp_path / "fig3.json"
+    graph.write_text(graph_to_json(fig3_graph()))
+    missing = str(tmp_path / "missing.json")
+    assert main(["match", "--scenario", missing, "--graph-file", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("input error: match: exactly one of --scenario or --graph-file "
+            "is required") in captured.err
+
+
 def test_cmd_match_size_guard(tmp_path, capsys):
     # 5 x 30 grid of single-pursuer edges exceeds the exact-search guard.
     coalitions = [[i] for i in range(5)]
@@ -400,6 +411,18 @@ def test_cmd_reduce3dm_fractional_instance(tmp_path, capsys):
     assert main(["reduce3dm", "--instance", str(path)]) == 2
     assert "input error: --instance: triples[0]: expected an integer, got 1.2" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 2, "triples": ["010", "101"]}, "triples[0]: expected a list, got '010'"),
+    ({"m": 2, "triples": 5}, "triples: expected a list, got 5"),
+    ([{"m": 2, "triples": []}], "top level: expected an object"),
+])
+def test_cmd_reduce3dm_malformed_instance(tmp_path, capsys, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce3dm", "--instance", str(path)]) == 2
+    assert f"input error: --instance: {message}" in capsys.readouterr().err
 
 
 def test_cmd_bench_empty(tmp_path):

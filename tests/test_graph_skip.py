@@ -32,7 +32,7 @@ from reachavoid import (
     solve_interception,
 )
 from reachavoid.geometry import _race
-from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, _Constraint
+from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED
 from reachavoid.matching import _wins_alone, all_coalitions, build_graph_with_results
 
 from test_degenerate import REGIMES, corpus
@@ -456,33 +456,44 @@ LAZY_PURSUERS = [PursuerSpec((0.5, 0.0, 1.0), 2.5, 0.1),
 
 @pytest.mark.parametrize("region_name", list(REGIONS))
 @pytest.mark.parametrize("losers", [0, 1, 2])
-def test_constraints_are_built_for_losing_singles_only(monkeypatch, region_name,
-                                                       losers):
+def test_every_single_is_programmed_before_its_evaders_decisions(
+        monkeypatch, region_name, losers):
     region = REGIONS[region_name]
     pursuers = LAZY_PURSUERS[:2 + losers]
-    programs = []
-    built = Counter()
+    owner = {_race(p, e): ej for ej, e in enumerate(LAZY_EVADERS)
+             for p in pursuers}
+    calls = []
     program = matching._program
-    init = _Constraint.__init__
+    witness = matching._witness
+    solve = matching.solve_interception
 
     def recorded_program(members, evader, *args):
-        programs.append((members, LAZY_EVADERS.index(evader)))
+        calls.append(("program", members, LAZY_EVADERS.index(evader)))
         return program(members, evader, *args)
 
-    def recorded_init(self, key, member):
-        built["member" if member else "ball"] += 1
-        init(self, key, member)
+    def recorded_witness(group, ray):
+        calls.append(("witness", None, owner[group[0].key]))
+        return witness(group, ray)
+
+    def recorded_solve(members, evader, *args):
+        calls.append(("solve", members, LAZY_EVADERS.index(evader)))
+        return solve(members, evader, *args)
 
     monkeypatch.setattr(matching, "_program", recorded_program)
-    monkeypatch.setattr(_Constraint, "__init__", recorded_init)
+    monkeypatch.setattr(matching, "_witness", recorded_witness)
+    monkeypatch.setattr(matching, "solve_interception", recorded_solve)
     graph, results = build_graph_with_results(pursuers, LAZY_EVADERS, region)
     # The fast pursuers' singles are edges of both evaders, decided by the
     # win bound; everything else loses without a solve.
     assert graph.edges == ((0, 0), (0, 1), (1, 0), (1, 1)) and results == {}
-    # One _program call per losing single, and one ball entry per evader.
-    assert programs == [((i,), ej) for ej in range(2) for i in range(2, 2 + losers)]
-    assert built == Counter(member=2 * losers,
-                            ball=2 * (losers > 0) * (region is BALL)), built
+    # One _program call per pursuer and evader, in pursuer order, and all of
+    # an evader's before any of its witnesses or solves.
+    programs = [(members, ej) for kind, members, ej in calls if kind == "program"]
+    assert programs == [((i,), ej) for ej in range(2) for i in range(len(pursuers))]
+    for ej in range(2):
+        kinds = [kind for kind, _, owner_ej in calls if owner_ej == ej]
+        assert kinds == sorted(kinds, key=lambda kind: kind != "program"), kinds
+        assert ("witness" in kinds) == (losers > 0), kinds
 
 
 def single_decisions(pursuers, evaders, region, alone: bool = False):

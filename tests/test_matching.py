@@ -14,6 +14,7 @@ from reachavoid import (
     GameKind,
     PursuerSpec,
     SizeGuardExceeded,
+    SolverFailure,
     ThreeDMInstance,
     build_graph,
     classify_kind,
@@ -28,6 +29,7 @@ from reachavoid import (
     sequential_matching,
     solve_interception,
 )
+from reachavoid import matching
 from reachavoid.matching import EXACT_EDGE_GUARD, all_coalitions
 
 import oracles
@@ -159,7 +161,8 @@ def test_build_graph_rejects_misaligned_evader_ids():
 # message of the first single solve that rejects it (evaders in turn, each
 # against pursuers 0, 1, ...): the build raises exactly that, though it
 # decides most singles without a solve.  Pursuer 0 wins alone against both
-# evaders, so its own singles are decided by the win bound.
+# evaders, so its own singles are decided by the win bound.  Within one
+# evader every input error comes before any solve.
 _FAST = PursuerSpec((0.0, 0.0, 1.0), 2.0)
 _HOME = EvaderSpec((0.0, 0.0, 3.0), 1.0)
 _BALL = Ball((0.0, 0.0, 1.0), 4.0)
@@ -199,6 +202,22 @@ def test_build_graph_rejects_invalid_inputs_as_their_solve_does(fault):
         build_graph(*args)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_an_evaders_input_errors_come_before_its_solves(monkeypatch):
+    # Pursuer 0 loses alone, so its single would be solved; pursuer 1 is
+    # not faster than the evader.
+    pursuers = [PursuerSpec((0.0, 0.0, 3.0), 1.05, 0.1),
+                PursuerSpec((2.0, 0.0, 1.0), 1.0)]
+    evaders = [EvaderSpec((0.0, 0.0, 1.0), 1.0)]
+
+    def failed(*args):
+        raise SolverFailure("forced")
+
+    monkeypatch.setattr(matching, "_witness", lambda group, ray: None)
+    monkeypatch.setattr(matching, "solve_interception", failed)
+    with pytest.raises(AssumptionViolation, match="pursuer 1 is not faster"):
+        build_graph(pursuers, evaders)
 
 
 def test_solve_checks_every_member_before_the_ball():
