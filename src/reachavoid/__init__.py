@@ -53,8 +53,6 @@ from .matching import (
     coalition_count,
     edges_conflict,
     exact_mbmc,
-    graph_from_json,
-    graph_to_json,
     is_conflict_free,
     max_bipartite_matching,
     reduce_3dm,

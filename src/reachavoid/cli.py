@@ -1,4 +1,5 @@
-"""Command-line surface: scenario files, single queries, simulations, benchmarks.
+"""Command-line surface: scenario, graph and 3-dimensional matching documents,
+single queries, simulations, benchmarks.
 
 Exit codes: 0 success, 2 input error, 3 solver failure, 4 exact-matcher
 size-guard refusal.
@@ -32,14 +33,11 @@ from .interception import (
     solve_interception,
 )
 from .matching import (
+    GameGraph,
     SizeGuardExceeded,
     ThreeDMInstance,
-    _json_list,
-    _whole,
     build_graph,
     exact_mbmc,
-    graph_from_json,
-    graph_to_json,
     reduce_3dm,
     sequential_matching,
 )
@@ -54,27 +52,68 @@ def _fmt_vec(v) -> str:
 
 
 # --------------------------------------------------------------------------
-# scenario documents
+# input documents: scenarios, game graphs and 3-dimensional matching
+# instances, read through one set of field checks
 
 
-def _require(doc: dict, key: str, context: str):
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    return value
+
+
+def _list(value, context: str) -> list:
+    """``value`` when it is a JSON list; anything else, a string included,
+    is an input error naming the field."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _document(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
+    return _object(doc, "top level")
+
+
+def _require(doc: dict, key: str, context: str = ""):
     if key not in doc:
-        raise ScenarioError(f"{context}.{key}: missing required field")
+        field = f"{context}.{key}" if context else key
+        raise ScenarioError(f"{field}: missing required field")
     return doc[key]
 
 
 def _number(value, context: str, kind=float):
-    """``value`` converted by ``kind``; a JSON null, boolean, list, object
-    or unparsable string is an input error naming the field, and so is a
+    """``value`` as ``kind`` when it is a JSON number; a null, boolean,
+    string, list or object is an input error naming the field, and so is a
     fractional number when ``kind`` is ``int``."""
-    if kind is int and not _whole(value):
+    if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                        and not value.is_integer()):
         raise ScenarioError(f"{context}: expected an integer, got {value!r}")
     if isinstance(value, bool):
         raise ScenarioError(f"{context}: expected a number, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{context}: expected a number") from None
+        if isinstance(value, (int, float)):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise ScenarioError(f"{context}: expected a number")
+
+
+def _integers(value, context: str, size: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of ``size`` entries when given, as a tuple."""
+    items = _list(value, context)
+    if size is not None and len(items) != size:
+        raise ScenarioError(f"{context}: expected {size} entries, got {len(items)}")
+    return tuple(_number(v, f"{context}[{k}]", int) for k, v in enumerate(items))
+
+
+def _integer_lists(doc: dict, key: str, size: int | None = None) -> tuple:
+    """``_integers`` of each entry of the required list ``doc[key]``."""
+    return tuple(_integers(item, f"{key}[{k}]", size)
+                 for k, item in enumerate(_list(_require(doc, key), key)))
 
 
 def _as_pos(value, context: str):
@@ -87,9 +126,7 @@ def region_from_json(value) -> Region:
     if value == "unbounded" or value is None:
         return UNBOUNDED
     if isinstance(value, dict) and set(value) == {"ball"}:
-        spec = value["ball"]
-        if not isinstance(spec, dict):
-            raise ScenarioError("region.ball: expected an object")
+        spec = _object(value["ball"], "region.ball")
         center = _as_pos(_require(spec, "center", "region.ball"), "region.ball.center")
         radius = _number(_require(spec, "radius", "region.ball"), "region.ball.radius")
         try:
@@ -111,16 +148,11 @@ def _players(doc: dict, field: str, make) -> list:
     """``make(entry, context)`` for each entry of the list ``doc[field]``
     (none when absent); a non-list, a non-object entry or a ``ValueError``
     from ``make`` is an input error naming the field or the entry."""
-    items = doc.get(field, [])
-    if not isinstance(items, list):
-        raise ScenarioError(f"{field}: expected a list, got {items!r}")
     specs = []
-    for k, item in enumerate(items):
+    for k, item in enumerate(_list(doc.get(field, []), field)):
         context = f"{field}[{k}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{context}: expected an object")
         try:
-            specs.append(make(item, context))
+            specs.append(make(_object(item, context), context))
         except ScenarioError:
             raise
         except ValueError as exc:
@@ -129,13 +161,7 @@ def _players(doc: dict, field: str, make) -> list:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level: expected an object")
-
+    doc = _document(text)
     pursuers = _players(doc, "pursuers", lambda item, context: PursuerSpec(
         position=_as_pos(_require(item, "pos", context), f"{context}.pos"),
         speed=_number(_require(item, "speed", context), f"{context}.speed"),
@@ -181,6 +207,30 @@ def scenario_to_json(scenario: Scenario) -> str:
         "rematch_every": scenario.rematch_every,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def graph_to_json(graph: GameGraph) -> str:
+    doc = {
+        "coalitions": graph.coalitions,
+        "evaders": graph.evaders,
+        "edges": graph.edges,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def graph_from_json(text: str) -> GameGraph:
+    doc = _document(text)
+    return GameGraph(
+        coalitions=_integer_lists(doc, "coalitions"),
+        evaders=_integers(_require(doc, "evaders"), "evaders"),
+        edges=_integer_lists(doc, "edges", 2),
+    )
+
+
+def instance_from_json(text: str) -> ThreeDMInstance:
+    doc = _document(text)
+    return ThreeDMInstance(m=_number(_require(doc, "m"), "m", int),
+                           triples=_integer_lists(doc, "triples", 3))
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +328,7 @@ def cmd_match(args) -> int:
     if args.graph_file is not None:
         try:
             graph = graph_from_json(Path(args.graph_file).read_text())
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ScenarioError(f"--graph-file: {exc}") from exc
     else:
         scenario = _load_scenario(args.scenario)
@@ -342,17 +392,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_reduce3dm(args) -> int:
     try:
-        doc = json.loads(Path(args.instance).read_text())
-        if not isinstance(doc, dict):
-            raise ScenarioError("top level: expected an object")
-        instance = ThreeDMInstance(
-            m=_number(doc["m"], "m", int),
-            triples=tuple(
-                tuple(_number(v, f"triples[{i}]", int)
-                      for v in _json_list(t, f"triples[{i}]"))
-                for i, t in enumerate(_json_list(doc["triples"], "triples"))),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        instance = instance_from_json(Path(args.instance).read_text())
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"--instance: {exc}") from exc
     graph = reduce_3dm(instance)
     text = graph_to_json(graph)

@@ -48,7 +48,9 @@ ESCAPED = "escaped"
 
 
 class ScenarioError(ValueError):
-    """A scenario document violates the game-setup assumptions."""
+    """An input document is malformed: a scenario, a game graph or a
+    3-dimensional matching instance, or a scenario that violates the
+    game-setup assumptions."""
 
 
 @dataclass(frozen=True)
@@ -469,8 +471,7 @@ def run(scenario: Scenario) -> Trace:
 
 def random_scenario(seed: int, *, max_pursuers: int = 5, max_evaders: int = 5,
                     region: Region = UNBOUNDED, dt: float = 0.01,
-                    max_time: float = 8.0, matcher: str = "sma",
-                    policies=EVADER_POLICIES) -> Scenario:
+                    max_time: float = 8.0, matcher: str = "sma") -> Scenario:
     """Seeded random scenario satisfying the setup assumptions.
 
     Pursuers are strictly faster than every evader and players start well
@@ -505,7 +506,7 @@ def random_scenario(seed: int, *, max_pursuers: int = 5, max_evaders: int = 5,
             dt=dt,
             seed=seed,
             max_time=max_time,
-            evader_policies=tuple(rng.choice(policies) for _ in range(n_e)),
+            evader_policies=tuple(rng.choice(EVADER_POLICIES) for _ in range(n_e)),
             matcher=matcher,
         )
         try:

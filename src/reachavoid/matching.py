@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -625,53 +624,3 @@ def reduce_3dm(instance: ThreeDMInstance) -> GameGraph:
         evaders=tuple(range(m)),
         edges=tuple(edges),
     )
-
-
-# --------------------------------------------------------------------------
-# plain-document graph exchange, so matching runs without the geometry stack
-
-
-def graph_to_json(graph: GameGraph) -> str:
-    doc = {
-        "coalitions": graph.coalitions,
-        "evaders": graph.evaders,
-        "edges": graph.edges,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def _whole(value) -> bool:
-    """Whether ``int`` keeps a JSON value whole: false for a boolean or a
-    number with a fractional part, which it would silently truncate."""
-    return not (isinstance(value, bool)
-                or isinstance(value, float) and not value.is_integer())
-
-
-def _json_list(value, field: str) -> list:
-    """``value`` when it is a JSON list; anything else, a string included,
-    is a ValueError naming ``field``."""
-    if not isinstance(value, list):
-        raise ValueError(f"{field}: expected a list, got {value!r}")
-    return value
-
-
-def _json_integers(value, field: str) -> tuple[int | float, ...]:
-    """A JSON list of whole numbers as a tuple; a ValueError naming
-    ``field`` otherwise."""
-    for item in _json_list(value, field):
-        if not isinstance(item, (int, float)) or not _whole(item):
-            raise ValueError(f"{field}: expected integers, got {item!r}")
-    return tuple(value)
-
-
-def graph_from_json(text: str) -> GameGraph:
-    doc = json.loads(text)
-    try:
-        coalitions = tuple(_json_integers(c, f"coalitions[{i}]") for i, c in
-                           enumerate(_json_list(doc["coalitions"], "coalitions")))
-        evaders = _json_integers(doc["evaders"], "evaders")
-        edges = tuple(_json_integers(e, f"edges[{i}]") for i, e in
-                      enumerate(_json_list(doc["edges"], "edges")))
-        return GameGraph(coalitions=coalitions, evaders=evaders, edges=edges)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph document: {exc}") from exc

@@ -6,13 +6,13 @@ import pytest
 
 from reachavoid import UNBOUNDED, Ball, SolverFailure, random_scenario
 from reachavoid.cli import (
+    graph_to_json,
     main,
     scenario_from_json,
     scenario_to_json,
     trace_to_csv,
     trace_to_jsonl,
 )
-from reachavoid.matching import graph_to_json
 
 from test_matching import fig3_graph
 
@@ -177,12 +177,14 @@ ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
      "input error: pursuers: expected a list, got 'ab'\n"),
     ({"pursuers": ONE_PURSUER, "evaders": None},
      "input error: evaders: expected a list, got None\n"),
+    ({"pursuers": [{"pos": [0, 0, 1], "speed": "2.0"}], "evaders": []},
+     "input error: pursuers[0].speed: expected a number\n"),
 ], ids=["position", "missing-position", "top-level", "pursuer-entry",
         "evader-entry", "evader-speed", "null-speed", "null-component",
         "object-radius", "list-dt", "null-ball-radius", "text-seed",
         "fractional-rematch", "boolean-seed", "boolean-radius", "boolean-dt",
         "boolean-component", "number-pursuers", "null-pursuers",
-        "string-pursuers", "null-evaders"])
+        "string-pursuers", "null-evaders", "string-speed"])
 def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
     path = write(tmp_path, "bad.json", doc)
     assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2
@@ -208,7 +210,7 @@ def test_cmd_match_fractional_graph_file(tmp_path, capsys):
     path.write_text(json.dumps({"coalitions": [[0], [1]], "evaders": [0],
                                 "edges": [[1.9, 0]]}))
     assert main(["match", "--graph-file", str(path)]) == 2
-    assert "input error: --graph-file: edges[0]: expected integers, got 1.9" \
+    assert "input error: --graph-file: edges[0][0]: expected an integer, got 1.9" \
         in capsys.readouterr().err
 
 
@@ -409,7 +411,7 @@ def test_cmd_reduce3dm_fractional_instance(tmp_path, capsys):
     path = tmp_path / "fractional.json"
     path.write_text(json.dumps({"m": 2, "triples": [[0, 1.2, 0]]}))
     assert main(["reduce3dm", "--instance", str(path)]) == 2
-    assert "input error: --instance: triples[0]: expected an integer, got 1.2" \
+    assert "input error: --instance: triples[0][1]: expected an integer, got 1.2" \
         in capsys.readouterr().err
 
 
@@ -417,6 +419,9 @@ def test_cmd_reduce3dm_fractional_instance(tmp_path, capsys):
     ({"m": 2, "triples": ["010", "101"]}, "triples[0]: expected a list, got '010'"),
     ({"m": 2, "triples": 5}, "triples: expected a list, got 5"),
     ([{"m": 2, "triples": []}], "top level: expected an object"),
+    ({"m": 2, "triples": [[0, 1]]}, "triples[0]: expected 3 entries, got 2"),
+    ({"m": "2", "triples": [[0, 1, 0]]}, "m: expected a number"),
+    ({"m": 2, "triples": [["0", "1", "0"]]}, "triples[0][0]: expected a number"),
 ])
 def test_cmd_reduce3dm_malformed_instance(tmp_path, capsys, doc, message):
     path = tmp_path / "malformed.json"

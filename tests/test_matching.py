@@ -21,8 +21,6 @@ from reachavoid import (
     coalition_count,
     edges_conflict,
     exact_mbmc,
-    graph_from_json,
-    graph_to_json,
     is_conflict_free,
     max_bipartite_matching,
     reduce_3dm,
@@ -30,6 +28,7 @@ from reachavoid import (
     solve_interception,
 )
 from reachavoid import matching
+from reachavoid.cli import graph_from_json, graph_to_json
 from reachavoid.matching import EXACT_EDGE_GUARD, all_coalitions
 
 import oracles
@@ -459,11 +458,14 @@ def test_graph_json_round_trip():
     ({"coalitions": "0", "evaders": [0], "edges": []},
      "coalitions: expected a list, got '0'"),
     ({"coalitions": [["0"]], "evaders": [0], "edges": []},
-     "coalitions[0]: expected integers, got '0'"),
+     "coalitions[0][0]: expected a number"),
     ({"coalitions": [[0]], "evaders": "0", "edges": []},
      "evaders: expected a list, got '0'"),
     ({"coalitions": [[0]], "evaders": [0], "edges": [[0, "0"]]},
-     "edges[0]: expected integers, got '0'"),
+     "edges[0][1]: expected a number"),
+    ({"coalitions": [[0]], "evaders": [0], "edges": [[0]]},
+     "edges[0]: expected 2 entries, got 1"),
+    ([1], "top level: expected an object"),
 ])
 def test_graph_from_json_rejects_strings_for_integer_lists(doc, message):
     with pytest.raises(ValueError) as raised:
