@@ -22,15 +22,19 @@ settles it:
   keeps below the tie band shows that a larger coalition loses when every
   further member's potential holds there.  Each kept point gets, when it
   is kept, the bitmask of the undecided singles whose potentials hold at
-  it, so the test is a few integer operations;
+  it, so the test is a few integer operations, and a coalition it decides
+  costs no ray and no solve;
 - the ray witness: every body is convex and holds the evader, so the
   nearest of a coalition's boundaries along any ray from the evader is a
   point of its closure, and one below the tie band shows that the
   coalition loses.  A pair or triple tries the rays toward the points its
   losing subcoalitions kept.
 
-Only coalitions that no test decides, among them every one near the tie
-band, are solved.
+A pair or triple is examined only when all its proper subcoalitions lose.
+Each losing single ``i`` keeps the bitmask of the ``j > i`` whose pair
+``(i, j)`` loses, so a triple is admitted by its three pair bits.  Only
+coalitions that no test decides, among them every one near the tie band,
+are solved.
 """
 
 from __future__ import annotations
@@ -236,9 +240,11 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     (win or tie) while every proper subcoalition loses outright, so edges
     carry exactly the minimal winning coalitions.  Coalitions are examined
     by increasing size: a pair or triple is examined only when all its
-    proper subcoalitions lose.  A coalition is solved only when none of
-    three tests, tried in order, decides its kind.  Each evader's singles
-    get their ``_program`` constraints first, in pursuer order:
+    proper subcoalitions lose, which for a triple is one test of its three
+    sub-pairs' bits in per-single bitmasks of losing pairs.  A coalition is
+    solved only when none of three tests, tried in order, decides its kind.
+    Each evader's singles get their ``_program`` constraints first, in
+    pursuer order:
 
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
@@ -251,7 +257,7 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
       ball's hold.  When it is kept, it gets the bitmask of the undecided
       singles whose potentials hold there, and a pair or triple whose
       members' bits all lie in one point's mask loses, by
-      :func:`_kept_point`;
+      :func:`_kept_point`, with no ray built and no solve;
     - **ray witness**: every body is convex and holds the evader, so along
       a unit ray from the evader the nearest of the coalition's boundaries
       (the ball's sphere included), pulled in by 1e-9 of its distance, is a
@@ -328,17 +334,8 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             kept.append((mask, y))
 
         def loses(members: Coalition, rays) -> bool:
-            """Decide ``members`` by a kept point, else by a witness on one of
-            ``rays``, else solve it; keep its point when it loses, else
-            record its edge."""
-            if len(members) > 1:
-                want = 0
-                for i in members:
-                    want |= 1 << i
-                y = _kept_point(kept, want)
-                if y is not None:
-                    points[members] = y
-                    return True
+            """Decide ``members`` by a witness on one of ``rays``, else solve
+            it; keep its point when it loses, else record its edge."""
             group = [shaped[i] for i in members] + ball_entry
             for ray in rays:
                 y = _witness(group, ray)
@@ -382,14 +379,31 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             low = (q[0], q[1], q[2] + alpha * la.norm(q))
             if loses((i,), (la.scale(low, -1.0 / la.norm(low)),)):
                 losing_singles.append(i)
-        # Increasing indices, so combinations come in all_coalitions order.
+        # lost[i] holds the bits of the j > i whose pair (i, j) loses.  A
+        # pair or triple asks the kept points first, and builds its rays only
+        # when none covers it.  Increasing indices, so pairs and triples come
+        # in all_coalitions order.
+        lost = [0] * len(pursuers)
+        losing_pairs = []
         for i, j in itertools.combinations(losing_singles, 2):
-            loses((i, j), toward((i,), (j,)))
-        for members in itertools.combinations(losing_singles, 3):
-            pairs = list(itertools.combinations(members, 2))
-            if all(pair in points for pair in pairs):
-                i, j, k = members
-                loses(members, toward((i,), (j,), (k,), *pairs))
+            y = _kept_point(kept, 1 << i | 1 << j)
+            if y is not None:
+                points[i, j] = y
+            elif not loses((i, j), toward((i,), (j,))):
+                continue
+            lost[i] |= 1 << j
+            losing_pairs.append((i, j))
+        # A triple (i, j, k) is examined only when its three pairs lose, so k
+        # is a bit of both lost[i] and lost[j].
+        for i, j in losing_pairs:
+            common = lost[i] & lost[j]
+            while common:
+                bit = common & -common
+                common ^= bit
+                if _kept_point(kept, 1 << i | 1 << j | bit) is None:
+                    k = bit.bit_length() - 1
+                    loses((i, j, k),
+                          toward((i,), (j,), (k,), (i, j), (i, k), (j, k)))
     graph = GameGraph._trusted(coalitions, evader_ids, tuple(sorted(set(edges))))
     return graph, results
 
