@@ -17,21 +17,14 @@ from .geometry import (
     AssumptionViolation,
     CapturedConfigurationError,
     EvaderSpec,
-    PolarFrame,
     PursuerSpec,
     SingularPointError,
-    boundary_point,
-    boundary_radius,
-    cross_section_curvature,
-    in_closure,
-    polar_direction,
     potential,
     potential_gradient,
     speed_ratio,
 )
 from .interception import (
     Ball,
-    CoplanarConfigurationError,
     GameKind,
     InterceptionResult,
     Region,
@@ -40,9 +33,7 @@ from .interception import (
     Unbounded,
     classify_kind,
     classify_result,
-    reduce_coalition,
     solve_interception,
-    triple_candidates,
     validate_coalition,
 )
 from .matching import (

@@ -10,8 +10,7 @@ is positive exactly on the points the evader reaches strictly before the
 pursuer can place it inside the capture sphere.  For ``alpha > 1`` the
 closure ``{f >= 0}`` is a compact, strictly convex body around the evader;
 its boundary has an explicit radial description in polar coordinates
-centred on the evader, which this module exposes together with curvature
-checks of planar cross-sections.
+centred on the evader.
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ from dataclasses import dataclass
 
 from . import _linalg as la
 from ._linalg import Vec
-
-# Membership in the closed evasion space tolerates this much rounding below
-# zero so that exact boundary points classify as inside.
-CLOSURE_TOLERANCE = 1e-12
-
 
 class AssumptionViolation(ValueError):
     """A game-setup assumption (speed ratio, initial deployment) fails."""
@@ -71,28 +65,6 @@ class EvaderSpec:
         object.__setattr__(self, "speed", float(self.speed))
         if not 0.0 < self.speed < math.inf:
             raise ValueError(f"evader speed must be finite and > 0, got {self.speed}")
-
-
-@dataclass(frozen=True)
-class PolarFrame:
-    """Polar coordinates centred on the evader with initial rotations.
-
-    ``theta`` rotates about the positive x-axis direction in the x-y plane,
-    ``psi`` lifts out of the x-y plane; ``theta0``/``psi0`` are fixed offsets.
-    """
-
-    origin: Vec
-    theta0: float = 0.0
-    psi0: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", la.as_vec(self.origin))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        object.__setattr__(self, "psi0", float(self.psi0))
-        if not 0.0 <= self.theta0 <= math.pi:
-            raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
-        if not 0.0 <= self.psi0 <= 2.0 * math.pi:
-            raise ValueError(f"psi0 must lie in [0, 2*pi], got {self.psi0}")
 
 
 def speed_ratio(pursuer: PursuerSpec, evader: EvaderSpec) -> float:
@@ -207,23 +179,6 @@ def potential_gradient(pursuer: PursuerSpec, evader: EvaderSpec, x) -> Vec:
     return grad
 
 
-def _radial_terms(pursuer: PursuerSpec, evader: EvaderSpec,
-                  direction: Vec) -> tuple[float, float, float, float]:
-    """``(h1, ar, a2m1, const)`` of the radial boundary description along
-    ``direction``; see :func:`radial_derivatives`."""
-    separation = _check_not_captured(pursuer, evader)
-    alpha = speed_ratio(pursuer, evader)
-    if alpha <= 1.0:
-        raise AssumptionViolation(
-            f"boundary radius requires speed ratio > 1, got alpha={alpha}"
-        )
-    r = pursuer.capture_radius
-    h1 = la.dot(la.sub(evader.position, pursuer.position), direction) - alpha * r
-    # Factored, alpha^2 - 1 keeps its digits for barely faster pursuers.
-    a2m1 = (alpha - 1.0) * (alpha + 1.0)
-    return h1, alpha * r, a2m1, a2m1 * (separation * separation - r * r)
-
-
 def radial_derivatives(h1: float, h1_d: float, ar: float, a2m1: float,
                        const: float) -> tuple[float, float, float]:
     """Boundary radius ``rho`` and its first two angle derivatives.
@@ -249,87 +204,3 @@ def radial_derivatives(h1: float, h1_d: float, ar: float, a2m1: float,
     rho_d = rho * h1_d / h2
     rho_dd = (rho * h1_dd + span * h1_d * h1_d / (h2 * h2)) / h2
     return rho, rho_d, rho_dd
-
-
-def boundary_radius(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> float:
-    """Distance from the evader to its evasion-space boundary along ``direction``.
-
-    ``direction`` must be a unit vector.  The returned radius is finite and
-    strictly positive, and the boundary point ``x_E + rho * direction`` has
-    zero potential.
-    """
-    e = la.as_vec(direction)
-    if abs(la.norm(e) - 1.0) > 1e-12:
-        raise ValueError(f"direction must be a unit vector, got norm {la.norm(e)}")
-    h1, ar, a2m1, const = _radial_terms(pursuer, evader, e)
-    return radial_derivatives(h1, 0.0, ar, a2m1, const)[0]
-
-
-def boundary_point(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> Vec:
-    """Boundary point of the evasion space along a unit ``direction``."""
-    e = la.as_vec(direction)
-    rho = boundary_radius(pursuer, evader, e)
-    return la.add(evader.position, la.scale(e, rho))
-
-
-def in_closure(coalition, evader: EvaderSpec, pursuers, x) -> bool:
-    """Whether ``x`` lies in the closed evasion space against a coalition.
-
-    The coalition is a collection of indices into ``pursuers``; the closed
-    space is the intersection of the per-pursuer closures, so membership
-    requires every potential to be >= -CLOSURE_TOLERANCE.
-    """
-    members = tuple(coalition)
-    if not members:
-        raise ValueError("coalition must contain at least one pursuer index")
-    point = la.as_vec(x)
-    return all(
-        potential(pursuers[i], evader, point) >= -CLOSURE_TOLERANCE for i in members
-    )
-
-
-def polar_direction(frame: PolarFrame, theta: float, psi: float) -> Vec:
-    """Unit direction for angles ``(theta, psi)`` in the frame's rotated polar
-    coordinates."""
-    t = theta + frame.theta0
-    p = psi + frame.psi0
-    return (
-        math.cos(p) * math.cos(t),
-        math.cos(p) * math.sin(t),
-        math.sin(p),
-    )
-
-
-def _rho_derivatives(pursuer: PursuerSpec, evader: EvaderSpec, frame: PolarFrame,
-                     theta: float, psi: float) -> tuple[float, float, float]:
-    """Radial boundary function and its first two psi-derivatives at fixed theta."""
-    t = theta + frame.theta0
-    p = psi + frame.psi0
-    cos_p, sin_p = math.cos(p), math.sin(p)
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    e: Vec = (cos_p * cos_t, cos_p * sin_t, sin_p)
-    de: Vec = (-sin_p * cos_t, -sin_p * sin_t, cos_p)
-
-    h1, ar, a2m1, const = _radial_terms(pursuer, evader, e)
-    offset = la.sub(evader.position, pursuer.position)
-    return radial_derivatives(h1, la.dot(offset, de), ar, a2m1, const)
-
-
-def cross_section_curvature(pursuer: PursuerSpec, evader: EvaderSpec,
-                            frame: PolarFrame, theta: float, psi: float) -> float:
-    """Curvature of the planar boundary cross-section at angle ``psi``.
-
-    Fixing ``theta`` selects a plane through the evader; the boundary traces
-    a closed curve ``rho(psi)`` in that plane whose curvature is
-
-        kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2),
-
-    with ``rho`` and its derivatives from the radial formula, differentiated
-    exactly.  Strict convexity of the evasion space makes the result
-    positive everywhere.
-    """
-    if la.dist(frame.origin, evader.position) > 1e-9:
-        raise ValueError("frame origin must coincide with the evader position")
-    rho, rho_d, rho_dd = _rho_derivatives(pursuer, evader, frame, theta, psi)
-    numerator = rho * rho + 2.0 * rho_d * rho_d - rho * rho_dd
-    return numerator / (rho * rho + rho_d * rho_d) ** 1.5

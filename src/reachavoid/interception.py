@@ -66,10 +66,7 @@ order below changes only the cost:
   constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
 
 The module also classifies the winner of the single-evader game from the
-sign of the optimal altitude, reduces coalitions to the (at most three)
-members that pin down the interception point, and cross-checks
-three-pursuer solutions against the quartic equation satisfied by triple
-boundary intersections.
+sign of the optimal altitude.
 """
 
 from __future__ import annotations
@@ -114,10 +111,6 @@ class SolverFailure(RuntimeError):
 
     #: The game up to the failing frame, when raised by ``engine.run``.
     partial_trace: Trace | None = None
-
-
-class CoplanarConfigurationError(ValueError):
-    """Triple-intersection candidates need a non-coplanar configuration."""
 
 
 class GameKind(enum.Enum):
@@ -1015,74 +1008,6 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
         raise SolverFailure("no KKT certificate at a direct candidate or "
                             "a polished point")
     return _result(members, evader.position, group, *found)
-
-
-def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
-    """All common points of three evasion-space boundaries.
-
-    Eliminating the radial coordinate from the three boundary equations
-    leaves a quartic in the distance rho from the evader, so there are at
-    most four candidates.  Requires the evader and the three pursuers to be
-    non-coplanar; coplanar configurations raise
-    :class:`CoplanarConfigurationError` and are handled by coalition
-    reduction instead.
-    """
-    members = validate_coalition(coalition, len(pursuers))
-    if len(members) != 3:
-        raise ValueError("triple candidates require a coalition of exactly 3")
-    group = _program(members, evader, pursuers, UNBOUNDED)
-    points = _triple_points(*(_member_form(c.key) for c in group))
-    if points is None:
-        raise CoplanarConfigurationError(
-            "evader and pursuers are coplanar; boundary intersections are "
-            "not isolated points"
-        )
-    unique: list[Vec] = []
-    for y in points:
-        if max(abs(c.value(y)) for c in group) > 1e-7:
-            continue
-        point = la.add(evader.position, y)
-        if all(la.dist(point, other) > 1e-8 for other in unique):
-            unique.append(point)
-    return unique
-
-
-def reduce_coalition(coalition, evader: EvaderSpec, pursuers,
-                     region: Region = UNBOUNDED) -> Coalition:
-    """Smallest subcoalition that pins down the same interception point.
-
-    Inactive members are redundant by complementary slackness; when the
-    active gradients are linearly dependent a dependent member can also be
-    dropped (highest index first), re-solving to confirm the point is
-    unchanged.  At most three members ever remain.
-    """
-    members = validate_coalition(coalition, len(pursuers), max_size=None)
-    result = solve_interception(members, evader, pursuers, region)
-    current = members
-    for _ in range(len(members) + 1):
-        active = result.active_set
-        if not active:
-            # Only the region constraint binds; any single member certifies
-            # the same point.  Keep the lowest index.
-            return (current[0],)
-        y = la.sub(result.point, evader.position)
-        grads = [c.grad_hess(y, hessian=False)[1]
-                 for c in _program(active, evader, pursuers, UNBOUNDED)]
-        if len(grads) <= 3 and _unique_multipliers(grads) is not None:
-            return tuple(active)
-        dropped = False
-        for drop in sorted(active, reverse=True):
-            trial = tuple(i for i in active if i != drop)
-            if not trial:
-                continue
-            trial_result = solve_interception(trial, evader, pursuers, region)
-            if la.dist(trial_result.point, result.point) <= 1e-7:
-                current, result = trial, trial_result
-                dropped = True
-                break
-        if not dropped:
-            return tuple(active)
-    return tuple(result.active_set)
 
 
 def classify_kind(coalition, evader: EvaderSpec, pursuers,

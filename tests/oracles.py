@@ -21,14 +21,13 @@ from reachavoid import (
     UNBOUNDED,
     EvaderSpec,
     InterceptionResult,
-    PolarFrame,
     PursuerSpec,
     ThreeDMInstance,
-    boundary_radius,
-    polar_direction,
     potential,
 )
 from reachavoid import interception
+
+from lemmas import PolarFrame, boundary_radius, polar_direction
 
 
 def bisect_boundary(pursuer: PursuerSpec, evader: EvaderSpec, direction) -> float:

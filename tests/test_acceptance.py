@@ -12,28 +12,31 @@ import numpy as np
 from reachavoid import (
     EvaderSpec,
     GameKind,
-    PolarFrame,
     PursuerSpec,
     ThreeDMInstance,
-    boundary_point,
     classify_kind,
-    cross_section_curvature,
     exact_mbmc,
     potential,
     random_scenario,
     reduce_3dm,
-    reduce_coalition,
     run,
     sequential_matching,
     solve_interception,
-    triple_candidates,
 )
 from reachavoid.cli import trace_to_jsonl
-from reachavoid.interception import UNBOUNDED, CoplanarConfigurationError
+from reachavoid.interception import UNBOUNDED
 
 import minisim
 import oracles
 from barrier import barrier_reference
+from lemmas import (
+    CoplanarConfigurationError,
+    PolarFrame,
+    boundary_point,
+    cross_section_curvature,
+    reduce_coalition,
+    triple_candidates,
+)
 from test_matching import fig3_graph, random_graph
 
 

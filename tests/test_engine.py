@@ -495,7 +495,8 @@ def test_game_path_does_not_load_numpy():
         import sys
 
         from reachavoid import (EvaderSpec, PursuerSpec, Scenario,
-                                interception, run, triple_candidates)
+                                interception, run)
+        from lemmas import triple_candidates
 
         kernel = interception._triple_points
         calls = []
@@ -534,8 +535,10 @@ def test_game_path_does_not_load_numpy():
         assert triple_candidates((0, 1, 2), evader, ring)
         print(game_calls, "numpy" in sys.modules)
     """)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # The package and tests/lemmas.py, which imports nothing but the package.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(tests.parent / "src"), str(tests))))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     game_calls, numpy_loaded = done.stdout.split()

@@ -9,20 +9,22 @@ from reachavoid import (
     AssumptionViolation,
     CapturedConfigurationError,
     EvaderSpec,
-    PolarFrame,
     PursuerSpec,
     SingularPointError,
-    boundary_point,
-    boundary_radius,
-    cross_section_curvature,
-    in_closure,
-    polar_direction,
     potential,
     potential_gradient,
     speed_ratio,
 )
 
 import oracles
+from lemmas import (
+    PolarFrame,
+    boundary_point,
+    boundary_radius,
+    cross_section_curvature,
+    in_closure,
+    polar_direction,
+)
 
 P_AXIS = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.0)
 P_AXIS_R = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.5)

@@ -7,22 +7,24 @@ import pytest
 from reachavoid import (
     AssumptionViolation,
     Ball,
-    CoplanarConfigurationError,
     EvaderSpec,
     GameKind,
     PursuerSpec,
     classify_kind,
     classify_result,
     potential,
-    reduce_coalition,
     solve_interception,
-    triple_candidates,
     validate_coalition,
 )
 from reachavoid.interception import UNBOUNDED, _gram_multipliers
 
 import oracles
 from barrier import barrier_reference
+from lemmas import (
+    CoplanarConfigurationError,
+    reduce_coalition,
+    triple_candidates,
+)
 
 P_AXIS = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.0)
 P_AXIS_R = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.5)

@@ -26,13 +26,12 @@ from reachavoid import (
     Ball,
     EvaderSpec,
     PursuerSpec,
-    cross_section_curvature,
-    in_closure,
     solve_interception,
 )
 from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
 
+import lemmas
 import oracles
 from barrier import barrier_reference
 from test_degenerate import corpus as degenerate_corpus
@@ -339,7 +338,7 @@ def test_barely_faster_far_low_point_lies_in_closure():
     # potential, so in_closure holds at the certified point; the difference
     # of the two distances read -3.6e-12 there, below -CLOSURE_TOLERANCE.
     result = solve_interception((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER])
-    assert in_closure((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER], result.point)
+    assert lemmas.in_closure((0,), FAR_LOW_EVADER, [FAR_LOW_PURSUER], result.point)
 
 
 def test_second_active_member_certifies_directly(calls):
@@ -541,13 +540,26 @@ def test_reference_shares_no_kernel_with_the_default_solve(monkeypatch):
         assert math.dist(slow.point, fast.point) <= AGREEMENT, case
 
 
+#: The paper-lemma instruments, which only the tests run (tests/lemmas.py).
+LEMMA_NAMES = ("PolarFrame", "_radial_terms", "boundary_radius",
+               "boundary_point", "in_closure", "CLOSURE_TOLERANCE",
+               "polar_direction", "_rho_derivatives", "cross_section_curvature",
+               "CoplanarConfigurationError", "triple_candidates",
+               "reduce_coalition")
+
+
 def test_package_keeps_no_test_reference():
-    # The barrier reference and the finite-difference curvature live in the
-    # tests (barrier.py, oracles.fd_curvature), not in the package.
+    # The barrier reference, the finite-difference curvature and the
+    # paper-lemma instruments live in the tests (barrier.py,
+    # oracles.fd_curvature, lemmas.py), not in the package.
     modules = [reachavoid] + [
         importlib.import_module(f"reachavoid.{info.name}")
         for info in pkgutil.iter_modules(reachavoid.__path__)]
     for module in modules:
         names = [name for name in vars(module) if "barrier" in name.lower()]
         assert names == [], (module.__name__, names)
-    assert "method" not in inspect.signature(cross_section_curvature).parameters
+        names = [name for name in LEMMA_NAMES if name in vars(module)]
+        assert names == [], (module.__name__, names)
+    assert all(hasattr(lemmas, name) for name in LEMMA_NAMES)
+    assert "method" not in inspect.signature(
+        lemmas.cross_section_curvature).parameters
