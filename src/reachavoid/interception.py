@@ -46,9 +46,11 @@ order below changes only the cost:
   evader-pursuer axis), seeded at the lowest point of the Apollonius
   sphere, which is exact when r = 0, and bracketed by the lower half of the
   section circle; the ball's lowest point is explicit.
-  This is the common case.  A lone member in the unbounded region, the
-  engine's per-frame re-solve, is certified in closed form: one multiplier
-  ``min(-g_z / |g|^2, 0)``, one stationarity and one slackness residual.
+  This is the common case.  A lone member, the engine's per-frame
+  re-solve, is certified at its own lowest point in closed form: one
+  multiplier ``min(-g_z / |g|^2, 0)``, one stationarity and one slackness
+  residual; in the ball region the ball must also hold strictly there.
+  When the ball binds, the member and the ball take the tries below.
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
   two spheres obtained by dropping l (exact for r = 0 and for the ball).
@@ -726,8 +728,8 @@ def _unique_multipliers(grads) -> list[float] | None:
 def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     """Certify ``y`` as the minimizer with exactly the constraints at the
     increasing positions ``active`` of ``group`` binding; every path but
-    :func:`_lone`, which is this written out for one member, certifies
-    only through this.
+    :func:`_lone`, which is this written out for one active member and the
+    ball, if any, inactive, certifies only through this.
 
     The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
     boundary and every other one strictly beyond it; the multipliers come
@@ -764,20 +766,23 @@ def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     return active, multipliers, stationarity, slack
 
 
-def _lone(con: _Constraint):
-    """The minimizer of a lone member in the unbounded region, certified in
-    closed form at the member's own lowest point, as :func:`_direct`
-    returns it, or None.
+def _lone(con: _Constraint, ball: _Constraint | None = None):
+    """The minimizer of a lone member, with the ball's constraint when the
+    region is bounded, certified in closed form at the member's own lowest
+    point, as :func:`_direct` returns it, or None.
 
-    This is :func:`_certify` for one active member and no other constraint,
-    with the same arithmetic in the same order: ``|f|`` within
-    ``ACTIVE_TOLERANCE``, the multiplier of :func:`_lone_multiplier`, then
-    stationarity and slackness within ``KKT_TOLERANCE``.  Every test fails
-    on NaN.
+    This is :func:`_certify` for the member active and the ball, if any,
+    inactive, with the same arithmetic in the same order: ``|f|`` within
+    ``ACTIVE_TOLERANCE``, ``g`` strictly beyond it, the multiplier of
+    :func:`_lone_multiplier`, then stationarity and slackness within
+    ``KKT_TOLERANCE``.  Every test fails on NaN.  A point where the ball
+    binds is left to :func:`_direct`.
     """
     y = con.lowest()
     value, (g0, g1, g2), _ = _f_grad_hess(con.key, y, hessian=False)
     if not abs(value) <= ACTIVE_TOLERANCE:
+        return None
+    if ball is not None and not _ball_g(ball.key, y) > ACTIVE_TOLERANCE:
         return None
     lam = _lone_multiplier(g0, g1, g2)
     r0 = lam * g0
@@ -1002,8 +1007,13 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
-    found = ((_lone(group[0]) if len(group) == 1 else _direct(group))
-             or _polished(group))
+    found = _lone(*group) if len(members) == 1 else None
+    if found is None and len(group) > 1:
+        # A lone member's lowest point is cached, so _direct and the polish
+        # do not search it again.
+        found = _direct(group)
+    if found is None:
+        found = _polished(group)
     if found is None:
         raise SolverFailure("no KKT certificate at a direct candidate or "
                             "a polished point")

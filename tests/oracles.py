@@ -1,13 +1,27 @@
 """Independent verification helpers for the test suite.
 
-Everything here deliberately avoids the library's solution paths: boundary
-radii come from scalar bisection of the potential along a ray, curvatures
-from central differences of the boundary radius, minimum altitudes from
-dense direction grids with local refinement, optimal matchings from full
-subset enumeration, and 3-dimensional matchings from backtracking search.
-The one exception is :func:`lone_reference`, the package's generic
-certificate written out for a lone member, against which its closed form
-must agree bit for bit.
+Everything here avoids the library's solution paths: curvatures come from
+central differences of the boundary radius, minimum altitudes from dense
+direction grids with local refinement, optimal matchings from full subset
+enumeration, and 3-dimensional matchings from backtracking search.
+:func:`bisect_boundary` finds a boundary radius by scalar bisection of the
+potential along a ray, but only the geometry tests use it.
+
+Two exceptions share code with the package:
+
+- :func:`grid_min_altitude` and :func:`boundary_spread` (acceptance
+  criteria 2 and 5) read every boundary radius from
+  ``lemmas.boundary_radius``, that is from the package's
+  ``geometry.radial_derivatives``, the formula the single solve searches.
+  A wrong radial formula would move these oracles and the solve together.
+  Only the checks of that formula in ``tests/test_geometry.py`` would
+  catch it: ``test_boundary_radius_axis_fixtures`` against
+  :func:`bisect_boundary`, ``test_boundary_consistency_random_directions``
+  on the potential at the boundary point, and
+  ``test_boundary_radius_toward_barely_faster_pursuer_keeps_its_digits``
+  against a 60-digit evaluation.
+- :func:`lone_reference` is the package's generic certificate written out
+  for a lone member, against which its closed form must agree bit for bit.
 """
 
 from __future__ import annotations

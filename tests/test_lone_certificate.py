@@ -1,10 +1,12 @@
-"""The closed-form certificate of a lone member in the unbounded region.
+"""The closed-form certificate of a lone member, in either region.
 
-A one-pursuer solve without the ball, the engine's per-frame re-solve of
-an adopted single, certifies the member's own lowest point with one
-multiplier and one stationarity and slackness residual instead of the
-generic certificate.  It must return what the generic certificate returns,
-bit for bit, and hand a point it cannot certify to the KKT polish.
+A one-pursuer solve, the engine's per-frame re-solve of an adopted single,
+certifies the member's own lowest point with one multiplier and one
+stationarity and slackness residual instead of the generic certificate; in
+the ball region the ball must also hold strictly there, else the solve
+takes the generic ordered tries.  It must return what the generic
+certificate returns, bit for bit, and hand a point it cannot certify to
+the KKT polish.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ from collections import Counter
 
 import pytest
 
-from reachavoid import Ball, EvaderSpec, PursuerSpec, solve_interception
+from reachavoid import (
+    Ball,
+    EvaderSpec,
+    PursuerSpec,
+    random_scenario,
+    solve_interception,
+)
 from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, SolverFailure
 
 import oracles
+import test_degenerate
 
 REGIMES = ("generic", "barely-faster", "grazing", "vertical")
 
@@ -51,12 +60,78 @@ def test_lone_solve_skips_the_generic_certificate(calls):
     assert calls == Counter(_solve_single=1, _f_grad_hess=1)
 
 
-def test_lone_member_with_the_ball_keeps_the_ordered_tries(calls):
+def test_lone_member_inside_the_ball_skips_the_generic_certificate(calls):
     evader = EvaderSpec((0.0, 0.0, 1.0), 1.0)
     pursuer = PursuerSpec((0.5, 0.0, 1.5), 2.0, 0.1)
-    solve_interception((0,), evader, [pursuer], Ball((0.0, 0.0, 1.0), 4.0))
+    result = solve_interception((0,), evader, [pursuer],
+                                Ball((0.0, 0.0, 1.0), 4.0))
+    assert result.active_set == (0,) and not result.region_active
+    assert calls == Counter(_solve_single=1, _f_grad_hess=1)
+
+
+def test_lone_member_with_a_binding_ball_takes_the_ordered_tries(calls):
+    evader = EvaderSpec((0.0, 0.0, 1.0), 1.0)
+    pursuer = PursuerSpec((0.5, 0.0, 1.5), 1.2, 0.1)
+    result = solve_interception((0,), evader, [pursuer],
+                                Ball(evader.position, 1.2))
+    assert result.region_active
     assert calls["_direct"] == 1
-    assert calls["_certify"] >= 1
+    # _direct reads the member's lowest point that the lone test found.
+    assert calls["_solve_single"] == 1
+
+
+def _ball_pairs(radius: float):
+    """Every (pursuer, evader) pair of ``random_scenario(0…39)`` whose
+    players both lie within 0.9 ``radius`` of their midpoint, with a ball
+    of ``radius`` centred there; the pair is moved vertically so that the
+    centre sits ``radius / 2`` above the exit plane."""
+    for seed in range(40):
+        scenario = random_scenario(seed)
+        for evader in scenario.evaders:
+            for pursuer in scenario.pursuers:
+                mid = [0.5 * (a + b) for a, b in
+                       zip(pursuer.position, evader.position)]
+                if math.dist(mid, evader.position) >= 0.9 * radius:
+                    continue
+                drop = mid[2] - 0.5 * radius
+                px, py, pz = pursuer.position
+                ex, ey, ez = evader.position
+                yield (PursuerSpec((px, py, pz - drop), pursuer.speed,
+                                   pursuer.capture_radius),
+                       EvaderSpec((ex, ey, ez - drop), evader.speed),
+                       Ball((mid[0], mid[1], 0.5 * radius), radius))
+
+
+def _lone_ball_corpus():
+    for regime in ("ball-boundary", "ball-coaxial"):
+        rng = random.Random(f"lone-{regime}")
+        for _ in range(150):
+            _, evader, pursuers, region = test_degenerate.draw(rng, regime, 1)
+            yield pursuers[0], evader, region
+    for radius in (4.5, 2.0, 1.2):
+        yield from _ball_pairs(radius)
+
+
+def test_lone_ball_certificate_matches_the_generic_one_bit_for_bit():
+    paths = Counter()
+    for pursuer, evader, region in _lone_ball_corpus():
+        group = interception._program((0,), evader, [pursuer], region)
+        found = interception._direct(group) or interception._polished(group)
+        if found is None:
+            with pytest.raises(SolverFailure):
+                solve_interception((0,), evader, [pursuer], region)
+            paths["failed"] += 1
+            continue
+        reference = interception._result((0,), evader.position, group, *found)
+        result = solve_interception((0,), evader, [pursuer], region)
+        # repr also tells 0.0 from -0.0.
+        assert repr(result) == repr(reference), (pursuer, evader, region)
+        fresh = interception._program((0,), evader, [pursuer], region)
+        if interception._lone(*fresh) is not None:
+            paths["lone"] += 1
+        elif result.region_active:
+            paths["binding ball"] += 1
+    assert paths["lone"] >= 100 and paths["binding ball"] >= 100, paths
 
 
 def test_lone_certificate_matches_the_generic_one_bit_for_bit():
