@@ -38,7 +38,12 @@ from .matching import (
     exact_mbmc,
     sequential_matching,
 )
-from .strategy import HOLD, evader_optimal_heading, pursuer_heading
+from .strategy import (
+    _DEGENERATE_DISTANCE,
+    HOLD,
+    evader_optimal_heading,
+    pursuer_heading,
+)
 
 EVADER_POLICIES = ("straight", "optimal", "random-walk")
 
@@ -184,7 +189,7 @@ def _step(positions: list[Vec], headings: list[Vec], speeds, dt: float) -> list[
     out: list[Vec] = []
     for p, h, speed in zip(positions, headings, speeds, strict=True):
         n = la.norm(h)
-        if n <= 1e-12:
+        if n <= _DEGENERATE_DISTANCE:
             out.append(p)
             continue
         if abs(n - 1.0) > 1e-9:

@@ -45,12 +45,11 @@ order below changes only the cost:
   Newton search over one angle (the body is one of revolution about the
   evader-pursuer axis), seeded at the lowest point of the Apollonius
   sphere, which is exact when r = 0, and bracketed by the lower half of the
-  section circle; the ball's lowest point is explicit.
-  This is the common case.  A lone member, the engine's per-frame
-  re-solve, is certified at its own lowest point in closed form: one
-  multiplier ``min(-g_z / |g|^2, 0)``, one stationarity and one slackness
-  residual; in the ball region the ball must also hold strictly there.
-  When the ball binds, the member and the ball take the tries below.
+  section circle; the ball's lowest point is explicit.  Only the highest
+  of these can have its constraint active alone, and it is certified in
+  closed form: one multiplier ``min(-g_z / |g|^2, 0)``, one stationarity
+  and one slackness residual, every other constraint strictly holding.
+  This is the common case: the engine re-solves its adopted singles.
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
   two spheres obtained by dropping l (exact for r = 0 and for the ball).
@@ -255,7 +254,7 @@ class _Constraint:
                 self.y = (centre[0], centre[1], centre[2] - radius)
         return self.y
 
-    def shape(self) -> None:
+    def shape(self) -> _Form:
         if self.form is None:
             form = self.form = (_member_form(self.key) if self.member
                                 else _ball_form(self.key))
@@ -263,6 +262,7 @@ class _Constraint:
             radius = math.sqrt(radius2)
             self.low_z = centre[2] - radius
             self.low_err = 1e-12 * (la.norm(centre) + radius)
+        return self.form
 
 
 def _outside(ball: Ball, position: Vec) -> bool:
@@ -728,8 +728,8 @@ def _unique_multipliers(grads) -> list[float] | None:
 def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     """Certify ``y`` as the minimizer with exactly the constraints at the
     increasing positions ``active`` of ``group`` binding; every path but
-    :func:`_lone`, which is this written out for one active member and the
-    ball, if any, inactive, certifies only through this.
+    :func:`_lone`, which is this written out for one active constraint,
+    certifies only through this.
 
     The active constraints must lie within ``ACTIVE_TOLERANCE`` of their
     boundary and every other one strictly beyond it; the multipliers come
@@ -766,24 +766,32 @@ def _certify(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     return active, multipliers, stationarity, slack
 
 
-def _lone(con: _Constraint, ball: _Constraint | None = None):
-    """The minimizer of a lone member, with the ball's constraint when the
-    region is bounded, certified in closed form at the member's own lowest
-    point, as :func:`_direct` returns it, or None.
+def _lone(group: list[_Constraint]):
+    """The minimizer with one constraint active, as :func:`_direct` returns
+    it, or None: that constraint's own lowest point, with every other one
+    strictly holding there, so the highest of the group's own lowest points.
 
-    This is :func:`_certify` for the member active and the ball, if any,
-    inactive, with the same arithmetic in the same order: ``|f|`` within
-    ``ACTIVE_TOLERANCE``, ``g`` strictly beyond it, the multiplier of
-    :func:`_lone_multiplier`, then stationarity and slackness within
-    ``KKT_TOLERANCE``.  Every test fails on NaN.  A point where the ball
-    binds is left to :func:`_direct`.
+    Only that point is tried, by :func:`_certify` written out for one
+    active constraint with the same arithmetic in the same order: its value
+    within ``ACTIVE_TOLERANCE``, every other one strictly beyond it, the
+    multiplier of :func:`_lone_multiplier`, then stationarity and slackness
+    within ``KKT_TOLERANCE``.  Every test fails on NaN.
     """
-    y = con.lowest()
-    value, (g0, g1, g2), _ = _f_grad_hess(con.key, y, hessian=False)
+    con = group[0]
+    for c in group:
+        # The first pass finds group[0]'s point before con.y is read.
+        if c.lowest()[2] > con.y[2]:
+            con = c
+    y = con.y
+    value, (g0, g1, g2), _ = (_f_grad_hess(con.key, y, False) if con.member
+                              else con.grad_hess(y, False))
     if not abs(value) <= ACTIVE_TOLERANCE:
         return None
-    if ball is not None and not _ball_g(ball.key, y) > ACTIVE_TOLERANCE:
-        return None
+    for c in group:
+        # Inline rather than c.value(y): the call costs as much as the test.
+        if c is not con and not ((_f_original(c.key, y) if c.member
+                                  else _ball_g(c.key, y)) > ACTIVE_TOLERANCE):
+            return None
     lam = _lone_multiplier(g0, g1, g2)
     r0 = lam * g0
     r1 = lam * g1
@@ -792,39 +800,27 @@ def _lone(con: _Constraint, ball: _Constraint | None = None):
     slack = abs(lam * value)
     if not (stationarity <= KKT_TOLERANCE and slack <= KKT_TOLERANCE):
         return None
-    return y, (0,), [lam], stationarity, slack
+    return y, (group.index(con),), [lam], stationarity, slack
 
 
 def _direct(group: list[_Constraint]):
-    """The minimizer of two or more constraints certified directly from one
-    to three active ones, as ``(y, active, multipliers, stationarity,
-    slackness)`` (see :func:`_certify`), or None.
+    """The minimizer certified directly from two or three active
+    constraints, as ``(y, active, multipliers, stationarity, slackness)``
+    (see :func:`_certify`), or None.
 
-    Tries each constraint's own lowest point (likely highest first), then
-    pairs of members, then a member with the ball, then triples (lowest
-    candidate first).  A certified KKT point of this strictly convex
-    program is its unique minimizer, so the order only affects cost.
+    Tries pairs of members, then a member with the ball, then triples
+    (lowest candidate first); :func:`_lone` has tried one active
+    constraint.  A certified KKT point of this strictly convex program is
+    its unique minimizer, so the order only affects cost.
     """
     count = len(group)
-    for c in group:
-        c.shape()
-    # A single-active minimizer is the highest of the constraints' own
-    # lowest points, which their dropped spheres approximate.
-    order = sorted(range(count), key=[c.low_z for c in group].__getitem__,
-                   reverse=True)
-    for j in order:
-        low = group[j].lowest()
-        certificate = _certify(group, low, (j,))
-        if certificate is not None:
-            return (low, *certificate)
-
     n = sum(c.member for c in group)  # the ball, if any, is constraint n
     subsets = list(itertools.combinations(range(n), 2))
     if n < count:
         subsets += [(j, n) for j in range(n)]
     subsets += list(itertools.combinations(range(count), 3))
     for subset in subsets:
-        forms = [group[j].form for j in subset]
+        forms = [group[j].shape() for j in subset]
         points = (_pair_points(*forms) if len(forms) == 2
                   else _triple_points(*forms) or [])
         for y in points:
@@ -1007,13 +1003,8 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
-    found = _lone(*group) if len(members) == 1 else None
-    if found is None and len(group) > 1:
-        # A lone member's lowest point is cached, so _direct and the polish
-        # do not search it again.
-        found = _direct(group)
-    if found is None:
-        found = _polished(group)
+    # _direct and the polish reuse the lowest points that _lone caches.
+    found = _lone(group) or _direct(group) or _polished(group)
     if found is None:
         raise SolverFailure("no KKT certificate at a direct candidate or "
                             "a polished point")

@@ -179,12 +179,15 @@ ONE_PURSUER = [{"pos": [0, 0, 1], "speed": 2.0}]
      "input error: evaders: expected a list, got None\n"),
     ({"pursuers": [{"pos": [0, 0, 1], "speed": "2.0"}], "evaders": []},
      "input error: pursuers[0].speed: expected a number\n"),
+    # An integer too large for a float: float() raises OverflowError.
+    ({"pursuers": [{"pos": [0, 0, 1], "speed": 10 ** 400}], "evaders": []},
+     "input error: pursuers[0].speed: expected a number\n"),
 ], ids=["position", "missing-position", "top-level", "pursuer-entry",
         "evader-entry", "evader-speed", "null-speed", "null-component",
         "object-radius", "list-dt", "null-ball-radius", "text-seed",
         "fractional-rematch", "boolean-seed", "boolean-radius", "boolean-dt",
         "boolean-component", "number-pursuers", "null-pursuers",
-        "string-pursuers", "null-evaders", "string-speed"])
+        "string-pursuers", "null-evaders", "string-speed", "huge-speed"])
 def test_cmd_kind_scenario_input_errors(tmp_path, capsys, doc, message):
     path = write(tmp_path, "bad.json", doc)
     assert main(["kind", "--scenario", path, "--coalition", "0"]) == 2
@@ -302,6 +305,21 @@ def test_cmd_simulate_capture_and_escape(tmp_path, capsys):
     escape = write(tmp_path, "escape.json", ESCAPE_RUN)
     assert main(["simulate", "--scenario", escape]) == 0
     assert "reached_goal=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["kind", "intercept"])
+def test_cmd_solver_failure_exits_3(tmp_path, monkeypatch, capsys, command):
+    import reachavoid.cli as cli
+
+    def failing(*args, **kwargs):
+        raise SolverFailure("injected")
+
+    monkeypatch.setattr(cli, "solve_interception", failing)
+    path = write(tmp_path, "win.json", COLLINEAR_WIN)
+    assert main([command, "--scenario", path, "--coalition", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: injected\n"
+    assert captured.out == ""
 
 
 def test_cmd_simulate_solver_failure_writes_partial_trace(tmp_path, monkeypatch,

@@ -1,16 +1,19 @@
-"""The closed-form certificate of a lone member, in either region.
+"""The closed-form certificate of one active constraint, in either region.
 
-A one-pursuer solve, the engine's per-frame re-solve of an adopted single,
-certifies the member's own lowest point with one multiplier and one
-stationarity and slackness residual instead of the generic certificate; in
-the ball region the ball must also hold strictly there, else the solve
-takes the generic ordered tries.  It must return what the generic
-certificate returns, bit for bit, and hand a point it cannot certify to
-the KKT polish.
+A minimizer with one constraint active is that constraint's own lowest
+point with every other constraint strictly holding there, so it is the
+highest of the group's own lowest points.  Every solve certifies that one
+point with one multiplier and one stationarity and slackness residual
+instead of the generic certificate, before it takes the generic ordered
+tries of two and three active constraints.  It must return what the
+generic certificate returns, bit for bit, and hand a point it cannot
+certify to the KKT polish.  The engine's per-frame re-solve of an adopted
+single is the common case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -25,7 +28,7 @@ from reachavoid import (
     solve_interception,
 )
 from reachavoid import interception
-from reachavoid.interception import KKT_TOLERANCE, SolverFailure
+from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED, SolverFailure
 
 import oracles
 import test_degenerate
@@ -69,12 +72,24 @@ def test_lone_member_inside_the_ball_skips_the_generic_certificate(calls):
     assert calls == Counter(_solve_single=1, _f_grad_hess=1)
 
 
-def test_lone_member_with_a_binding_ball_takes_the_ordered_tries(calls):
+def test_lone_ball_bottom_skips_the_ordered_tries(calls):
+    # The ball's bottom lies above the member's lowest point, inside its body.
     evader = EvaderSpec((0.0, 0.0, 1.0), 1.0)
     pursuer = PursuerSpec((0.5, 0.0, 1.5), 1.2, 0.1)
     result = solve_interception((0,), evader, [pursuer],
                                 Ball(evader.position, 1.2))
-    assert result.region_active
+    assert result.region_active and result.active_set == ()
+    assert calls["_direct"] == 0 and calls["_certify"] == 0
+    assert calls["_solve_single"] == 1
+
+
+def test_lone_member_with_a_binding_ball_takes_the_ordered_tries(calls):
+    # The member and the ball both bind: no own lowest point certifies.
+    evader = EvaderSpec((0.0, 0.0, 1.0), 1.0)
+    pursuer = PursuerSpec((0.5, 0.0, 0.6), 1.1, 0.1)
+    result = solve_interception((0,), evader, [pursuer],
+                                Ball(evader.position, 1.2))
+    assert result.region_active and result.active_set == (0,)
     assert calls["_direct"] == 1
     # _direct reads the member's lowest point that the lone test found.
     assert calls["_solve_single"] == 1
@@ -112,11 +127,23 @@ def _lone_ball_corpus():
         yield from _ball_pairs(radius)
 
 
+def _generic_single(group):
+    """The first own lowest point of ``group`` that the generic certificate
+    certifies with that constraint alone active, as ``_lone`` returns it,
+    or None."""
+    for j, c in enumerate(group):
+        certificate = interception._certify(group, c.lowest(), (j,))
+        if certificate is not None:
+            return (c.lowest(), *certificate)
+    return None
+
+
 def test_lone_ball_certificate_matches_the_generic_one_bit_for_bit():
     paths = Counter()
     for pursuer, evader, region in _lone_ball_corpus():
         group = interception._program((0,), evader, [pursuer], region)
-        found = interception._direct(group) or interception._polished(group)
+        found = (_generic_single(group) or interception._direct(group)
+                 or interception._polished(group))
         if found is None:
             with pytest.raises(SolverFailure):
                 solve_interception((0,), evader, [pursuer], region)
@@ -127,11 +154,15 @@ def test_lone_ball_certificate_matches_the_generic_one_bit_for_bit():
         # repr also tells 0.0 from -0.0.
         assert repr(result) == repr(reference), (pursuer, evader, region)
         fresh = interception._program((0,), evader, [pursuer], region)
-        if interception._lone(*fresh) is not None:
-            paths["lone"] += 1
+        if interception._lone(fresh) is None:
+            paths["ordered tries"] += 1
         elif result.region_active:
-            paths["binding ball"] += 1
-    assert paths["lone"] >= 100 and paths["binding ball"] >= 100, paths
+            paths["ball bottom"] += 1
+        else:
+            paths["lone member"] += 1
+        paths["binding ball"] += result.region_active
+    assert paths["lone member"] >= 100 and paths["binding ball"] >= 100, paths
+    assert paths["ball bottom"] >= 1 and paths["ordered tries"] >= 100, paths
 
 
 def test_lone_certificate_matches_the_generic_one_bit_for_bit():
@@ -177,3 +208,81 @@ def test_off_boundary_lone_point_is_polished(calls, monkeypatch):
     assert result.kkt_residual <= KKT_TOLERANCE
     assert result.slackness_residual <= KKT_TOLERANCE
     assert math.dist(result.point, expected.point) <= 1e-9
+
+
+def _low_balls():
+    """One to three pursuers in a ball of radius 0.5 to 2 above an evader
+    half a radius below its centre, so that for slow pursuers the ball's
+    bottom lies inside their bodies."""
+    rng = random.Random("low-balls")
+    for k in range(150):
+        radius = rng.uniform(0.5, 2.0)
+        centre = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(0.5, 0.9) * radius)
+        evader = EvaderSpec(
+            (centre[0], centre[1], centre[2] - 0.5 * radius), 1.0)
+        pursuers = []
+        for _ in range(1 + k % 3):
+            up = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0),
+                  abs(rng.gauss(0.0, 1.0)) + 0.5)
+            scale = 0.8 * radius / math.hypot(*up)
+            pursuers.append(PursuerSpec(
+                tuple(c + scale * u for c, u in zip(centre, up)),
+                rng.uniform(1.05, 4.0), rng.uniform(0.0, 0.2) * radius))
+        yield (tuple(range(len(pursuers))), evader, pursuers,
+               Ball(centre, radius))
+
+
+def _single_active_corpus():
+    """``(members, evader, pursuers, region)`` groups of one to three
+    members: the degenerate corpus, the lone poses of
+    :func:`test_lone_certificate_matches_the_generic_one_bit_for_bit`, the
+    lone ball corpus, :func:`_low_balls` and every coalition of
+    ``random_scenario(0…4)`` with up to six pursuers, unbounded and in a
+    radius-4.5 ball."""
+    for regime in test_degenerate.REGIMES:
+        yield from test_degenerate.corpus(regime)
+    rng = random.Random(41)
+    for k in range(1200):
+        scale = 1e3 if (k // len(REGIMES)) % 2 else 1.0
+        pursuer, evader = oracles.lone_pose(rng, REGIMES[k % len(REGIMES)], scale)
+        yield (0,), evader, [pursuer], UNBOUNDED
+    for pursuer, evader, region in _lone_ball_corpus():
+        yield (0,), evader, [pursuer], region
+    yield from _low_balls()
+    for seed in range(5):
+        for region in (UNBOUNDED, Ball((0.0, 0.0, 1.0), 4.5)):
+            scenario = random_scenario(seed, max_pursuers=6, region=region)
+            pursuers = scenario.pursuers
+            for evader in scenario.evaders:
+                for size in (1, 2, 3):
+                    for members in itertools.combinations(range(len(pursuers)),
+                                                          size):
+                        yield members, evader, pursuers, region
+
+
+def test_only_the_highest_own_lowest_point_certifies_alone():
+    # A single-active minimizer is its constraint's own lowest point, above
+    # every other one, so the generic certificate grants one constraint
+    # alone at no other own lowest point, and _lone, which tries only the
+    # highest, returns what the generic certificate gives there.
+    seen = Counter()
+    for members, evader, pursuers, region in _single_active_corpus():
+        group = interception._program(members, evader, pursuers, region)
+        lows = [c.lowest() for c in group]
+        top = max(range(len(group)), key=lambda j: lows[j][2])
+        certificates = {j: interception._certify(group, lows[j], (j,))
+                        for j in range(len(group))}
+        certified = [j for j, found in certificates.items() if found is not None]
+        assert certified in ([], [top]), (members, evader, pursuers, region)
+        expected = (lows[top], *certificates[top]) if certified else None
+        # repr also tells 0.0 from -0.0.
+        assert repr(interception._lone(group)) == repr(expected)
+        if certified:
+            seen["ball" if top == len(members) else "member", len(group) > 1,
+                 top > 0] += 1
+        else:
+            seen["none"] += 1
+    for key in (("member", False, False), ("member", True, False),
+                ("member", True, True), ("ball", True, True), "none"):
+        assert seen[key] >= 20, seen

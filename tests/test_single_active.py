@@ -231,13 +231,17 @@ def test_paths_agree_on_seeded_corpus(calls):
                       (2, True): "member+ball", (3, True): "two members+ball"}
             if (active, result.region_active) in regime:
                 seen[regime[active, result.region_active]] += 1
-            if active == 1 and region is UNBOUNDED and all(
-                    p.capture_radius == 0.0 for p in pursuers):
-                # Singles are tried from the highest lowest point of their
-                # l-dropped spheres, which for r = 0 are the bodies: the
-                # first one tried is the one that certifies.
-                assert singles == 1
-                seen["first single certifies"] += len(members) > 1
+            if active == 1:
+                # Only the highest own lowest point can have one constraint
+                # active, so it is the one certified, after every member's
+                # lowest point is found once.
+                assert singles == len(members)
+                group = interception._program(members, evader, pursuers, region)
+                lows = [c.lowest()[2] for c in group]
+                top = (members.index(result.active_set[0]) if result.active_set
+                       else len(members))
+                assert lows[top] == max(lows)
+                seen["highest single certifies"] += len(members) > 1
             seen["seed outside range"] += climbed and active > 1
             seen["vertical-plane pair"] += (
                 result.active_set == (0, 1) and not result.region_active
@@ -246,7 +250,7 @@ def test_paths_agree_on_seeded_corpus(calls):
                 "region-active", "region-inactive", "barely-faster",
                 "zero-radius", "pair", "triple", "member+ball",
                 "two members+ball", "seed outside range",
-                "vertical-plane pair", "first single certifies"):
+                "vertical-plane pair", "highest single certifies"):
         assert seen[key] >= 5, (key, seen)
 
 
