@@ -53,7 +53,7 @@ order below changes only the cost:
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
   two spheres obtained by dropping l (exact for r = 0 and for the ball).
-  Members are paired first, then each member with the ball.  When the
+  Pairs are tried by position, the ball (last) like a member.  When the
   evader and both axes lie in one vertical plane the point lies in that
   plane and the triple kernel finds it; parallel axes have no direct path.
 - **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
@@ -75,6 +75,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -174,10 +175,18 @@ class InterceptionResult:
     slackness_residual: float
 
 
+def _index(value) -> int:
+    """``value`` as a coalition index: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"coalition indices must be integers, got {value!r}")
+    return operator.index(value)
+
+
 def validate_coalition(members, num_pursuers: int | None = None,
                        max_size: int | None = _COALITION_MAX) -> Coalition:
-    """Check strictly increasing indices and size bounds; returns a tuple."""
-    out = tuple(map(int, members))
+    """Check integer, strictly increasing indices and size bounds; returns a
+    tuple of ints."""
+    out = tuple(map(_index, members))
     if not out:
         raise ValueError("coalition must contain at least one pursuer index")
     if max_size is not None and len(out) > max_size:
@@ -220,18 +229,15 @@ _BALL_HESSIAN = (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0)
 class _Constraint:
     """A member ``(q, alpha, r)`` or the ball's sphere ``(c, R)``, told
     apart by ``member``, with its own lowest point ``y`` (found by
-    :meth:`lowest`), its boundary form and the altitude of its dropped
-    sphere's lowest point with that altitude's rounding bound (all set by
-    :meth:`shape`)."""
+    :meth:`lowest`) and its boundary form (made by :meth:`shape`)."""
 
-    __slots__ = ("key", "member", "y", "form", "low_z", "low_err")
+    __slots__ = ("key", "member", "y", "form")
 
     def __init__(self, key, member: bool) -> None:
         self.key = key
         self.member = member
         self.y: Vec | None = None
         self.form: _Form | None = None
-        self.low_z = self.low_err = 0.0
 
     def value(self, y: Vec) -> float:
         """The member's potential ``f`` or the ball's ``g`` at ``y``."""
@@ -256,12 +262,8 @@ class _Constraint:
 
     def shape(self) -> _Form:
         if self.form is None:
-            form = self.form = (_member_form(self.key) if self.member
-                                else _ball_form(self.key))
-            centre, radius2 = _dropped_sphere(form.q, form.k, form.m)
-            radius = math.sqrt(radius2)
-            self.low_z = centre[2] - radius
-            self.low_err = 1e-12 * (la.norm(centre) + radius)
+            self.form = (_member_form(self.key) if self.member
+                         else _ball_form(self.key))
         return self.form
 
 
@@ -808,25 +810,21 @@ def _direct(group: list[_Constraint]):
     constraints, as ``(y, active, multipliers, stationarity, slackness)``
     (see :func:`_certify`), or None.
 
-    Tries pairs of members, then a member with the ball, then triples
-    (lowest candidate first); :func:`_lone` has tried one active
-    constraint.  A certified KKT point of this strictly convex program is
-    its unique minimizer, so the order only affects cost.
+    Tries every pair of constraints, then every triple (lowest candidate
+    first), by position in the group, the ball like a member;
+    :func:`_lone` has tried one active constraint.  A certified KKT point
+    of this strictly convex program is its unique minimizer, so the order
+    only affects cost.
     """
-    count = len(group)
-    n = sum(c.member for c in group)  # the ball, if any, is constraint n
-    subsets = list(itertools.combinations(range(n), 2))
-    if n < count:
-        subsets += [(j, n) for j in range(n)]
-    subsets += list(itertools.combinations(range(count), 3))
-    for subset in subsets:
-        forms = [group[j].shape() for j in subset]
-        points = (_pair_points(*forms) if len(forms) == 2
-                  else _triple_points(*forms) or [])
-        for y in points:
-            certificate = _certify(group, y, subset)
-            if certificate is not None:
-                return (y, *certificate)
+    for size in (2, 3):
+        for subset in itertools.combinations(range(len(group)), size):
+            forms = [group[j].shape() for j in subset]
+            points = (_pair_points(*forms) if size == 2
+                      else _triple_points(*forms) or [])
+            for y in points:
+                certificate = _certify(group, y, subset)
+                if certificate is not None:
+                    return (y, *certificate)
     return None
 
 

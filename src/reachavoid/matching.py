@@ -15,8 +15,8 @@ without a solve wherever one of three sound tests, tried in this order,
 settles it:
 
 - the win bound: a member's body lies inside its dropped sphere, so a
-  single whose sphere clears the tie band wins.  It is read off each
-  single's shaped ``_program`` constraint, made before any decision;
+  single whose sphere clears the tie band wins.  It is computed from the
+  form of each single's ``_program`` constraint, made before any decision;
 - the kept point: an evasion space only shrinks as pursuers join
   (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
   keeps below the tie band shows that a larger coalition loses when every
@@ -56,6 +56,8 @@ from .interception import (
     UNBOUNDED,
     _ball_g,
     _Constraint,
+    _dropped_sphere,
+    _Form,
     _program,
     classify_result,
     solve_interception,
@@ -174,12 +176,14 @@ def _coalition_index(n: int) -> tuple[tuple[Coalition, ...], dict[Coalition, int
     return coalitions, {c: i for i, c in enumerate(coalitions)}
 
 
-def _wins_alone(low_z: float, low_err: float, z_e: float) -> bool:
-    """Whether a member's dropped sphere, whose lowest point lies ``low_z``
-    from an evader at altitude ``z_e`` with rounding bound ``low_err``,
-    lies above ``GOAL_TOLERANCE`` by more than its rounding: then so does
-    its body, and the member wins alone."""
-    return z_e + low_z > GOAL_TOLERANCE + 1e-12 * abs(z_e) + low_err
+def _wins_alone(form: _Form, z_e: float) -> bool:
+    """Whether the dropped sphere of a member's boundary ``form`` lies above
+    ``GOAL_TOLERANCE`` by more than its rounding, against an evader at
+    altitude ``z_e``: then so does its body, and the member wins alone."""
+    centre, radius2 = _dropped_sphere(form.q, form.k, form.m)
+    radius = math.sqrt(radius2)
+    low_err = 1e-12 * (la.norm(centre) + radius)
+    return z_e + (centre[2] - radius) > GOAL_TOLERANCE + 1e-12 * abs(z_e) + low_err
 
 
 def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
@@ -249,9 +253,9 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
     - **win bound**: a single whose dropped sphere (its body with the
       capture-radius term left out, which holds the body) lies above
       ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
-      recorded unsolved.  The bound comes from the single's shaped
-      constraint; the singles it leaves undecided share the ball entry of
-      the first of them;
+      recorded unsolved.  :func:`_wins_alone` computes the bound from the
+      single's boundary form; the singles it leaves undecided share the
+      ball entry of the first of them;
     - **kept point**: each losing coalition keeps a point of its closure
       below ``-GOAL_TOLERANCE`` at which every member's potential and the
       ball's hold.  When it is kept, it gets the bitmask of the undecided
@@ -309,8 +313,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         ball_entry: list[_Constraint] = []
         for i in range(len(pursuers)):
             member, *ball = _program((i,), evader, pursuers, region)
-            member.shape()
-            if _wins_alone(member.low_z, member.low_err, z_e):
+            if _wins_alone(member.shape(), z_e):
                 edges.append((index_of[(i,)], ej))
                 continue
             if ball and not ball_entry:

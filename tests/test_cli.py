@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from reachavoid import UNBOUNDED, Ball, SolverFailure, random_scenario
+from reachavoid import (
+    UNBOUNDED,
+    Ball,
+    SolverFailure,
+    ThreeDMInstance,
+    random_scenario,
+    reduce_3dm,
+)
 from reachavoid.cli import (
     graph_to_json,
     main,
@@ -419,6 +426,17 @@ def test_cmd_reduce3dm(tmp_path, capsys):
     assert "exact size=2" in capsys.readouterr().out
 
 
+def test_cmd_reduce3dm_prints_the_graph_without_out(tmp_path, capsys):
+    doc = {"m": 2, "triples": [[0, 0, 0], [1, 1, 1], [0, 1, 1]]}
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps(doc))
+    assert main(["reduce3dm", "--instance", str(instance)]) == 0
+    captured = capsys.readouterr()
+    expected = reduce_3dm(ThreeDMInstance(doc["m"], tuple(map(tuple, doc["triples"]))))
+    assert captured.out == graph_to_json(expected) + "\n"
+    assert captured.err == "pursuers=4 evaders=2 coalitions=3 edges=3\n"
+
+
 def test_cmd_reduce3dm_bad_instance(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"m": 2}))
@@ -452,6 +470,13 @@ def test_cmd_bench_empty(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--instances", "0", "--out", str(out)]) == 0
     assert out.read_text() == "instance,opt,sma,ratio,opt_ms,sma_ms\n"
+
+
+def test_cmd_bench_prints_without_out(capsys):
+    assert main(["bench", "--instances", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "instance,opt,sma,ratio,opt_ms,sma_ms"
+    assert len(rows) == 2 and rows[1].startswith("0,")
 
 
 def test_cmd_bench_small(tmp_path):

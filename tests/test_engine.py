@@ -19,6 +19,7 @@ from reachavoid import (
     SizeGuardExceeded,
     build_graph,
     capture_check,
+    engine,
     evader_optimal_heading,
     exact_mbmc,
     pursuer_heading,
@@ -282,6 +283,30 @@ def test_run_zero_evaders():
         "captured": 0, "reached_goal": 0, "escaped": 0, "survived": 0,
     }
     assert len(trace.frames) == 1  # terminal snapshot only
+
+
+def test_random_scenario_redraws_until_valid_and_gives_up(monkeypatch):
+    draws = []
+
+    def counted(scenario):
+        draws.append(scenario.seed)
+        validate_scenario(scenario)
+
+    monkeypatch.setattr(engine, "validate_scenario", counted)
+    # No draw puts its players inside a ball this small.
+    with pytest.raises(RuntimeError, match="for seed 3$"):
+        random_scenario(3, region=Ball((0, 0, 0.05), 0.1))
+    assert len(draws) == 1000
+    # Some draws put a pursuer within 0.1 of this ball's sphere, or a player
+    # outside it; the scenario returned is a later draw of the same seed.
+    ball = Ball((0, 0, 1), 3.0)
+    draws.clear()
+    for seed in range(50):
+        scenario = random_scenario(seed, region=ball)
+        validate_scenario(scenario)
+        assert all(ball.g(p.position) >= 0.1 for p in scenario.pursuers)
+    redrawn = {seed for seed in draws if draws.count(seed) > 1}
+    assert len(redrawn) == 11, sorted(redrawn)
 
 
 def test_run_deterministic():

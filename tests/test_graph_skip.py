@@ -513,8 +513,7 @@ def single_decisions(pursuers, evaders, region, alone: bool = False):
     for ej, evader in enumerate(evaders):
         for i in range(len(pursuers)):
             member = matching._program((i,), evader, pursuers, region)[0]
-            member.shape()
-            if _wins_alone(member.low_z, member.low_err, evader.position[2]):
+            if _wins_alone(member.shape(), evader.position[2]):
                 shaped.add(((i,), ej))
     return built, shaped
 
@@ -575,9 +574,7 @@ def test_single_win_bound_matches_its_shaped_constraint_at_the_threshold():
         def wins(dz):
             pursuers, evaders = moved(dz)
             member = matching._program((0,), evaders[0], pursuers, UNBOUNDED)[0]
-            member.shape()
-            return _wins_alone(member.low_z, member.low_err,
-                               evaders[0].position[2])
+            return _wins_alone(member.shape(), evaders[0].position[2])
 
         lo, hi = -100.0, 100.0  # loses, wins
         assert not wins(lo) and wins(hi)

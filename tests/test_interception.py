@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +12,21 @@ from reachavoid import (
     EvaderSpec,
     GameKind,
     PursuerSpec,
+    SolverFailure,
     classify_kind,
     classify_result,
     potential,
     solve_interception,
     validate_coalition,
 )
-from reachavoid.interception import UNBOUNDED, _gram_multipliers
+from reachavoid.interception import (
+    ACTIVE_TOLERANCE,
+    UNBOUNDED,
+    _certify,
+    _certify_at,
+    _gram_multipliers,
+    _program,
+)
 
 import oracles
 from barrier import barrier_reference
@@ -57,6 +67,15 @@ def test_validate_coalition():
         validate_coalition([0, 7], 5)
     with pytest.raises(ValueError):
         validate_coalition([-1])
+    # Python and numpy integers are indices; bools, floats and strings are
+    # refused by value rather than truncated.
+    got = validate_coalition((np.int64(0), np.int32(2)), 5)
+    assert got == (0, 2) and all(type(i) is int for i in got)
+    for bad in (1.7, True, "1", np.float64(1.0), np.True_):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            validate_coalition((bad,))
+    with pytest.raises(ValueError, match="got 0.9$"):
+        solve_interception((0.9,), E_AXIS, [P_AXIS])
 
 
 def test_ball_validation():
@@ -294,6 +313,38 @@ def test_classify_result_matches_classify_kind():
         assert classify_result(result, evader, pursuers) is classify_kind(
             (0, 1), evader, pursuers
         )
+
+
+def test_certificate_refuses_an_active_constraint_off_its_boundary():
+    # Two pursuers mirrored about the evader's vertical: the pair certifies
+    # with both active, and 1e-5 higher both potentials read 1.6e-5.
+    pursuers = [PursuerSpec((1, 0, 1), 1.3, 0.1), PursuerSpec((-1, 0, 1), 1.3, 0.1)]
+    evader = EvaderSpec((0, 0, 2), 1.0)
+    group = _program((0, 1), evader, pursuers, UNBOUNDED)
+    result = solve_interception((0, 1), evader, pursuers)
+    y = tuple(x - e for x, e in zip(result.point, evader.position))
+    assert _certify(group, y, (0, 1)) is not None
+    assert _certify(group, (y[0], y[1], y[2] + 1e-5), (0, 1)) is None
+    # Just below the evader both constraints strictly hold: with no active
+    # constraint there are no multipliers, so nothing is certified.
+    below = (0.0, 0.0, -0.01)
+    assert all(c.value(below) > ACTIVE_TOLERANCE for c in group)
+    assert _certify(group, below, ()) is None
+    assert _certify_at(group, below) is None
+
+
+def test_classify_result_refuses_an_exit_point_outside_the_evasion_space():
+    pursuers = [PursuerSpec((0, 0, 1), 2.0, 0.1)]
+    evader = EvaderSpec((0, 0, 2), 1.0)
+    ball = Ball((0, 0, 1), 4.5)
+    result = solve_interception((0,), evader, pursuers, ball)
+    assert classify_result(result, evader, pursuers, ball) is GameKind.PURSUIT_WINS
+    # The segment from the evader to (3, 0, -1) crosses z = 0 at (2, 0, 0),
+    # which the pursuer reaches first.
+    forged = dataclasses.replace(result, point=(3.0, 0.0, -1.0), value=-1.0)
+    with pytest.raises(SolverFailure,
+                       match="negative optimal altitude without a reachable exit point"):
+        classify_result(forged, evader, pursuers, ball)
 
 
 def test_ball_bottom_only_region_active():

@@ -82,6 +82,8 @@ def test_graph_validation():
         GameGraph(coalitions=((0,),), evaders=(0,), edges=((1, 0),))
     with pytest.raises(ValueError):
         GameGraph(coalitions=((0,),), evaders=(0,), edges=((0, 5),))
+    with pytest.raises(ValueError, match="got 0.5$"):
+        GameGraph(coalitions=((0.5, 1.2),), evaders=(0,), edges=((0, 0),))
 
 
 def test_edges_conflict():
