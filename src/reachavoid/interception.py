@@ -176,9 +176,9 @@ class InterceptionResult:
 
 
 def _index(value) -> int:
-    """``value`` as a coalition index: a Python or numpy integer, not a bool."""
+    """``value`` as an index or id: a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"coalition indices must be integers, got {value!r}")
+        raise ValueError(f"indices and ids must be integers, got {value!r}")
     return operator.index(value)
 
 
@@ -408,9 +408,10 @@ def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
     return centre, la.dot(centre, centre) - m / k
 
 
-def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
-    """``rho`` at the lowest common point of the two forms' dropped
-    spheres, or None when they do not meet in a circle."""
+def _sphere_circle(fa: _Form, fb: _Form) -> tuple[Vec, float, Vec | None] | None:
+    """The circle where the two forms' dropped spheres meet: its centre,
+    squared radius and lowest point (None when the circle is horizontal),
+    or None when the spheres do not meet in a circle."""
     ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
     cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
     axis = la.sub(cb, ca)
@@ -423,13 +424,32 @@ def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
     if radius2 <= 0.0:
         return None
     centre = la.add(ca, la.scale(nu, t))
-    # The circle's lowest point lies along -z projected off its normal nu;
-    # on a horizontal circle a point off the centre's direction will do.
+    # The circle's lowest point lies along -z projected off its normal nu.
     down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
     length = la.norm(down)
     if length == 0.0:
+        return centre, radius2, None
+    return centre, radius2, la.add(centre, la.scale(down, math.sqrt(radius2) / length))
+
+
+def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
+    """The lowest common point of the two forms' dropped spheres, or None
+    when they do not meet in a circle or it is horizontal."""
+    circle = _sphere_circle(fa, fb)
+    return None if circle is None else circle[2]
+
+
+def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
+    """``rho`` at the lowest common point of the two forms' dropped
+    spheres, or None when they do not meet in a circle."""
+    circle = _sphere_circle(fa, fb)
+    if circle is None:
+        return None
+    centre, radius2, low = circle
+    if low is None:
+        # On a horizontal circle a point off the centre's direction will do.
         return math.sqrt(la.dot(centre, centre) + radius2)
-    return la.norm(la.add(centre, la.scale(down, math.sqrt(radius2) / length)))
+    return la.norm(low)
 
 
 # Below this |n_z| the pair's lowest point sits so close to the end of the

@@ -27,7 +27,10 @@ settles it:
 - the ray witness: every body is convex and holds the evader, so the
   nearest of a coalition's boundaries along any ray from the evader is a
   point of its closure, and one below the tie band shows that the
-  coalition loses.  A pair or triple tries the rays toward the points its
+  coalition loses.  A pair first tries the ray toward the lowest common
+  point of its members' dropped spheres: each sphere holds its member's
+  body, so that point estimates where the pair's evasion space dips
+  lowest.  Then a pair or triple tries the rays toward the points its
   losing subcoalitions kept.
 
 A pair or triple is examined only when all its proper subcoalitions lose.
@@ -58,7 +61,9 @@ from .interception import (
     _Constraint,
     _dropped_sphere,
     _Form,
+    _index,
     _program,
+    _sphere_low_point,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -92,12 +97,12 @@ class GameGraph:
 
     def __post_init__(self) -> None:
         coalitions = tuple(validate_coalition(c) for c in self.coalitions)
-        evaders = tuple(int(e) for e in self.evaders)
+        evaders = tuple(map(_index, self.evaders))
         evader_set = set(evaders)
         edges = []
         for ci, ej in self.edges:
-            ci = int(ci)
-            ej = int(ej)
+            ci = _index(ci)
+            ej = _index(ej)
             if not 0 <= ci < len(coalitions):
                 raise ValueError(f"edge references unknown coalition index {ci}")
             if ej not in evader_set:
@@ -268,7 +273,10 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
       point of the closure once every potential is checked there.  Below
       ``-GOAL_TOLERANCE`` it shows that the coalition loses, and it becomes
       the coalition's kept point.  A single tries the ray to its
-      Apollonius sphere's lowest point; a pair or triple tries the rays to
+      Apollonius sphere's lowest point.  A pair first tries the ray to the
+      lowest point of the circle where its members' dropped spheres meet
+      (no such ray when they do not meet in a circle or it is horizontal).
+      Then a pair or triple tries the rays to
       its members' and sub-pairs' points, then straight down.
 
     A solved loser's lowest point is a ray target for its supersets, and
@@ -298,7 +306,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     if evader_ids is None:
         evader_ids = tuple(range(len(evaders)))
     else:
-        evader_ids = tuple(int(i) for i in evader_ids)
+        evader_ids = tuple(map(_index, evader_ids))
         if len(evader_ids) != len(evaders):
             raise ValueError("evader_ids must align with evaders")
 
@@ -358,13 +366,16 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             edges.append((index_of[members], ej))
             return False
 
-        def toward(*keys: Coalition):
-            """Unit rays to the points of ``keys``, then straight down, each
-            ray once: a pair decided by a kept point may keep its member's
-            point, and a ray's witness fails the same way every time."""
+        def toward(*targets: Vec | None):
+            """Unit rays to the points ``targets`` that are not None, in
+            order, then straight down, each ray once: a pair's sphere point
+            may lie on a member's ray, a pair decided by a kept point may
+            keep its member's point, and a ray's witness fails the same way
+            every time."""
             tried = set()
-            for key in keys:
-                y = points[key]
+            for y in targets:
+                if y is None:
+                    continue
                 length = la.norm(y)
                 if length > 0.0:
                     ray = la.scale(y, 1.0 / length)
@@ -392,7 +403,9 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             y = _kept_point(kept, 1 << i | 1 << j)
             if y is not None:
                 points[i, j] = y
-            elif not loses((i, j), toward((i,), (j,))):
+            elif not loses((i, j), toward(
+                    _sphere_low_point(shaped[i].form, shaped[j].form),
+                    points[i,], points[j,])):
                 continue
             lost[i] |= 1 << j
             losing_pairs.append((i, j))
@@ -405,8 +418,9 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 common ^= bit
                 if _kept_point(kept, 1 << i | 1 << j | bit) is None:
                     k = bit.bit_length() - 1
-                    loses((i, j, k),
-                          toward((i,), (j,), (k,), (i, j), (i, k), (j, k)))
+                    loses((i, j, k), toward(
+                        points[i,], points[j,], points[k,],
+                        points[i, j], points[i, k], points[j, k]))
     graph = GameGraph._trusted(coalitions, evader_ids, tuple(sorted(set(edges))))
     return graph, results
 
@@ -605,11 +619,11 @@ class ThreeDMInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        m = int(self.m)
+        m = _index(self.m)
         if m < 1:
             raise ValueError(f"instance size must be >= 1, got {m}")
         triples = tuple(
-            (int(i), int(j), int(k)) for i, j, k in self.triples
+            (_index(i), _index(j), _index(k)) for i, j, k in self.triples
         )
         for triple in triples:
             if any(not 0 <= v < m for v in triple):

@@ -7,6 +7,11 @@ hit and miss, by coalition size; ray witnesses, by member count; and
 solves, by coalition size.  The counts are integers and do not depend on
 the platform's libm, so a change to how the build reaches its decisions
 must leave every one of them as it is.
+
+A re-pin is deliberate, and only for a change meant to move the
+decisions.  The last one gave each pair's witness rays a first ray, toward
+the lowest common point of its members' dropped spheres: no solve count
+rose, and the pair solves fell from 9, 10 and 24 to 2, 5 and 13.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from reachavoid import matching
+from reachavoid import GameKind, classify_result, interception, matching
 from reachavoid.matching import build_graph_with_results
 
 from test_graph_skip import POSES, REGIONS, pose
@@ -23,18 +28,18 @@ from test_graph_skip import POSES, REGIONS, pose
 #: (size, seed, region) -> ({size: (kept hits, kept misses)},
 #: {member count: witnesses}, {size: solves})
 LEDGERS = {
-    (8, 3, "unbounded"): ({2: (79, 20), 3: (132, 5)}, {1: 42, 2: 47, 3: 30},
-                          {2: 9, 3: 3}),
-    (8, 3, "ball"): ({2: (83, 16), 3: (132, 5)}, {1: 42, 2: 42, 3: 29},
-                     {2: 9, 3: 3}),
-    (8, 4, "unbounded"): ({2: (116, 17), 3: (194, 1)}, {1: 53, 2: 44, 3: 6},
-                          {1: 4, 2: 10}),
-    (8, 4, "ball"): ({2: (118, 15), 3: (194, 1)}, {1: 53, 2: 42, 3: 6},
-                     {1: 4, 2: 10}),
-    (12, 5, "unbounded"): ({2: (437, 36), 3: (1223, 10)},
-                           {1: 110, 2: 97, 3: 50}, {1: 2, 2: 24, 3: 1}),
-    (12, 5, "ball"): ({2: (437, 36), 3: (1223, 10)}, {1: 110, 2: 97, 3: 50},
-                      {1: 3, 2: 24, 3: 1}),
+    (8, 3, "unbounded"): ({2: (80, 19), 3: (133, 4)}, {1: 42, 2: 25, 3: 24},
+                          {2: 2, 3: 3}),
+    (8, 3, "ball"): ({2: (83, 16), 3: (133, 4)}, {1: 42, 2: 22, 3: 23},
+                     {2: 2, 3: 3}),
+    (8, 4, "unbounded"): ({2: (111, 22), 3: (193, 2)}, {1: 53, 2: 37, 3: 5},
+                          {1: 4, 2: 5}),
+    (8, 4, "ball"): ({2: (114, 19), 3: (193, 2)}, {1: 53, 2: 34, 3: 5},
+                     {1: 4, 2: 5}),
+    (12, 5, "unbounded"): ({2: (431, 42), 3: (1227, 6)},
+                           {1: 110, 2: 81, 3: 26}, {1: 2, 2: 13, 3: 1}),
+    (12, 5, "ball"): ({2: (431, 42), 3: (1227, 6)}, {1: 110, 2: 81, 3: 26},
+                      {1: 3, 2: 13, 3: 1}),
 }
 
 
@@ -78,3 +83,42 @@ IDS = [f"{size}v{size}-seed{seed}-{region_name}" for size, seed, region_name in 
 def test_build_makes_the_pinned_decisions(monkeypatch, size, seed, region_name):
     assert ledger(monkeypatch, size, seed, region_name) == LEDGERS[
         size, seed, region_name]
+
+
+def pair_solves(monkeypatch, sphere_low_point, region_name):
+    """The graph of one build of the 8v8 seed-3 pose, and the kind of each
+    pair it solves, by members and evader position; the build's sphere
+    rays come from ``sphere_low_point``."""
+    solved = {}
+    solve = interception.solve_interception
+
+    def counted_solve(members, evader, pursuers, region):
+        result = solve(members, evader, pursuers, region)
+        if len(members) == 2:
+            solved[members, evader.position] = classify_result(
+                result, evader, pursuers, region)
+        return result
+
+    monkeypatch.setattr(matching, "solve_interception", counted_solve)
+    monkeypatch.setattr(matching, "_sphere_low_point", sphere_low_point)
+    pursuers, evaders = pose(8, 3)
+    graph, _ = build_graph_with_results(pursuers, evaders, REGIONS[region_name])
+    return graph, solved
+
+
+@pytest.mark.parametrize("region_name", REGIONS)
+def test_the_sphere_ray_decides_losing_pairs_no_other_ray_witnesses(
+        monkeypatch, region_name):
+    # Without the ray toward the lowest common point of the members'
+    # dropped spheres, the build solves these losing pairs: neither
+    # member's point nor straight down witnesses them.  With it, it decides
+    # them unsolved, and every edge stays as it was.
+    graph, with_ray = pair_solves(monkeypatch, interception._sphere_low_point,
+                                  region_name)
+    old_graph, without_ray = pair_solves(monkeypatch, lambda fa, fb: None,
+                                         region_name)
+    assert graph == old_graph
+    assert with_ray.items() <= without_ray.items()
+    decided = without_ray.keys() - with_ray.keys()
+    assert len(decided) == 7
+    assert all(without_ray[key] is GameKind.EVADER_WINS for key in decided)

@@ -19,13 +19,18 @@ from reachavoid import (
     solve_interception,
     validate_coalition,
 )
+from reachavoid import _linalg as la
 from reachavoid.interception import (
     ACTIVE_TOLERANCE,
     UNBOUNDED,
     _certify,
     _certify_at,
+    _dropped_sphere,
+    _Form,
     _gram_multipliers,
     _program,
+    _sphere_low_point,
+    _sphere_low_rho,
 )
 
 import oracles
@@ -412,3 +417,112 @@ def test_gram_multipliers_are_clamped_minimum_norm_fit():
         assert np.allclose(_gram_multipliers(grads), expected,
                            rtol=1e-9, atol=1e-9 * np.abs(fit).max())
     assert _gram_multipliers([]) is None
+
+
+def _dropped(form):
+    """Centre and radius of ``k ||y||^2 - 2 y . q + m = 0``."""
+    centre = np.array(form.q) / form.k
+    return centre, math.sqrt(centre @ centre - form.m / form.k)
+
+
+def _circle_sweep(fa, fb, steps=3600):
+    """``steps`` points spread evenly around the circle where the two
+    forms' dropped spheres meet."""
+    (ca, ra), (cb, rb) = _dropped(fa), _dropped(fb)
+    nu = (cb - ca) / np.linalg.norm(cb - ca)
+    t = ((cb - ca) @ nu + (ra * ra - rb * rb) / ((cb - ca) @ nu)) / 2.0
+    centre = ca + t * nu
+    u = np.cross(nu, (1.0, 0.0, 0.0) if abs(nu[0]) < 0.9 else (0.0, 1.0, 0.0))
+    u /= np.linalg.norm(u)
+    v = np.cross(nu, u)
+    theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+    return centre + math.sqrt(ra * ra - t * t) * (
+        np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v)
+
+
+def _old_sphere_low_rho(fa, fb):
+    """``_sphere_low_rho`` as it was written before ``_sphere_low_point``
+    shared its formula, kept to show that ``_pair_points``' seed is
+    unchanged to the bit."""
+    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
+    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
+    axis = la.sub(cb, ca)
+    d = la.norm(axis)
+    if d == 0.0:
+        return None
+    nu = la.scale(axis, 1.0 / d)
+    t = (d * d + ra2 - rb2) / (2.0 * d)
+    radius2 = ra2 - t * t
+    if radius2 <= 0.0:
+        return None
+    centre = la.add(ca, la.scale(nu, t))
+    down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
+    length = la.norm(down)
+    if length == 0.0:
+        return math.sqrt(la.dot(centre, centre) + radius2)
+    return la.norm(la.add(centre, la.scale(down, math.sqrt(radius2) / length)))
+
+
+def _sphere_pairs():
+    """Seeded pairs of member forms, and of a member's form and the ball's,
+    from random poses."""
+    rng = random.Random(31)
+    ball = Ball(center=(0.0, 0.0, 1.0), radius=5.0)
+    pairs = []
+    for _ in range(40):
+        pursuers, evader = oracles.random_pose(rng, 2)
+        a, b = _program((0, 1), evader, pursuers, UNBOUNDED)
+        pairs.append((a.shape(), b.shape()))
+        member, sphere = _program((0,), evader, pursuers, ball)
+        pairs.append((member.shape(), sphere.shape()))
+    return pairs
+
+
+def _sphere_form(centre, radius):
+    """A form whose dropped sphere is ``(centre, radius)``."""
+    return _Form(centre, 1.0, 0.0, sum(x * x for x in centre) - radius * radius,
+                 0.0, math.inf)
+
+
+def test_sphere_low_point_is_the_lowest_point_of_both_dropped_spheres():
+    met = {True: 0, False: 0}
+    for fa, fb in _sphere_pairs():
+        y = _sphere_low_point(fa, fb)
+        if y is None:
+            continue
+        met[fb.k == 1.0] += 1
+        y = np.array(y)
+        for form in (fa, fb):
+            centre, radius = _dropped(form)
+            scale = (np.linalg.norm(centre) + radius) ** 2
+            assert abs((y - centre) @ (y - centre) - radius * radius) <= 1e-12 * scale
+        sweep = _circle_sweep(fa, fb)
+        assert sweep[:, 2].min() >= y[2] - 1e-12 * np.linalg.norm(y)
+        # The sweep's lowest point is the point itself, to its step.
+        assert sweep[:, 2].min() - y[2] <= 1e-5 * np.linalg.norm(y)
+    # Most seeded pairs of each kind meet in a circle.
+    assert met[False] >= 20 and met[True] >= 10, met
+
+
+def test_sphere_low_point_is_none_unless_the_spheres_meet_in_a_tilted_circle():
+    disjoint = (_sphere_form((0.0, 0.0, -1.0), 1.0), _sphere_form((0.0, 3.0, -5.0), 1.0))
+    nested = (_sphere_form((0.0, 0.0, -1.0), 3.0), _sphere_form((0.5, 0.0, -1.5), 0.5))
+    concentric = (_sphere_form((0.0, 0.0, -1.0), 3.0), _sphere_form((0.0, 0.0, -1.0), 2.0))
+    for fa, fb in (disjoint, nested, concentric):
+        assert _sphere_low_point(fa, fb) is None
+        assert _sphere_low_point(fb, fa) is None
+        assert _sphere_low_rho(fa, fb) is None
+    # Centres one above the other: the circle is horizontal, every point of
+    # it is lowest, and only its rho is given.
+    horizontal = (_sphere_form((0.5, -0.25, -1.0), 2.0),
+                  _sphere_form((0.5, -0.25, -2.0), 2.0))
+    assert _sphere_low_point(*horizontal) is None
+    rho = _sphere_low_rho(*horizontal)
+    assert rho == math.sqrt(0.5 ** 2 + 0.25 ** 2 + 1.5 ** 2 + 2.0 ** 2 - 0.5 ** 2)
+
+
+def test_sphere_low_rho_is_the_norm_of_the_low_point_to_the_bit():
+    horizontal = (_sphere_form((0.5, -0.25, -1.0), 2.0),
+                  _sphere_form((0.5, -0.25, -2.0), 2.0))
+    for fa, fb in _sphere_pairs() + [horizontal]:
+        assert _sphere_low_rho(fa, fb) == _old_sphere_low_rho(fa, fb)

@@ -158,6 +158,34 @@ def test_build_graph_rejects_misaligned_evader_ids():
         build_graph(pursuers, evaders, evader_ids=(0,))
 
 
+# Each constructor that takes ids refuses floats and bools by value, as
+# validate_coalition does, rather than truncating 0.7 to 0 or True to 1.
+BAD_IDS = {
+    "graph evader": (lambda: GameGraph(coalitions=((0,),), evaders=(0.7,),
+                                       edges=((0, 0),)), 0.7),
+    "graph edge coalition": (lambda: GameGraph(coalitions=((0,),), evaders=(0,),
+                                               edges=((False, 0),)), False),
+    "graph edge evader": (lambda: GameGraph(coalitions=((0,),), evaders=(0,),
+                                            edges=((0, 0.2),)), 0.2),
+    "instance size": (lambda: ThreeDMInstance(m=2.9, triples=()), 2.9),
+    "instance triple": (lambda: ThreeDMInstance(m=2, triples=((0, 1.5, 1),)), 1.5),
+    "instance bool": (lambda: ThreeDMInstance(m=2, triples=((0, 1, True),)), True),
+    "build float id": (lambda: build_graph(
+        [PursuerSpec((0.0, 0.0, 1.0), 2.0)], [EvaderSpec((0.0, 0.0, 3.0), 1.0)],
+        evader_ids=(2.7,)), 2.7),
+    "build bool id": (lambda: build_graph(
+        [PursuerSpec((0.0, 0.0, 1.0), 2.0)], [EvaderSpec((0.0, 0.0, 3.0), 1.0)],
+        evader_ids=(True,)), True),
+}
+
+
+@pytest.mark.parametrize("name", BAD_IDS)
+def test_ids_are_refused_by_value_not_truncated(name):
+    make, bad = BAD_IDS[name]
+    with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        make()
+
+
 # Faulty inputs to the graph build, each with the exception type and
 # message of the first single solve that rejects it (evaders in turn, each
 # against pursuers 0, 1, ...): the build raises exactly that, though it
