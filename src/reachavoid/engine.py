@@ -12,7 +12,11 @@ one source of its interception point, and its matched pursuers race
 straight at that point; unmatched pursuers chase the nearest live evader,
 and each evader follows its configured policy.  Motion integrates
 straight lines exactly, and captures and exit crossings are resolved at
-sub-frame times by closed-form interpolation along those lines.
+sub-frame times by closed-form interpolation along those lines.  Only the
+solves read player specs: a frame moves every pursuer's spec, and the
+specs of the evaders it solves for (every live one on a frame that
+builds, the adopted ones otherwise), to the frame's positions; steering,
+motion and the capture check work on ``Vec`` positions alone.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .matching import (
 )
 from .strategy import (
     _DEGENERATE_DISTANCE,
-    HOLD,
     evader_optimal_heading,
     pursuer_heading,
 )
@@ -199,53 +202,32 @@ def _step(positions: list[Vec], headings: list[Vec], speeds, dt: float) -> list[
     return out
 
 
-def _earliest_capture(prev_e: Vec, new_e: Vec, prev_p: Vec, new_p: Vec,
-                      radius: float) -> float | None:
-    """Sub-frame parameter where the pair distance first equals the radius."""
-    # On scalars: this runs for every pursuer-evader pair every frame.
-    ex, ey, ez = prev_e
-    px, py, pz = prev_p
-    w0 = ex - px
-    w1 = ey - py
-    w2 = ez - pz
-    c = w0 * w0 + w1 * w1 + w2 * w2 - radius * radius
-    if c <= 0.0:
-        return 0.0
-    d0 = (new_e[0] - ex) - (new_p[0] - px)
-    d1 = (new_e[1] - ey) - (new_p[1] - py)
-    d2 = (new_e[2] - ez) - (new_p[2] - pz)
-    a = d0 * d0 + d1 * d1 + d2 * d2
-    b = 2.0 * (w0 * d0 + w1 * d1 + w2 * d2)
-    if a <= 1e-300:
-        return None
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    tau = (-b - math.sqrt(disc)) / (2.0 * a)
-    if 0.0 <= tau <= 1.0:
-        return tau
-    return None
-
-
 def capture_check(prev_positions, new_positions, pursuers, evaders, *,
                   region: Region = UNBOUNDED, frame_time: float = 0.0,
                   dt: float = 1.0, evader_ids=None) -> list[Event]:
     """Resolve captures and exit crossings within one frame of motion.
 
     ``prev_positions`` and ``new_positions`` are ``(pursuer_list,
-    evader_list)`` pairs of points; all players move in straight lines
-    between them, so the minimum pair distance is a quadratic in the
-    interpolation parameter and crossings have closed forms.  For every
-    evader the earliest event wins; simultaneous captures credit the lowest
-    pursuer index.
+    evader_list)`` pairs of points, one per entry of ``pursuers`` and one
+    per id of ``evader_ids`` (by default, per entry of ``evaders``); all
+    players move in straight lines between them, so the minimum pair
+    distance is a quadratic in the interpolation parameter and crossings
+    have closed forms.  For every evader the earliest event wins;
+    simultaneous captures credit the lowest pursuer index.
     """
     prev_p, prev_e = prev_positions
     new_p, new_e = new_positions
     if evader_ids is None:
         evader_ids = tuple(range(len(evaders)))
     n_p, n_e = len(pursuers), len(evader_ids)
-    vecs = [[la.as_vec(points[k]) for k in range(n)] for points, n in
-            ((prev_p, n_p), (new_p, n_p), (prev_e, n_e), (new_e, n_e))]
+    vecs = []
+    for name, points, n in (("prev_positions[0]", prev_p, n_p),
+                            ("new_positions[0]", new_p, n_p),
+                            ("prev_positions[1]", prev_e, n_e),
+                            ("new_positions[1]", new_e, n_e)):
+        if len(points) != n:
+            raise ValueError(f"{name}: expected {n} points, got {len(points)}")
+        vecs.append([la.as_vec(point) for point in points])
     return _capture_check(*vecs, [p.capture_radius for p in pursuers], evader_ids,
                           ESCAPED if isinstance(region, Ball) else REACHED_GOAL,
                           frame_time, dt)
@@ -256,21 +238,49 @@ def _capture_check(prev_p: list[Vec], new_p: list[Vec], prev_e: list[Vec],
                    frame_time: float, dt: float) -> list[Event]:
     """:func:`capture_check` on ``Vec`` positions, with the pursuers'
     capture radii and the event kind of an exit."""
+    # On scalars: this runs for every pursuer-evader pair every frame.
+    segments = [(p0[0], p0[1], p0[2], p1[0] - p0[0], p1[1] - p0[1],
+                 p1[2] - p0[2], radius * radius)
+                for p0, p1, radius in zip(prev_p, new_p, radii)]
     events: list[Event] = []
-    segments = list(zip(prev_p, new_p, radii))
     for e0, e1, ej in zip(prev_e, new_e, evader_ids):
+        ex, ey, ez = e0
+        mx = e1[0] - ex
+        my = e1[1] - ey
+        mz = e1[2] - ez
         capture_tau: float | None = None
         capture_by: int | None = None
-        for ip, (p0, p1, radius) in enumerate(segments):
-            tau = _earliest_capture(e0, e1, p0, p1, radius)
-            if tau is not None and (capture_tau is None or tau < capture_tau):
+        for ip, (px, py, pz, nx, ny, nz, radius2) in enumerate(segments):
+            # The sub-frame parameter where the pair distance first equals
+            # the radius, if the frame reaches it.
+            w0 = ex - px
+            w1 = ey - py
+            w2 = ez - pz
+            c = w0 * w0 + w1 * w1 + w2 * w2 - radius2
+            if c <= 0.0:
+                tau = 0.0
+            else:
+                d0 = mx - nx
+                d1 = my - ny
+                d2 = mz - nz
+                a = d0 * d0 + d1 * d1 + d2 * d2
+                b = 2.0 * (w0 * d0 + w1 * d1 + w2 * d2)
+                if a <= 1e-300:
+                    continue
+                disc = b * b - 4.0 * a * c
+                if disc < 0.0:
+                    continue
+                tau = (-b - math.sqrt(disc)) / (2.0 * a)
+                if not 0.0 <= tau <= 1.0:
+                    continue
+            if capture_tau is None or tau < capture_tau:
                 capture_tau = tau
                 capture_by = ip
         # Exit means strictly crossing the plane; live evaders always start
         # a frame above it.
         goal_tau: float | None = None
-        if e0[2] > 0.0 >= e1[2]:
-            goal_tau = e0[2] / (e0[2] - e1[2])
+        if ez > 0.0 >= e1[2]:
+            goal_tau = ez / (ez - e1[2])
         if capture_tau is None and goal_tau is None:
             continue
         if goal_tau is None or (capture_tau is not None and capture_tau <= goal_tau):
@@ -301,6 +311,27 @@ def _clamp_to_ball(ball: Ball, positions: list[Vec]) -> list[Vec]:
     return out
 
 
+def _matching(adopted: dict[int, tuple[int, ...]]):
+    """The adopted matching as a :class:`Frame` records it."""
+    return tuple(sorted((members, ej) for ej, members in adopted.items()))
+
+
+def _frame(time: float, pursuer_positions, evader_positions, matching,
+           pursuer_headings, evader_headings) -> Frame:
+    """A :class:`Frame` of ready tuples, built as its frozen ``__init__``
+    builds it without one ``object.__setattr__`` per field."""
+    frame = object.__new__(Frame)
+    vars(frame).update(
+        time=time,
+        pursuer_positions=pursuer_positions,
+        evader_positions=evader_positions,
+        matching=matching,
+        pursuer_headings=pursuer_headings,
+        evader_headings=evader_headings,
+    )
+    return frame
+
+
 def _nearest_exit_point(region: Region, position: Vec) -> Vec:
     if isinstance(region, Unbounded):
         return (position[0], position[1], 0.0)
@@ -326,24 +357,28 @@ def run(scenario: Scenario) -> Trace:
     accuracy.  A frame where no new matching could be adopted skips the
     build and the rematch: no capture since the last adoption, and an
     adopted matching of ``min(len(live), len(pursuers))`` edges, the most
-    a conflict-free matching holds.  Every solve is a pure function of its inputs, so the
-    trace is the one that rematching in such frames gives.  Identical
-    scenarios (including the seed) produce identical traces.
+    a conflict-free matching holds.  Every solve is a pure function of its
+    inputs, so the trace is the one that rematching in such frames gives.
+    Identical scenarios (including the seed) produce identical traces.
     """
     validate_scenario(scenario)
     pursuers = scenario.pursuers
+    evaders = scenario.evaders
     region = scenario.region
     ball = region if isinstance(region, Ball) else None
     dt = scenario.dt
     rng = random.Random(scenario.seed)
     # Every position is a Vec from a validated spec, _step or the clamp.
     radii = [p.capture_radius for p in pursuers]
+    p_speeds = [p.speed for p in pursuers]
     exit_kind = ESCAPED if ball is not None else REACHED_GOAL
 
     p_pos: list[Vec] = [p.position for p in pursuers]
-    e_pos: dict[int, Vec] = {j: e.position for j, e in enumerate(scenario.evaders)}
+    e_pos: dict[int, Vec] = {j: e.position for j, e in enumerate(evaders)}
     live: list[int] = sorted(e_pos)
+    live_speeds = [evaders[j].speed for j in live]
     adopted: dict[int, tuple[int, ...]] = {}
+    matching: tuple[tuple[tuple[int, ...], int], ...] = ()
     capture_flag = False
     trace = Trace()
     counts = {CAPTURED: 0, REACHED_GOAL: 0, ESCAPED: 0}
@@ -351,17 +386,21 @@ def run(scenario: Scenario) -> Trace:
     frame_idx = 0
     while live and frame_idx * dt < scenario.max_time - 1e-12:
         now = frame_idx * dt
-        cur_pursuers = [_moved(p, p_pos[i]) for i, p in enumerate(pursuers)]
-        cur_evaders = {j: _moved(scenario.evaders[j], e_pos[j]) for j in live}
+        live_pos = [e_pos[j] for j in live]
+        # Coalitions in a matching are disjoint and nonempty, and each live
+        # evader takes at most one, so no matching is larger than
+        # min(len(live), len(pursuers)).  Once the adopted one is that
+        # large, only a capture can make a new matching adoptable.
+        rematch = frame_idx % scenario.rematch_every == 0 and (
+            capture_flag or len(adopted) < min(len(live), len(pursuers))
+        )
+        # Specs at this frame's positions, for the evaders the frame solves.
+        cur_pursuers = [_moved(p, pos) for p, pos in zip(pursuers, p_pos)]
+        cur_evaders = {j: _moved(evaders[j], e_pos[j])
+                       for j in (live if rematch else adopted)}
 
         try:
-            # Coalitions in a matching are disjoint and nonempty, and each
-            # live evader takes at most one, so no matching is larger than
-            # min(len(live), len(pursuers)).  Once the adopted one is that
-            # large, only a capture can make a new matching adoptable.
-            if frame_idx % scenario.rematch_every == 0 and (
-                capture_flag or len(adopted) < min(len(live), len(pursuers))
-            ):
+            if rematch:
                 # perfbench's tracer times the build under this name.
                 graph, _ = build_graph_with_results(
                     cur_pursuers, [cur_evaders[j] for j in live], region,
@@ -377,13 +416,14 @@ def run(scenario: Scenario) -> Trace:
                 fresh = {ej: graph.coalitions[ci] for ci, ej in pairs}
                 if len(fresh) > len(adopted) or capture_flag:
                     adopted = fresh
+                    matching = _matching(adopted)
                     capture_flag = False
 
             # Matched pursuers race at their coalition's current interception
             # point; dropping redundant members never moves that point, so
-            # one solve per adopted pair suffices.
-            p_head: list[Vec] = [HOLD] * len(pursuers)
-            matched_pursuers: set[int] = set()
+            # one solve per adopted pair suffices.  Unmatched pursuers keep
+            # the heading None until the nearest-evader scan below.
+            p_head: list[Vec | None] = [None] * len(pursuers)
             intercept_points: dict[int, Vec] = {}
             for ej in sorted(adopted):
                 members = adopted[ej]
@@ -392,20 +432,30 @@ def run(scenario: Scenario) -> Trace:
                 )
                 intercept_points[ej] = result.point
                 for i in members:
-                    matched_pursuers.add(i)
                     p_head[i] = pursuer_heading(p_pos[i], result.point)
         except SolverFailure as exc:
             failure = SolverFailure(f"frame {frame_idx} (t={now:g}): {exc}")
             failure.partial_trace = trace
             raise failure from exc
-        for i in range(len(pursuers)):
-            if i in matched_pursuers:
+        for i, head in enumerate(p_head):
+            if head is not None:
                 continue
-            target = min(live, key=lambda j: (la.dist(p_pos[i], e_pos[j]), j))
+            # The nearest live evader by la.dist's arithmetic; ``live`` is
+            # sorted, so a strict ``<`` keeps the lowest id among ties.
+            px, py, pz = p_pos[i]
+            nearest = math.inf
+            for j, (ex, ey, ez) in zip(live, live_pos):
+                dx = px - ex
+                dy = py - ey
+                dz = pz - ez
+                d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if d < nearest:
+                    nearest = d
+                    target = j
             p_head[i] = pursuer_heading(p_pos[i], e_pos[target])
 
-        e_head: dict[int, Vec] = {}
-        for j in live:
+        e_head: list[Vec] = []
+        for j, pos in zip(live, live_pos):
             policy = scenario.evader_policies[j]
             if policy == "random-walk":
                 while True:
@@ -413,57 +463,46 @@ def run(scenario: Scenario) -> Trace:
                     n = la.norm(raw)
                     if n > 1e-12:
                         break
-                e_head[j] = la.scale(raw, 1.0 / n)
+                e_head.append(la.scale(raw, 1.0 / n))
             elif policy == "optimal" and j in intercept_points:
-                e_head[j] = evader_optimal_heading(e_pos[j], intercept_points[j])
+                e_head.append(evader_optimal_heading(pos, intercept_points[j]))
             else:
-                e_head[j] = evader_optimal_heading(
-                    e_pos[j], _nearest_exit_point(region, e_pos[j])
-                )
+                e_head.append(evader_optimal_heading(
+                    pos, _nearest_exit_point(region, pos)
+                ))
 
-        new_p = _step(p_pos, p_head, [p.speed for p in pursuers], dt)
-        new_e = _step(
-            [e_pos[j] for j in live],
-            [e_head[j] for j in live],
-            [scenario.evaders[j].speed for j in live],
-            dt,
-        )
+        new_p = _step(p_pos, p_head, p_speeds, dt)
+        new_e = _step(live_pos, e_head, live_speeds, dt)
         if ball is not None:
             new_p = _clamp_to_ball(ball, new_p)
             new_e = _clamp_to_ball(ball, new_e)
 
-        events = _capture_check(p_pos, new_p, [e_pos[j] for j in live], new_e,
+        events = _capture_check(p_pos, new_p, live_pos, new_e,
                                 radii, live, exit_kind, now, dt)
 
-        trace.frames.append(Frame(
-            time=now,
-            pursuer_positions=tuple(p_pos),
-            evader_positions=tuple((j, e_pos[j]) for j in live),
-            matching=tuple(sorted((adopted[ej], ej) for ej in adopted)),
-            pursuer_headings=tuple(p_head),
-            evader_headings=tuple((j, e_head[j]) for j in live),
+        trace.frames.append(_frame(
+            now, tuple(p_pos), tuple(zip(live, live_pos)), matching,
+            tuple(p_head), tuple(zip(live, e_head)),
         ))
 
-        for j, pos in zip(live, new_e):
-            e_pos[j] = pos
+        e_pos.update(zip(live, new_e))
         p_pos = new_p
-        for event in events:
-            trace.events.append(event)
-            counts[event.kind] += 1
-            live.remove(event.evader)
-            adopted.pop(event.evader, None)
-            e_pos.pop(event.evader, None)
-            if event.kind == CAPTURED:
-                capture_flag = True
+        if events:
+            for event in events:
+                trace.events.append(event)
+                counts[event.kind] += 1
+                live.remove(event.evader)
+                adopted.pop(event.evader, None)
+                e_pos.pop(event.evader, None)
+                if event.kind == CAPTURED:
+                    capture_flag = True
+            live_speeds = [evaders[j].speed for j in live]
+            matching = _matching(adopted)
         frame_idx += 1
 
-    trace.frames.append(Frame(
-        time=frame_idx * dt,
-        pursuer_positions=tuple(p_pos),
-        evader_positions=tuple((j, e_pos[j]) for j in live),
-        matching=tuple(sorted((adopted[ej], ej) for ej in adopted)),
-        pursuer_headings=(),
-        evader_headings=(),
+    trace.frames.append(_frame(
+        frame_idx * dt, tuple(p_pos), tuple((j, e_pos[j]) for j in live),
+        matching, (), (),
     ))
     trace.summary = {
         "captured": counts[CAPTURED],

@@ -177,6 +177,8 @@ class InterceptionResult:
 
 def _index(value) -> int:
     """``value`` as an index or id: a Python or numpy integer, not a bool."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"indices and ids must be integers, got {value!r}")
     return operator.index(value)
@@ -997,7 +999,10 @@ def _result(members: Coalition, epos: Vec, group: list[_Constraint], y: Vec,
         else:
             region_active = True
             region_multiplier = lj
-    return InterceptionResult(
+    # InterceptionResult has no __post_init__, so this is the object its
+    # frozen __init__ builds, without one object.__setattr__ per field.
+    result = object.__new__(InterceptionResult)
+    vars(result).update(
         coalition=members,
         point=x,
         value=x[2],
@@ -1008,6 +1013,7 @@ def _result(members: Coalition, epos: Vec, group: list[_Constraint], y: Vec,
         kkt_residual=stationarity,
         slackness_residual=slack,
     )
+    return result
 
 
 def solve_interception(coalition, evader: EvaderSpec, pursuers,

@@ -154,7 +154,7 @@ def is_conflict_free(graph: GameGraph, matching) -> bool:
 
 def coalition_count(num_pursuers: int) -> int:
     """Number of coalitions of size one to three among ``num_pursuers``."""
-    n = int(num_pursuers)
+    n = _index(num_pursuers)
     if n < 1:
         raise ValueError(f"num_pursuers must be >= 1, got {n}")
     return n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
@@ -162,7 +162,7 @@ def coalition_count(num_pursuers: int) -> int:
 
 def all_coalitions(num_pursuers: int) -> tuple[Coalition, ...]:
     """Every coalition of size one to three, sorted by size then members."""
-    return _coalition_index(int(num_pursuers))[0]
+    return _coalition_index(_index(num_pursuers))[0]
 
 
 @functools.lru_cache(maxsize=32)

@@ -26,10 +26,13 @@ Two exceptions share code with the package:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
+import pytest
 
 from reachavoid import (
     UNBOUNDED,
@@ -328,3 +331,24 @@ def lone_pose(rng: random.Random, regime: str, scale: float = 1.0):
         radius = distance * rng.choice((0.0, rng.uniform(0.0, 0.5),
                                         rng.uniform(0.9, 0.99)))
     return PursuerSpec(position, alpha * evader.speed, radius), evader
+
+
+def assert_same_as_init(obj) -> None:
+    """Check that ``obj``, a frozen dataclass instance the package built
+    without calling its ``__init__``, cannot be told apart from the one
+    ``__init__`` builds from the same field values."""
+    cls = type(obj)
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    made = cls(**values)
+    assert obj == made and made == obj
+    assert hash(obj) == hash(made)
+    assert repr(obj) == repr(made)
+    assert list(vars(obj).items()) == list(vars(made).items())
+    assert dataclasses.replace(obj) == made
+    assert dataclasses.asdict(obj) == dataclasses.asdict(made)
+    copied = pickle.loads(pickle.dumps(obj))
+    assert type(copied) is cls and copied == made and repr(copied) == repr(made)
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, values[name])
+    assert vars(obj) == values

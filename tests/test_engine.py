@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -39,6 +40,8 @@ from reachavoid.engine import (
     _nearest_exit_point,
 )
 from reachavoid.matching import EXACT_EDGE_GUARD
+
+import oracles
 
 
 def simple_scenario(**overrides):
@@ -173,6 +176,34 @@ def test_capture_check_zero_relative_motion_never_captures():
         assert events == []
 
 
+def test_capture_check_refuses_point_lists_of_the_wrong_length():
+    pursuer = PursuerSpec((0, 0, 1), 2.0, 0.1)
+    evaders = [EvaderSpec((0, 0, 3), 1.0), EvaderSpec((1, 0, 3), 1.0)]
+    here, there, other = (0, 0, 1), (0, 0, 3), (1, 0, 3)
+    # Two evader points for the one id 5: the second would go unchecked.
+    with pytest.raises(ValueError, match=r"^prev_positions\[1\]: expected 1 "):
+        capture_check(([here], [there, other]), ([here], [there, other]),
+                      [pursuer], evaders, evader_ids=(5,))
+    with pytest.raises(ValueError, match=r"^new_positions\[1\]: expected 1 "):
+        capture_check(([here], [there]), ([here], [there, other]),
+                      [pursuer], evaders, evader_ids=(5,))
+    # One evader point for two evaders: formerly a bare IndexError.
+    with pytest.raises(ValueError, match=r"^prev_positions\[1\]: expected 2 "):
+        capture_check(([here], [there]), ([here], [there]), [pursuer], evaders)
+    with pytest.raises(ValueError, match=r"^new_positions\[1\]: expected 2 "):
+        capture_check(([here], [there, other]), ([here], [there]),
+                      [pursuer], evaders)
+    for prev_p, new_p, name in (([], [here], "prev_positions[0]"),
+                                ([here], [here, here], "new_positions[0]")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}: expected 1 "):
+            capture_check((prev_p, [there, other]), (new_p, [there, other]),
+                          [pursuer], evaders)
+    # Matching lengths still resolve a capture, credited to the given id.
+    (event,) = capture_check(([here], [(0, 0, 1.05)]), ([here], [(0, 0, 1.05)]),
+                             [pursuer], evaders[:1], evader_ids=(5,))
+    assert (event.kind, event.evader, event.pursuer) == (CAPTURED, 5, 0)
+
+
 #: Vectors that no public call accepts.
 BAD_VECTORS = {"nan": (0.0, math.nan, 1.0), "inf": (0.0, 0.0, -math.inf),
                "2-vector": (0.0, 1.0)}
@@ -216,6 +247,32 @@ def test_engine_moves_a_spec_as_replace_does():
         assert type(moved) is type(expected)
         assert moved == expected and hash(moved) == hash(expected)
         assert spec.position != position
+
+
+def test_run_builds_frames_as_init_does():
+    trace = run(random_scenario(4, max_pursuers=3, max_evaders=3))
+    assert any(frame.matching for frame in trace.frames)
+    for frame in (trace.frames[0], trace.frames[1], trace.frames[-1]):
+        oracles.assert_same_as_init(frame)
+
+
+def test_unmatched_pursuer_chases_the_lowest_id_among_equidistant_evaders():
+    # The lone pursuer loses alone to either evader, so it is unmatched and
+    # chases the nearest live evader; both are exactly as near.
+    pursuer = PursuerSpec((0.0, 10.0, 0.5), 1.1, 0.1)
+    for left_first in (True, False):
+        spots = [(-1.0, 0.0, 0.5), (1.0, 0.0, 0.5)]
+        if not left_first:
+            spots.reverse()
+        scenario = simple_scenario(
+            pursuers=(pursuer,),
+            evaders=tuple(EvaderSpec(spot, 1.0) for spot in spots),
+            evader_policies=("straight", "straight"),
+        )
+        first = run(scenario).frames[0]
+        assert first.matching == ()
+        assert first.pursuer_headings == (
+            pursuer_heading(pursuer.position, spots[0]),)
 
 
 def test_clamp_to_ball_pulls_a_leaving_step_back_inside():

@@ -365,6 +365,21 @@ def test_ball_bottom_only_region_active():
     assert reduce_coalition((0,), evader, [pursuer], ball) == (0,)
 
 
+def test_solves_build_results_as_init_does():
+    # _result skips the frozen __init__; a single, a pair and a triple with
+    # every member active, and a single whose ball alone binds.
+    pursuers, evader = tetra_pose()
+    ball_solve = solve_interception(
+        (0,), EvaderSpec((0, 0, 1.2), 1.0), [PursuerSpec((0, 0, 2.8), 1.2)],
+        Ball(center=(0, 0, 1.0), radius=2.0))
+    assert ball_solve.region_active and ball_solve.active_set == ()
+    for members in ((0,), (0, 1), (0, 1, 2)):
+        result = solve_interception(members, evader, pursuers)
+        assert result.active_set == members
+        oracles.assert_same_as_init(result)
+    oracles.assert_same_as_init(ball_solve)
+
+
 def test_ball_requires_players_inside():
     outside = PursuerSpec(position=(0, 0, -8), speed=2.0)
     evader = EvaderSpec(position=(0, 0, 1.2), speed=1.0)

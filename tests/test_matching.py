@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from reachavoid import (
@@ -75,6 +76,9 @@ def test_coalition_count():
     assert len(all_coalitions(8)) == 92
     with pytest.raises(ValueError):
         coalition_count(0)
+    # Numpy integers count as their value.
+    assert coalition_count(np.int64(3)) == 7
+    assert all_coalitions(np.int32(3)) is all_coalitions(3)
 
 
 def test_graph_validation():
@@ -176,6 +180,10 @@ BAD_IDS = {
     "build bool id": (lambda: build_graph(
         [PursuerSpec((0.0, 0.0, 1.0), 2.0)], [EvaderSpec((0.0, 0.0, 3.0), 1.0)],
         evader_ids=(True,)), True),
+    "coalition count float": (lambda: coalition_count(2.9), 2.9),
+    "coalition count bool": (lambda: coalition_count(True), True),
+    "all coalitions float": (lambda: all_coalitions(2.7), 2.7),
+    "all coalitions bool": (lambda: all_coalitions(False), False),
 }
 
 
