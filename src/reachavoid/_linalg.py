@@ -93,32 +93,3 @@ def gauss_solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
             acc -= m_row[k] * out[k]
         out[row] = acc / m_row[row]
     return out
-
-
-def solve_sym3(h11: float, h12: float, h13: float,
-               h22: float, h23: float, h33: float,
-               b1: float, b2: float, b3: float) -> Vec:
-    """Solve a symmetric 3x3 system; falls back to pivoted elimination if needed."""
-    # Cofactor expansion is fine for the Gram systems of
-    # interception._gram_multipliers, which are SPD when the gradients span
-    # space; the fallback covers near-singular corner cases.
-    c11 = h22 * h33 - h23 * h23
-    c12 = h13 * h23 - h12 * h33
-    c13 = h12 * h23 - h13 * h22
-    det = h11 * c11 + h12 * c12 + h13 * c13
-    scale_ = max(abs(h11), abs(h22), abs(h33), 1e-300)
-    if abs(det) < 1e-14 * scale_ ** 3:
-        sol = gauss_solve(
-            [[h11, h12, h13], [h12, h22, h23], [h13, h23, h33]],
-            [b1, b2, b3],
-        )
-        return (sol[0], sol[1], sol[2])
-    c22 = h11 * h33 - h13 * h13
-    c23 = h12 * h13 - h11 * h23
-    c33 = h11 * h22 - h12 * h12
-    inv = 1.0 / det
-    return (
-        (c11 * b1 + c12 * b2 + c13 * b3) * inv,
-        (c12 * b1 + c22 * b2 + c23 * b3) * inv,
-        (c13 * b1 + c23 * b2 + c33 * b3) * inv,
-    )

@@ -32,14 +32,14 @@ f_i = 0 and (c - x_E, 1, 0, ||c - x_E||^2 - R^2) for the ball sphere.
 
 Every solve returns a point certified on the original Karush-Kuhn-Tucker
 system of f_i, by one certificate: multipliers from the Gram system of the
-active gradients (their minimum-norm least-squares fit when the gradients
-are dependent), clamped to <= 0, must leave stationarity and
-complementary slackness within ``KKT_TOLERANCE``.  In 3D at most three
-constraints pin the point down, so a default solve first tries the
-candidate points of one, two and three active constraints and certifies
-the first whose other constraints all hold strictly.  A certified KKT
-point of this strictly convex program is its unique minimizer, so the
-order below changes only the cost:
+active gradients (their minimum-norm least-squares fit when they are
+dependent, none when three or more span only a plane), clamped to <= 0,
+must leave stationarity and complementary slackness within
+``KKT_TOLERANCE``.  In 3D at most three constraints pin the point down,
+so a default solve first tries the candidate points of one, two and three
+active constraints and certifies the first whose other constraints all
+hold strictly.  A certified KKT point of this strictly convex program is
+its unique minimizer, so the order below changes only the cost:
 
 - **single**: each member's body alone has its lowest point found by a
   Newton search over one angle (the body is one of revolution about the
@@ -55,16 +55,17 @@ order below changes only the cost:
   two spheres obtained by dropping l (exact for r = 0 and for the ball).
   Pairs are tried by position, the ball (last) like a member.  When the
   evader and both axes lie in one vertical plane the point lies in that
-  plane and the triple kernel finds it; parallel axes have no direct path.
+  plane and the triple kernel finds it.  Parallel axes fix y . q twice, a
+  quadratic in rho whose roots give circles about the axis; their lowest
+  points are tried lowest first.
 - **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
   quartic in rho; its real roots are tried lowest point first.
-- **polish**: when no candidate certifies (parallel axes, dependent
-  gradients, or a candidate just outside the certificate) a Newton polish
-  of the KKT system refines each set of one to three constraints, smallest
-  first, from the points above: the set's own lowest points and, with the
-  ball in the set, its members' lowest points moved onto the ball's
-  sphere.  The first polished point that certifies is returned, with the
-  constraints within ``ACTIVE_TOLERANCE`` of their boundary as active set.
+- **polish**: when no candidate certifies (dependent gradients, or a
+  candidate just outside the certificate) a Newton polish of the KKT
+  system refines each set of one to three constraints, smallest first,
+  from the set's own lowest points.  The first polished point that
+  certifies is returned, with the constraints within ``ACTIVE_TOLERANCE``
+  of their boundary as active set.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude.
@@ -410,10 +411,20 @@ def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
     return centre, la.dot(centre, centre) - m / k
 
 
-def _sphere_circle(fa: _Form, fb: _Form) -> tuple[Vec, float, Vec | None] | None:
-    """The circle where the two forms' dropped spheres meet: its centre,
-    squared radius and lowest point (None when the circle is horizontal),
-    or None when the spheres do not meet in a circle."""
+def _circle_low_point(centre: Vec, nu: Vec, radius2: float) -> Vec | None:
+    """Lowest point of the circle about the unit normal ``nu`` with
+    ``centre`` and squared radius ``radius2``, along -z projected off
+    ``nu``; None when the circle is horizontal."""
+    down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
+    length = la.norm(down)
+    if length == 0.0:
+        return None
+    return la.add(centre, la.scale(down, math.sqrt(radius2) / length))
+
+
+def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
+    """The lowest common point of the two forms' dropped spheres, or None
+    when they do not meet in a circle or it is horizontal."""
     ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
     cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
     axis = la.sub(cb, ca)
@@ -425,33 +436,7 @@ def _sphere_circle(fa: _Form, fb: _Form) -> tuple[Vec, float, Vec | None] | None
     radius2 = ra2 - t * t
     if radius2 <= 0.0:
         return None
-    centre = la.add(ca, la.scale(nu, t))
-    # The circle's lowest point lies along -z projected off its normal nu.
-    down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
-    length = la.norm(down)
-    if length == 0.0:
-        return centre, radius2, None
-    return centre, radius2, la.add(centre, la.scale(down, math.sqrt(radius2) / length))
-
-
-def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
-    """The lowest common point of the two forms' dropped spheres, or None
-    when they do not meet in a circle or it is horizontal."""
-    circle = _sphere_circle(fa, fb)
-    return None if circle is None else circle[2]
-
-
-def _sphere_low_rho(fa: _Form, fb: _Form) -> float | None:
-    """``rho`` at the lowest common point of the two forms' dropped
-    spheres, or None when they do not meet in a circle."""
-    circle = _sphere_circle(fa, fb)
-    if circle is None:
-        return None
-    centre, radius2, low = circle
-    if low is None:
-        # On a horizontal circle a point off the centre's direction will do.
-        return math.sqrt(la.dot(centre, centre) + radius2)
-    return la.norm(low)
+    return _circle_low_point(la.add(ca, la.scale(nu, t)), nu, radius2)
 
 
 # Below this |n_z| the pair's lowest point sits so close to the end of the
@@ -460,8 +445,8 @@ _VERTICAL_PLANE_NZ = 1e-8
 
 
 def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
-    """Lowest point of the curve where two boundaries meet, relative to the
-    evader; empty when the axes are parallel or no point is found.
+    """Lowest points of the curve where two boundaries meet, relative to the
+    evader, lowest first; empty when no point is found.
 
     In the frame ``e1 = q_a / |q_a|``, ``e2`` in ``span(q_a, q_b)`` and
     ``n = e1 x e2`` the curve is ``a1 e1 + a2 e2 +- sqrt(h) n`` with ``a1``
@@ -470,6 +455,12 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     A safeguarded Newton search on ``phi'`` finds the minimum; ``phi'``
     tends to -inf at the left end of the range where ``h >= 0`` and to
     +inf at the right end, so a trial point outside it bounds the search.
+
+    Parallel axes have no ``e2``, and both forms fix ``y . e1``: multiplied
+    through by ``|q_a|`` and ``c_b = q_b . e1`` (0 for a ball centred on the
+    evader), they give a quadratic in ``rho``.  At each root the curve is
+    the circle about ``e1`` at offset ``t = y . e1`` with radius
+    ``sqrt(rho^2 - t^2)``, and its lowest point is a candidate.
     """
     na = la.norm(fa.q)
     e1 = la.scale(fa.q, 1.0 / na)
@@ -477,7 +468,18 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     w = la.sub(fb.q, la.scale(e1, cos_b))
     sin_b = la.norm(w)
     if sin_b <= 1e-9 * la.norm(fb.q):
-        return []
+        coeffs = [0.5 * (fa.k * cos_b - fb.k * na), -(fa.l * cos_b - fb.l * na),
+                  0.5 * (fa.m * cos_b - fb.m * na)]
+        points = []
+        for rho in _real_roots(coeffs, max(fa.near, fb.near),
+                               min(fa.far, fb.far)):
+            t = (fa.k * rho * rho - 2.0 * fa.l * rho + fa.m) / (2.0 * na)
+            if rho * rho > t * t:
+                low = _circle_low_point(la.scale(e1, t), e1, rho * rho - t * t)
+                if low is not None:
+                    points.append(low)
+        points.sort(key=lambda y: y[2])
+        return points
     e2 = la.scale(w, 1.0 / sin_b)
     n = la.cross(e1, e2)
     if abs(n[2]) <= _VERTICAL_PLANE_NZ:
@@ -509,7 +511,8 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     hi = min(fa.far, fb.far)
     if not lo < hi:
         return []
-    rho = _sphere_low_rho(fa, fb)
+    low = _sphere_low_point(fa, fb)
+    rho = None if low is None else la.norm(low)
     if rho is None or not lo < rho < hi:
         rho = 0.5 * (lo + hi)
     current = state(rho)
@@ -693,8 +696,8 @@ def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
     gradients that is :func:`_unique_multipliers`.  Otherwise parallel
     gradients give ``-g_j,z / sum |g_i|^2``, and any other set gives
     ``g_j . z`` with ``(sum g g^T) z = (0, 0, -1)``.  None means the fit is
-    not available (no gradients, or that system is singular), and so the
-    point is not certifiable.
+    not available (no gradients, or that system is singular: gradients of
+    rank 2), and so the point is not certifiable.
     """
     if not grads:
         return None
@@ -705,13 +708,18 @@ def _gram_multipliers(grads: list[Vec]) -> list[float] | None:
     if all(_unique_multipliers((grads[0], g)) is None for g in grads[1:]):
         total = sum(la.dot(g, g) for g in grads)
         return [min(-g[2] / total, 0.0) for g in grads]
-    gram = [sum(g[r] * g[c] for g in grads)
-            for r, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
-    try:
-        z = la.solve_sym3(*gram, 0.0, 0.0, -1.0)
-    except ValueError:
+    h11, h12, h13, h22, h23, h33 = (sum(g[r] * g[c] for g in grads) for r, c in
+                                    ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    # z is the third column of the inverse, negated: cofactors over det.
+    c13 = h12 * h23 - h13 * h22
+    c23 = h12 * h13 - h11 * h23
+    c33 = h11 * h22 - h12 * h12
+    det = h13 * c13 + h23 * c23 + h33 * c33
+    # A Gram det lies in [0, h11 h22 h33]; far below that it is rank-2 rounding.
+    if not det > 1e-12 * h11 * h22 * h33:
         return None
-    return [min(la.dot(g, z), 0.0) for g in grads]
+    return [min(-(g[0] * c13 + g[1] * c23 + g[2] * c33) / det, 0.0)
+            for g in grads]
 
 
 def _lone_multiplier(g0: float, g1: float, g2: float) -> float:
@@ -957,22 +965,12 @@ def _polished(group: list[_Constraint]):
     returns it, or None.
 
     Each set of one to three constraints, smallest first, is polished from
-    its own lowest points and, with the ball in it, from its members' lowest
-    points moved radially onto the ball's sphere: the pair kernel has no
-    point for a member whose axis is parallel to the ball's.
+    the lowest point of each of its constraints.
     """
     for size in (1, 2, 3):
         for subset in itertools.combinations(range(len(group)), size):
-            seeds = [group[j].lowest() for j in subset]
-            last = group[subset[-1]]
-            if not last.member:
-                # The ball comes last in the set, after its members.
-                centre, radius = last.key
-                seeds += [la.add(centre, la.scale(la.sub(y, centre),
-                                                  radius / la.dist(y, centre)))
-                          for y in seeds[:-1]]
-            for seed in seeds:
-                found = _polish_hypothesis(group, seed, subset)
+            for j in subset:
+                found = _polish_hypothesis(group, group[j].lowest(), subset)
                 if found is None:
                     continue
                 certificate = _certify_at(group, found[0])

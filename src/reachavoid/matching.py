@@ -97,6 +97,12 @@ class GameGraph:
 
     def __post_init__(self) -> None:
         coalitions = tuple(validate_coalition(c) for c in self.coalitions)
+        seen = set()
+        for members in coalitions:
+            # Edges of two indices of one coalition would not conflict.
+            if members in seen:
+                raise ValueError(f"coalition {members} is listed more than once")
+            seen.add(members)
         evaders = tuple(map(_index, self.evaders))
         evader_set = set(evaders)
         edges = []

@@ -234,6 +234,15 @@ def test_cmd_match_string_graph_file(tmp_path, capsys):
             "got '01'") in capsys.readouterr().err
 
 
+def test_cmd_match_repeated_coalition_graph_file(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"coalitions": [[0], [0]], "evaders": [0, 1],
+                                "edges": [[0, 0], [1, 1]]}))
+    assert main(["match", "--graph-file", str(path), "--matcher", "both"]) == 2
+    assert ("input error: --graph-file: coalition (0,) is listed more than "
+            "once") in capsys.readouterr().err
+
+
 def test_cmd_intercept(tmp_path, capsys):
     path = write(tmp_path, "win.json", COLLINEAR_WIN)
     assert main(["intercept", "--scenario", path, "--coalition", "0"]) == 0

@@ -13,8 +13,7 @@ members in turn:
   radius 3.5 to 6;
 - **ball-coaxial**: as ball-boundary, with the pursuers on the ray from the
   evader through the ball's centre, so that every pair of constraints has
-  parallel axes, the pair kernel has no point and the solve falls to the
-  polish;
+  parallel axes and the pair kernel's parallel branch solves it;
 - **plain**: generic draws.
 
 Every solve must either return a result whose KKT certificate holds or
@@ -37,6 +36,7 @@ from reachavoid import (
     SolverFailure,
     solve_interception,
 )
+from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
 
 SEED = 7
@@ -194,3 +194,18 @@ def test_kept_inputs_certify():
         result = outcome(*case)
         assert result is not None, case
         assert result.active_set == active_set
+
+
+@pytest.mark.parametrize("regime", ["coaxial", "ball-coaxial"])
+def test_parallel_axes_never_reach_the_polish(regime, monkeypatch):
+    polished = []
+    original = interception._polished
+
+    def counted(group):
+        polished.append(group)
+        return original(group)
+
+    monkeypatch.setattr(interception, "_polished", counted)
+    for case in corpus(regime):
+        assert outcome(*case) is not None
+    assert polished == []

@@ -19,18 +19,15 @@ from reachavoid import (
     solve_interception,
     validate_coalition,
 )
-from reachavoid import _linalg as la
 from reachavoid.interception import (
     ACTIVE_TOLERANCE,
     UNBOUNDED,
     _certify,
     _certify_at,
-    _dropped_sphere,
     _Form,
     _gram_multipliers,
     _program,
     _sphere_low_point,
-    _sphere_low_rho,
 )
 
 import oracles
@@ -434,6 +431,25 @@ def test_gram_multipliers_are_clamped_minimum_norm_fit():
     assert _gram_multipliers([]) is None
 
 
+def test_gram_multipliers_refuse_gradients_of_rank_two():
+    # Three or four gradients in one plane, not all parallel: the Gram
+    # system is singular and no fit is returned, rather than one of its
+    # rounding.
+    rng = random.Random(37)
+    for size in (3, 4):
+        for _ in range(200):
+            a, b = (tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(2))
+            grads = [a, b]
+            for _ in range(size - 2):
+                s, t = rng.uniform(-1, 1), rng.uniform(-1, 1)
+                grads.append(tuple(s * x + t * y for x, y in zip(a, b)))
+            rng.shuffle(grads)
+            assert _gram_multipliers(grads) is None, grads
+    a, b = (0.3, -0.8, 0.5), (0.9, 0.2, -0.4)
+    assert _gram_multipliers(
+        [a, b, tuple(0.3 * x - 0.7 * y for x, y in zip(a, b))]) is None
+
+
 def _dropped(form):
     """Centre and radius of ``k ||y||^2 - 2 y . q + m = 0``."""
     centre = np.array(form.q) / form.k
@@ -453,29 +469,6 @@ def _circle_sweep(fa, fb, steps=3600):
     theta = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
     return centre + math.sqrt(ra * ra - t * t) * (
         np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v)
-
-
-def _old_sphere_low_rho(fa, fb):
-    """``_sphere_low_rho`` as it was written before ``_sphere_low_point``
-    shared its formula, kept to show that ``_pair_points``' seed is
-    unchanged to the bit."""
-    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
-    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
-    axis = la.sub(cb, ca)
-    d = la.norm(axis)
-    if d == 0.0:
-        return None
-    nu = la.scale(axis, 1.0 / d)
-    t = (d * d + ra2 - rb2) / (2.0 * d)
-    radius2 = ra2 - t * t
-    if radius2 <= 0.0:
-        return None
-    centre = la.add(ca, la.scale(nu, t))
-    down = (nu[2] * nu[0], nu[2] * nu[1], nu[2] * nu[2] - 1.0)
-    length = la.norm(down)
-    if length == 0.0:
-        return math.sqrt(la.dot(centre, centre) + radius2)
-    return la.norm(la.add(centre, la.scale(down, math.sqrt(radius2) / length)))
 
 
 def _sphere_pairs():
@@ -526,18 +519,8 @@ def test_sphere_low_point_is_none_unless_the_spheres_meet_in_a_tilted_circle():
     for fa, fb in (disjoint, nested, concentric):
         assert _sphere_low_point(fa, fb) is None
         assert _sphere_low_point(fb, fa) is None
-        assert _sphere_low_rho(fa, fb) is None
-    # Centres one above the other: the circle is horizontal, every point of
-    # it is lowest, and only its rho is given.
+    # Centres one above the other: the circle is horizontal and every point
+    # of it is lowest.
     horizontal = (_sphere_form((0.5, -0.25, -1.0), 2.0),
                   _sphere_form((0.5, -0.25, -2.0), 2.0))
     assert _sphere_low_point(*horizontal) is None
-    rho = _sphere_low_rho(*horizontal)
-    assert rho == math.sqrt(0.5 ** 2 + 0.25 ** 2 + 1.5 ** 2 + 2.0 ** 2 - 0.5 ** 2)
-
-
-def test_sphere_low_rho_is_the_norm_of_the_low_point_to_the_bit():
-    horizontal = (_sphere_form((0.5, -0.25, -1.0), 2.0),
-                  _sphere_form((0.5, -0.25, -2.0), 2.0))
-    for fa, fb in _sphere_pairs() + [horizontal]:
-        assert _sphere_low_rho(fa, fb) == _old_sphere_low_rho(fa, fb)

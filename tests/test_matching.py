@@ -90,6 +90,14 @@ def test_graph_validation():
         GameGraph(coalitions=((0.5, 1.2),), evaders=(0,), edges=((0, 0),))
 
 
+def test_graph_refuses_a_repeated_coalition():
+    # Edges of two indices of one coalition do not conflict, so a matcher
+    # would give both evaders the same pursuer.
+    with pytest.raises(ValueError, match=r"coalition \(0,\) is listed more than once"):
+        GameGraph(coalitions=((0,), (1,), (0,)), evaders=(0, 1),
+                  edges=((0, 0), (2, 1)))
+
+
 def test_edges_conflict():
     assert edges_conflict((0, 1), (1, 2))
     assert not edges_conflict((0, 1), (0, 1))
