@@ -34,6 +34,7 @@ from .interception import (
     SolverFailure,
     UNBOUNDED,
     Unbounded,
+    _index,
     solve_interception,
 )
 from .matching import (
@@ -84,8 +85,11 @@ class Scenario:
         object.__setattr__(self, "evader_policies", policies)
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "max_time", float(self.max_time))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "rematch_every", int(self.rematch_every))
+        for name in ("seed", "rematch_every"):
+            try:
+                object.__setattr__(self, name, _index(getattr(self, name)))
+            except ValueError as exc:
+                raise ScenarioError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,14 @@ its unique minimizer, so the order below changes only the cost:
   This is the common case: the engine re-solves its adopted singles.
 - **pair**: two boundaries meet on a curve over rho whose lowest point a
   safeguarded Newton search finds, seeded at the lowest common point of the
-  two spheres obtained by dropping l (exact for r = 0 and for the ball).
-  Pairs are tried by position, the ball (last) like a member.  When the
-  evader and both axes lie in one vertical plane the point lies in that
-  plane and the triple kernel finds it.  Parallel axes fix y . q twice, a
-  quadratic in rho whose roots give circles about the axis; their lowest
-  points are tried lowest first.
+  two spheres obtained by dropping l (exact for r = 0 and for the ball);
+  when that seed is off the curve, each piece of the curve between real
+  roots of a quartic in rho is searched from its midpoint.  Pairs are tried
+  by position, the ball (last) like a member.  When the evader and both
+  axes lie in one vertical plane the point lies in that plane and the
+  triple kernel finds it.  Parallel axes fix y . q twice, a quadratic in
+  rho whose roots give circles about the axis; their lowest points are
+  tried lowest first.
 - **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
   quartic in rho; its real roots are tried lowest point first.
 - **polish**: when no candidate certifies (dependent gradients, or a
@@ -452,9 +454,11 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     ``n = e1 x e2`` the curve is ``a1 e1 + a2 e2 +- sqrt(h) n`` with ``a1``
     and ``a2`` quadratic in ``rho`` and ``h = rho^2 - a1^2 - a2^2`` quartic;
     its lower branch has altitude ``phi = a1 e1_z + a2 e2_z - |n_z| sqrt(h)``.
-    A safeguarded Newton search on ``phi'`` finds the minimum; ``phi'``
-    tends to -inf at the left end of the range where ``h >= 0`` and to
-    +inf at the right end, so a trial point outside it bounds the search.
+    At each end of ``[max near, min far]`` one boundary's plane touches the
+    sphere ``||y|| = rho``, so ``h <= 0`` and the real roots of ``h`` bound
+    the curve's pieces.  A safeguarded Newton search on ``phi'`` (-inf at a
+    piece's left end, +inf at its right) finds the minimum from the seed, or
+    from each piece's midpoint when the seed is off the curve.
 
     Parallel axes have no ``e2``, and both forms fix ``y . e1``: multiplied
     through by ``|q_a|`` and ``c_b = q_b . e1`` (0 for a ball centred on the
@@ -516,70 +520,59 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     if rho is None or not lo < rho < hi:
         rho = 0.5 * (lo + hi)
     current = state(rho)
+    pieces = [(lo, hi, rho, current)]
     if current[4] <= 0.0:
-        rho = _climb(state, rho, lo, hi)
-        if rho is None:
-            return []
-        current = state(rho)
+        h_coeffs = [-(A2 * A2 + B2 * B2), -2.0 * (A2 * A1 + B2 * B1),
+                    1.0 - A1 * A1 - 2.0 * A2 * A0 - B1 * B1 - 2.0 * B2 * B0,
+                    -2.0 * (A1 * A0 + B1 * B0), -(A0 * A0 + B0 * B0)]
+        ends = [lo, *_real_roots(h_coeffs, lo, hi), hi]
+        pieces = [(a, b, 0.5 * (a + b), state(0.5 * (a + b)))
+                  for a, b in zip(ends, ends[1:])]
 
     nz = abs(n[2])
     z_dd = 2.0 * (A2 * e1[2] + B2 * e2[2])
-    for _ in range(100):
-        a1, a2, d1, d2, h, h_d, h_dd = current
-        root = math.sqrt(h)
-        slope = d1 * e1[2] + d2 * e2[2] - nz * h_d / (2.0 * root)
-        curvature = z_dd - nz * (2.0 * h * h_dd - h_d * h_d) / (4.0 * h * root)
-        if slope > 0.0:
-            hi = rho
-        else:
-            lo = rho
-        step = -slope / curvature if curvature > 0.0 else math.inf
-        # A Newton step this small leaves rho exact to rounding once taken.
-        converged = abs(step) <= 1e-12 * rho
-        trial = rho + step if converged or lo < rho + step < hi else 0.5 * (lo + hi)
-        if trial == rho:
-            break
-        trial_state = state(trial)
-        if trial_state[4] <= 0.0:
-            # Off the curve: the range ends between rho and the trial.
+    points = []
+    for lo, hi, rho, current in pieces:
+        if current[4] <= 0.0:
+            continue
+        for _ in range(100):
+            a1, a2, d1, d2, h, h_d, h_dd = current
+            root = math.sqrt(h)
+            slope = d1 * e1[2] + d2 * e2[2] - nz * h_d / (2.0 * root)
+            curvature = z_dd - nz * (2.0 * h * h_dd - h_d * h_d) / (4.0 * h * root)
+            if slope > 0.0:
+                hi = rho
+            else:
+                lo = rho
+            step = -slope / curvature if curvature > 0.0 else math.inf
+            # A Newton step this small leaves rho exact to rounding once taken.
+            converged = abs(step) <= 1e-12 * rho
+            trial = rho + step if converged or lo < rho + step < hi else 0.5 * (lo + hi)
+            if trial == rho:
+                break
+            trial_state = state(trial)
+            if trial_state[4] <= 0.0:
+                # Off the curve: the piece ends between rho and the trial.
+                if converged:
+                    break
+                if trial < rho:
+                    lo = trial
+                else:
+                    hi = trial
+                continue
+            rho = trial
+            current = trial_state
             if converged:
                 break
-            if trial < rho:
-                lo = trial
-            else:
-                hi = trial
-            continue
-        rho = trial
-        current = trial_state
-        if converged:
-            break
-    else:
-        return []
-    a1, a2, _, _, h, _, _ = current
-    s = -math.copysign(math.sqrt(h), n[2])
-    return [(a1 * e1[0] + a2 * e2[0] + s * n[0],
-             a1 * e1[1] + a2 * e2[1] + s * n[1],
-             a1 * e1[2] + a2 * e2[2] + s * n[2])]
-
-
-def _climb(state, rho: float, lo: float, hi: float) -> float | None:
-    """A point of ``(lo, hi)`` where the pair curve's ``h`` is positive,
-    found by climbing ``h`` from ``rho`` (safeguarded Newton on ``h'``), or
-    None when its maximum is not positive."""
-    for _ in range(100):
-        _, _, _, _, h, h_d, h_dd = state(rho)
-        if h > 0.0:
-            return rho
-        if h_d > 0.0:
-            lo = rho
         else:
-            hi = rho
-        step = -h_d / h_dd if h_dd < 0.0 else math.inf
-        trial = rho + step if lo < rho + step < hi else 0.5 * (lo + hi)
-        if trial == rho:
-            return None
-        rho = trial
-    return None
+            continue
+        a1, a2, _, _, h, _, _ = current
+        s = -math.copysign(math.sqrt(h), n[2])
+        points.append((a1 * e1[0] + a2 * e2[0] + s * n[0],
+                       a1 * e1[1] + a2 * e2[1] + s * n[1],
+                       a1 * e1[2] + a2 * e2[2] + s * n[2]))
+    points.sort(key=lambda y: y[2])
+    return points
 
 
 def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:

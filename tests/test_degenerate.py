@@ -196,8 +196,12 @@ def test_kept_inputs_certify():
         assert result.active_set == active_set
 
 
-@pytest.mark.parametrize("regime", ["coaxial", "ball-coaxial"])
-def test_parallel_axes_never_reach_the_polish(regime, monkeypatch):
+@pytest.mark.parametrize("regime", REGIMES)
+def test_only_near_sphere_reaches_the_polish(regime, monkeypatch):
+    # Every other regime is certified by the direct kernels.  Near-sphere
+    # draws may still polish: the single kernel's stop is absolute for a
+    # body this small (ROADMAP item 8), and how many polish depends on the
+    # last bits of libm's sin and cos, so the count is not pinned.
     polished = []
     original = interception._polished
 
@@ -208,4 +212,4 @@ def test_parallel_axes_never_reach_the_polish(regime, monkeypatch):
     monkeypatch.setattr(interception, "_polished", counted)
     for case in corpus(regime):
         assert outcome(*case) is not None
-    assert polished == []
+    assert polished == [] or regime == "near-sphere", len(polished)

@@ -492,6 +492,18 @@ def test_validate_scenario_errors():
         ))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rematch_every", 2.9), ("seed", True), ("seed", 3.7), ("seed", "3"),
+])
+def test_scenario_refuses_non_integer_fields(field, value):
+    # int() would play these as 2, 1, 3 and 3.
+    with pytest.raises(ScenarioError, match=f"^{field}: .*integers"):
+        simple_scenario(**{field: value})
+    numpy = pytest.importorskip("numpy")
+    scenario = simple_scenario(**{field: numpy.int64(2)})
+    assert type(getattr(scenario, field)) is int
+
+
 def test_policies_run_and_random_walk_is_seeded():
     scenario = simple_scenario(
         pursuers=(

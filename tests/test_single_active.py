@@ -42,8 +42,7 @@ AGREEMENT = 1e-7
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of polish hypotheses tried, polish runs, angle-kernel
-    evaluations, pair seeds climbed onto their curve and single lowest
-    points."""
+    evaluations, pair seeds off their curve and single lowest points."""
     counts = Counter()
 
     def counted(name):
@@ -58,8 +57,19 @@ def calls(monkeypatch):
     counted("_polish_hypothesis")
     counted("_polish_kkt")
     counted("_section_altitude")
-    counted("_climb")
     counted("_solve_single")
+
+    real_roots = interception._real_roots
+
+    def roots(coeffs, lo, hi):
+        # _pair_points takes the roots of its curve's quartic h only when
+        # its seed is off the curve; its parallel branch solves a quadratic.
+        caller = inspect.currentframe().f_back.f_code.co_name
+        if caller == "_pair_points" and len(coeffs) == 5:
+            counts["off-curve pair seed"] += 1
+        return real_roots(coeffs, lo, hi)
+
+    monkeypatch.setattr(interception, "_real_roots", roots)
     return counts
 
 
@@ -216,7 +226,7 @@ def test_paths_agree_on_seeded_corpus(calls):
         before = calls.copy()
         direct = polishes(calls, members, evader, pursuers, region) == 0
         seen["fast", len(members)] += direct
-        climbed = calls["_climb"] > before["_climb"]
+        off_curve = calls["off-curve pair seed"] > before["off-curve pair seed"]
         singles = calls["_solve_single"] - before["_solve_single"]
         result = assert_paths_agree(members, evader, pursuers, region)
         seen["multi-active"] += len(result.active_set) > 1
@@ -242,7 +252,7 @@ def test_paths_agree_on_seeded_corpus(calls):
                        else len(members))
                 assert lows[top] == max(lows)
                 seen["highest single certifies"] += len(members) > 1
-            seen["seed outside range"] += climbed and active > 1
+            seen["seed outside range"] += off_curve and active > 1
             seen["vertical-plane pair"] += (
                 result.active_set == (0, 1) and not result.region_active
                 and len(members) == 2 and _vertical_plane(evader, pursuers))

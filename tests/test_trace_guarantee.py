@@ -7,7 +7,9 @@ reaches the goal nor escapes.  Each game below is played by ``engine.run``
 and every adopted coalition is re-solved at each frame's recorded
 positions.  The games are seeded unbounded ``random_scenario`` games, and
 up-to-8v8 exact-matcher games at dt 0.05 in a ball tight enough to bind
-some of those solves.
+some of those solves.  A coalition is adopted only while it wins: in each
+frame that matches it to an evader it was not matched to in the frame
+before, its solve does not classify as an evader win.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from dataclasses import replace
 
 import pytest
 
-from reachavoid import Ball, random_scenario, run, solve_interception
+from reachavoid import (
+    Ball,
+    GameKind,
+    classify_result,
+    random_scenario,
+    run,
+    solve_interception,
+)
 
 # A drop above this between consecutive frames of one adopted coalition is
 # a fault, not rounding: the worst drop measured on these games is ~1e-14.
@@ -33,13 +42,15 @@ GAMES = {
 
 
 def _audit(scenario):
-    """Play ``scenario``; return its trace, the worst value drop of an
-    adopted coalition between consecutive frames, the number of such frame
-    pairs and the number of re-solves with the ball active."""
+    """Play ``scenario``, asserting that every adoption wins; return its
+    trace, the worst value drop of an adopted coalition between consecutive
+    frames, the number of such frame pairs, the number of re-solves with
+    the ball active and the number of adoptions."""
     trace = run(scenario)
     worst = 0.0
     pairs = 0
     region_active = 0
+    adoptions = 0
     previous = {}
     for frame in trace.frames:
         pursuers = [replace(p, position=position) for p, position in
@@ -55,20 +66,27 @@ def _audit(scenario):
             if ej in previous and previous[ej][0] == members:
                 pairs += 1
                 worst = max(worst, previous[ej][1] - result.value)
+            else:
+                adoptions += 1
+                kind = classify_result(result, evader, pursuers,
+                                       scenario.region)
+                assert kind is not GameKind.EVADER_WINS, (
+                    scenario.seed, frame.time, members, ej)
         previous = current
-    return trace, worst, pairs, region_active
+    return trace, worst, pairs, region_active, adoptions
 
 
 @pytest.mark.parametrize("region", GAMES)
 def test_adopted_values_never_drop_and_matched_evaders_never_exit(region):
     worst = 0.0
-    pairs = region_active = exits = 0
+    pairs = region_active = exits = adoptions = 0
     violations = []
     for scenario in GAMES[region]:
-        trace, drop, count, active = _audit(scenario)
+        trace, drop, count, active, adopted = _audit(scenario)
         worst = max(worst, drop)
         pairs += count
         region_active += active
+        adoptions += adopted
         # Whether each evader was matched in the last frame it appears in.
         matched_last = {}
         for frame in trace.frames:
@@ -82,6 +100,8 @@ def test_adopted_values_never_drop_and_matched_evaders_never_exit(region):
                     violations.append((scenario.seed, event))
     assert worst <= DROP, worst
     assert violations == []
-    # The audit has frames, exits and, in the ball, binding solves to judge.
-    assert pairs > 1000 and exits > 0, (pairs, exits)
+    # The audit has frames, adoptions, exits and, in the ball, binding
+    # solves to judge.
+    assert pairs > 1000 and adoptions > 100 and exits > 0, (
+        pairs, adoptions, exits)
     assert (region_active > 0) == (region == "ball"), region_active
