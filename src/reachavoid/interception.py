@@ -50,18 +50,19 @@ its unique minimizer, so the order below changes only the cost:
   closed form: one multiplier ``min(-g_z / |g|^2, 0)``, one stationarity
   and one slackness residual, every other constraint strictly holding.
   This is the common case: the engine re-solves its adopted singles.
-- **pair**: two boundaries meet on a curve over rho whose lowest point a
-  safeguarded Newton search finds, seeded at the lowest common point of the
-  two spheres obtained by dropping l (exact for r = 0 and for the ball);
-  when that seed is off the curve, each piece of the curve between real
-  roots of a quartic in rho is searched from its midpoint.  Pairs are tried
+- **pair**: two boundaries meet on a curve over rho, which exists where a
+  quartic h in rho is positive.  h has at most two peaks, and a safeguarded
+  Newton search from each peak above zero finds the lowest point of that
+  piece of the curve; the points are tried lowest first.  Pairs are tried
   by position, the ball (last) like a member.  When the evader and both
   axes lie in one vertical plane the point lies in that plane and the
   triple kernel finds it.  Parallel axes fix y . q twice, a quadratic in
   rho whose roots give circles about the axis; their lowest points are
   tried lowest first.
 - **triple**: three forms give y = U rho^2 + V rho + W, and ||y|| = rho is a
-  quartic in rho; its real roots are tried lowest point first.
+  quartic in rho; its real roots are tried lowest point first.  When the
+  axes are coplanar the forms combine into a quadratic in rho instead, and
+  each root gives the lower of two points mirrored in the axes' plane.
 - **polish**: when no candidate certifies (dependent gradients, or a
   candidate just outside the certificate) a Newton polish of the KKT
   system refines each set of one to three constraints, smallest first,
@@ -405,14 +406,6 @@ def _ball_form(ball: _Sphere) -> _Form:
     return _Form(c, 1.0, 0.0, (d - radius) * (d + radius), radius - d, radius + d)
 
 
-def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
-    """Centre and squared radius of ``k ||y||^2 - 2 y . q + m = 0``, the
-    sphere a form becomes with ``l`` dropped; it is the boundary itself
-    for zero capture radii and for the ball."""
-    centre = la.scale(q, 1.0 / k)
-    return centre, la.dot(centre, centre) - m / k
-
-
 def _circle_low_point(centre: Vec, nu: Vec, radius2: float) -> Vec | None:
     """Lowest point of the circle about the unit normal ``nu`` with
     ``centre`` and squared radius ``radius2``, along -z projected off
@@ -422,23 +415,6 @@ def _circle_low_point(centre: Vec, nu: Vec, radius2: float) -> Vec | None:
     if length == 0.0:
         return None
     return la.add(centre, la.scale(down, math.sqrt(radius2) / length))
-
-
-def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
-    """The lowest common point of the two forms' dropped spheres, or None
-    when they do not meet in a circle or it is horizontal."""
-    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
-    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
-    axis = la.sub(cb, ca)
-    d = la.norm(axis)
-    if d == 0.0:
-        return None
-    nu = la.scale(axis, 1.0 / d)
-    t = (d * d + ra2 - rb2) / (2.0 * d)
-    radius2 = ra2 - t * t
-    if radius2 <= 0.0:
-        return None
-    return _circle_low_point(la.add(ca, la.scale(nu, t)), nu, radius2)
 
 
 # Below this |n_z| the pair's lowest point sits so close to the end of the
@@ -455,10 +431,12 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
     and ``a2`` quadratic in ``rho`` and ``h = rho^2 - a1^2 - a2^2`` quartic;
     its lower branch has altitude ``phi = a1 e1_z + a2 e2_z - |n_z| sqrt(h)``.
     At each end of ``[max near, min far]`` one boundary's plane touches the
-    sphere ``||y|| = rho``, so ``h <= 0`` and the real roots of ``h`` bound
-    the curve's pieces.  A safeguarded Newton search on ``phi'`` (-inf at a
-    piece's left end, +inf at its right) finds the minimum from the seed, or
-    from each piece's midpoint when the seed is off the curve.
+    sphere ``||y|| = rho``, so ``h <= 0`` there.  With its negative leading
+    coefficient ``h`` then has at most two peaks in the range, and the
+    troughs between them split it into segments, each holding at most one
+    piece of the curve.  From each peak where ``h > 0`` a safeguarded Newton
+    search on ``phi'`` (-inf at a piece's left end, +inf at its right) finds
+    the lowest point within the peak's segment.
 
     Parallel axes have no ``e2``, and both forms fix ``y . e1``: multiplied
     through by ``|q_a|`` and ``c_b = q_b . e1`` (0 for a ball centred on the
@@ -490,7 +468,7 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
         # Evader and both centres in one vertical plane: the curve is
         # symmetric about it and lowest where it crosses it.
         plane = _Form(n, 0.0, 0.0, 0.0, 0.0, math.inf)
-        return _triple_points(fa, fb, plane) or []
+        return _triple_points(fa, fb, plane)
 
     # a1 = A2 rho^2 + A1 rho + A0 and a2 = B2 rho^2 + B1 rho + B0
     A2 = 0.5 * fa.k / na
@@ -511,29 +489,20 @@ def _pair_points(fa: _Form, fb: _Form) -> list[Vec]:
         h_dd = 2.0 * (1.0 - d1 * d1 - 2.0 * A2 * a1 - d2 * d2 - 2.0 * B2 * a2)
         return a1, a2, d1, d2, h, h_d, h_dd
 
+    # The turning points of h, the roots of its slope h', alternate between
+    # peaks and troughs, so each peak's segment ends at its neighbours.
+    h_slope = [-4.0 * (A2 * A2 + B2 * B2), -6.0 * (A2 * A1 + B2 * B1),
+               2.0 * (1.0 - A1 * A1 - 2.0 * A2 * A0 - B1 * B1 - 2.0 * B2 * B0),
+               -2.0 * (A1 * A0 + B1 * B0)]
     lo = max(fa.near, fb.near)
     hi = min(fa.far, fb.far)
-    if not lo < hi:
-        return []
-    low = _sphere_low_point(fa, fb)
-    rho = None if low is None else la.norm(low)
-    if rho is None or not lo < rho < hi:
-        rho = 0.5 * (lo + hi)
-    current = state(rho)
-    pieces = [(lo, hi, rho, current)]
-    if current[4] <= 0.0:
-        h_coeffs = [-(A2 * A2 + B2 * B2), -2.0 * (A2 * A1 + B2 * B1),
-                    1.0 - A1 * A1 - 2.0 * A2 * A0 - B1 * B1 - 2.0 * B2 * B0,
-                    -2.0 * (A1 * A0 + B1 * B0), -(A0 * A0 + B0 * B0)]
-        ends = [lo, *_real_roots(h_coeffs, lo, hi), hi]
-        pieces = [(a, b, 0.5 * (a + b), state(0.5 * (a + b)))
-                  for a, b in zip(ends, ends[1:])]
-
+    turns = [lo, *_real_roots(h_slope, lo, hi), hi]
     nz = abs(n[2])
     z_dd = 2.0 * (A2 * e1[2] + B2 * e2[2])
     points = []
-    for lo, hi, rho, current in pieces:
-        if current[4] <= 0.0:
+    for lo, rho, hi in zip(turns, turns[1:], turns[2:]):
+        current = state(rho)
+        if current[4] <= 0.0 or current[6] >= 0.0:
             continue
         for _ in range(100):
             a1, a2, d1, d2, h, h_d, h_dd = current
@@ -579,35 +548,46 @@ def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
     """Real roots in ``[lo, hi]`` of the polynomial with ``coeffs``, highest
     power first, in ascending order.
 
-    The derivative's roots split the range into monotone pieces, and each
-    piece whose ends differ in sign holds one root, found by Newton's
-    method safeguarded by bisection.
+    Up to degree 2 they come in closed form from the stable quadratic
+    formula.  Above that the derivative's roots split the range into
+    monotone pieces, and each piece whose ends differ in sign holds one
+    root, found by Newton's method safeguarded by bisection, with value and
+    slope from one Horner pass.
     """
-    degree = len(coeffs) - 1
-    if degree < 1 or not lo < hi:
+    if not lo < hi:
         return []
-    slope = [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
+    degree = len(coeffs) - 1
+    if degree <= 2:
+        a, b, c = [0.0] * (2 - degree) + coeffs
+        disc = b * b - 4.0 * a * c
+        if not disc >= 0.0:
+            return []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return sorted(x for x in (q / a if a else math.nan, c / q if q else math.nan)
+                      if lo <= x <= hi)
 
-    def value(cs, x):
-        acc = 0.0
-        for c in cs:
+    def value(x):
+        """The polynomial and its slope at ``x``."""
+        acc = slope = 0.0
+        for c in coeffs:
+            slope = slope * x + acc
             acc = acc * x + c
-        return acc
+        return acc, slope
 
-    ends = [lo, *_real_roots(slope, lo, hi), hi]
+    ends = [lo, *_real_roots([c * (degree - i) for i, c in enumerate(coeffs[:-1])],
+                             lo, hi), hi]
     roots = []
     for a, b in zip(ends, ends[1:]):
-        a_negative = value(coeffs, a) < 0.0
-        if a_negative == (value(coeffs, b) < 0.0):
+        a_negative = value(a)[0] < 0.0
+        if a_negative == (value(b)[0] < 0.0):
             continue
         x = 0.5 * (a + b)
         for _ in range(100):
-            fx = value(coeffs, x)
+            fx, dx = value(x)
             if (fx < 0.0) == a_negative:
                 a = x
             else:
                 b = x
-            dx = value(slope, x)
             step = fx / dx if dx != 0.0 else math.inf
             # A Newton step this small leaves x exact to rounding once taken.
             if abs(step) <= 1e-12 * abs(x):
@@ -621,26 +601,57 @@ def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
     return roots
 
 
-def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
+def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec]:
     """Common points of three boundaries relative to the evader, lowest
-    first, or None when their axes ``q`` are coplanar.
+    first; at most four, and none when their axes ``q`` are collinear.
 
-    For each rho the forms are a linear system in y with solution
+    Points are sought for rho in ``[max near, min far]``, the only range
+    where a point of all three boundaries can lie.  For each rho the forms
+    are a linear system in y.  With independent axes its solution is
     ``y = U rho^2 + V rho + W``, and ``||y||^2 = rho^2`` is a quartic in rho.
-    Its roots are sought in ``[max near, min far]``, the only range where a
-    point of all three boundaries can lie.
+
+    Coplanar axes, with ``nu`` the unit normal of their plane, satisfy
+    ``sum mu_i q_i = 0`` for ``mu_a = (q_b x q_c) . nu`` and its cyclic
+    shifts, so ``sum mu_i (k_i rho^2 - 2 l_i rho + m_i) = 0`` is a quadratic
+    in rho.  At each root the two forms whose axes span the plane best fix
+    the part ``y_P`` of y in it, and the lower of ``y_P -+ t nu`` with
+    ``|y_P|^2 + t^2 = rho^2`` is the candidate.
     """
-    cab = la.cross(fb.q, fc.q)
-    cbc = la.cross(fc.q, fa.q)
-    cca = la.cross(fa.q, fb.q)
-    det = la.dot(fa.q, cab)
+    forms = (fa, fb, fc)
+    crosses = (la.cross(fb.q, fc.q), la.cross(fc.q, fa.q), la.cross(fa.q, fb.q))
+    det = la.dot(fa.q, crosses[0])
+    lo = max(fa.near, fb.near, fc.near)
+    hi = min(fa.far, fb.far, fc.far)
     if abs(det) <= 1e-10 * la.norm(fa.q) * la.norm(fb.q) * la.norm(fc.q):
-        return None
+        j = max(range(3), key=lambda i: la.dot(crosses[i], crosses[i]))
+        n = crosses[j]  # q_i x q_k
+        fi, fk = forms[j - 2], forms[j - 1]
+        n2 = la.dot(n, n)
+        if n2 <= 1e-18 * la.dot(fi.q, fi.q) * la.dot(fk.q, fk.q):
+            return []
+        nu = la.scale(n, 1.0 / math.sqrt(n2))
+        mu = [la.dot(c, nu) for c in crosses]
+        coeffs = [0.5 * sum(m * f.k for m, f in zip(mu, forms)),
+                  -sum(m * f.l for m, f in zip(mu, forms)),
+                  0.5 * sum(m * f.m for m, f in zip(mu, forms))]
+        # y_P = (s_i q_k x n + s_k n x q_i) / |n|^2 with s the forms' sides.
+        ui = la.scale(la.cross(fk.q, n), 0.5 / n2)
+        uk = la.scale(la.cross(n, fi.q), 0.5 / n2)
+        points = []
+        for rho in _real_roots(coeffs, lo, hi):
+            y = la.add(la.scale(ui, (fi.k * rho - 2.0 * fi.l) * rho + fi.m),
+                       la.scale(uk, (fk.k * rho - 2.0 * fk.l) * rho + fk.m))
+            gap = rho * rho - la.dot(y, y)
+            if gap >= 0.0:
+                t = math.copysign(math.sqrt(gap), nu[2])
+                points.append(la.sub(y, la.scale(nu, t)))
+        points.sort(key=lambda y: (y[2], y[0], y[1]))
+        return points
 
     def solution(ca: float, cb: float, cc: float, scale: float) -> Vec:
         """The y with ``y . q = scale * c`` for each form (Cramer's rule)."""
         return tuple((ca * x + cb * y + cc * z) * scale / det
-                     for x, y, z in zip(cab, cbc, cca))
+                     for x, y, z in zip(*crosses))
 
     u = solution(fa.k, fb.k, fc.k, 0.5)
     v = solution(fa.l, fb.l, fc.l, -1.0)
@@ -652,8 +663,6 @@ def _triple_points(fa: _Form, fb: _Form, fc: _Form) -> list[Vec] | None:
         2.0 * la.dot(v, w),
         la.dot(w, w),
     ]
-    lo = max(fa.near, fb.near, fc.near)
-    hi = min(fa.far, fb.far, fc.far)
     points = []
     for rho in _real_roots(coeffs, lo, hi):
         # Newton on ||y(rho)||^2 - rho^2 evaluated through y, which keeps
@@ -843,7 +852,7 @@ def _direct(group: list[_Constraint]):
         for subset in itertools.combinations(range(len(group)), size):
             forms = [group[j].shape() for j in subset]
             points = (_pair_points(*forms) if size == 2
-                      else _triple_points(*forms) or [])
+                      else _triple_points(*forms))
             for y in points:
                 certificate = _certify(group, y, subset)
                 if certificate is not None:

@@ -58,12 +58,11 @@ from .interception import (
     Region,
     UNBOUNDED,
     _ball_g,
+    _circle_low_point,
     _Constraint,
-    _dropped_sphere,
     _Form,
     _index,
     _program,
-    _sphere_low_point,
     classify_result,
     solve_interception,
     validate_coalition,
@@ -158,17 +157,23 @@ def is_conflict_free(graph: GameGraph, matching) -> bool:
     return True
 
 
-def coalition_count(num_pursuers: int) -> int:
-    """Number of coalitions of size one to three among ``num_pursuers``."""
+def _pursuer_count(num_pursuers: int) -> int:
+    """``num_pursuers`` as an int; raises unless it is an integer >= 1."""
     n = _index(num_pursuers)
     if n < 1:
         raise ValueError(f"num_pursuers must be >= 1, got {n}")
+    return n
+
+
+def coalition_count(num_pursuers: int) -> int:
+    """Number of coalitions of size one to three among ``num_pursuers``."""
+    n = _pursuer_count(num_pursuers)
     return n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
 
 
 def all_coalitions(num_pursuers: int) -> tuple[Coalition, ...]:
     """Every coalition of size one to three, sorted by size then members."""
-    return _coalition_index(_index(num_pursuers))[0]
+    return _coalition_index(_pursuer_count(num_pursuers))[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -185,6 +190,33 @@ def _coalition_index(n: int) -> tuple[tuple[Coalition, ...], dict[Coalition, int
     ]
     coalitions = tuple(singles + pairs + triples)
     return coalitions, {c: i for i, c in enumerate(coalitions)}
+
+
+def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
+    """Centre and squared radius of ``k ||y||^2 - 2 y . q + m = 0``, the
+    sphere a boundary form becomes with ``l`` dropped; it holds the member's
+    body, and it is the boundary itself for zero capture radii and for the
+    ball."""
+    centre = la.scale(q, 1.0 / k)
+    return centre, la.dot(centre, centre) - m / k
+
+
+def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
+    """The lowest common point of the two forms' dropped spheres, or None
+    when they do not meet in a circle or it is horizontal; it aims a pair's
+    first witness ray."""
+    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
+    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
+    axis = la.sub(cb, ca)
+    d = la.norm(axis)
+    if d == 0.0:
+        return None
+    nu = la.scale(axis, 1.0 / d)
+    t = (d * d + ra2 - rb2) / (2.0 * d)
+    radius2 = ra2 - t * t
+    if radius2 <= 0.0:
+        return None
+    return _circle_low_point(la.add(ca, la.scale(nu, t)), nu, radius2)
 
 
 def _wins_alone(form: _Form, z_e: float) -> bool:

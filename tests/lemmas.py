@@ -49,10 +49,6 @@ from reachavoid.interception import (
 CLOSURE_TOLERANCE = 1e-12
 
 
-class CoplanarConfigurationError(ValueError):
-    """Triple-intersection candidates need a non-coplanar configuration."""
-
-
 @dataclass(frozen=True)
 class PolarFrame:
     """Polar coordinates centred on the evader with initial rotations.
@@ -177,25 +173,19 @@ def cross_section_curvature(pursuer: PursuerSpec, evader: EvaderSpec,
 
 
 def triple_candidates(coalition, evader: EvaderSpec, pursuers) -> list[Vec]:
-    """All common points of three evasion-space boundaries.
+    """All common points of three evasion-space boundaries, each within
+    1e-7 of all three.
 
     Eliminating the radial coordinate from the three boundary equations
-    leaves a quartic in the distance rho from the evader, so there are at
-    most four candidates.  Requires the evader and the three pursuers to be
-    non-coplanar; coplanar configurations raise
-    :class:`CoplanarConfigurationError` and are handled by coalition
-    reduction instead.
+    leaves a quartic in the distance rho from the evader, or a quadratic
+    when the evader and the three pursuers are coplanar, so there are at
+    most four candidates; collinear configurations have none.
     """
     members = validate_coalition(coalition, len(pursuers))
     if len(members) != 3:
         raise ValueError("triple candidates require a coalition of exactly 3")
     group = _program(members, evader, pursuers, UNBOUNDED)
     points = _triple_points(*(_member_form(c.key) for c in group))
-    if points is None:
-        raise CoplanarConfigurationError(
-            "evader and pursuers are coplanar; boundary intersections are "
-            "not isolated points"
-        )
     unique: list[Vec] = []
     for y in points:
         if max(abs(c.value(y)) for c in group) > 1e-7:

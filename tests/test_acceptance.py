@@ -30,7 +30,6 @@ import minisim
 import oracles
 from barrier import barrier_reference
 from lemmas import (
-    CoplanarConfigurationError,
     PolarFrame,
     boundary_point,
     cross_section_curvature,
@@ -178,10 +177,7 @@ def test_criterion_5_quartic_cross_check():
         result = solve_interception((0, 1, 2), evader, pursuers)
         if len(result.active_set) != 3:
             continue
-        try:
-            candidates = triple_candidates((0, 1, 2), evader, pursuers)
-        except CoplanarConfigurationError:
-            continue
+        candidates = triple_candidates((0, 1, 2), evader, pursuers)
         qualifying += 1
         ok &= len(candidates) <= 4
         gap = min(

@@ -113,7 +113,7 @@ def test_the_sphere_ray_decides_losing_pairs_no_other_ray_witnesses(
     # dropped spheres, the build solves these losing pairs: neither
     # member's point nor straight down witnesses them.  With it, it decides
     # them unsolved, and every edge stays as it was.
-    graph, with_ray = pair_solves(monkeypatch, interception._sphere_low_point,
+    graph, with_ray = pair_solves(monkeypatch, matching._sphere_low_point,
                                   region_name)
     old_graph, without_ray = pair_solves(monkeypatch, lambda fa, fb: None,
                                          region_name)

@@ -67,10 +67,10 @@ KEPT = [
       [PursuerSpec((-1.5818969052004106, 2.47670087514601, 3.0922631503086793),
                    2.9922231120232143, 1.9093227707935416)],
       UNBOUNDED), (0,)),
-    # Barely-faster draw 461 of seed 8: the pair kernel on members 0 and 2
-    # finds a local minimum of their curve about 707.7 above the evader,
-    # while the pair point sits about 0.0905 below it; the polish from
-    # member 2's own lowest point reaches it.
+    # Barely-faster draw 461 of seed 8: the curve of members 0 and 2 has two
+    # pieces, one with a local minimum about 707.7 above the evader and one
+    # with the pair point, about 0.0905 below it.  The pair kernel searches
+    # both and certifies the second.
     (((0, 1, 2), EvaderSpec((0.02527900898557789, -0.2006384820495568,
                              0.6035585524625369), 0.9555685338995047),
       [PursuerSpec((0.36944132944237834, 0.19586452006174504,
@@ -82,6 +82,18 @@ KEPT = [
                     -0.1277191366017042), 0.9555748462304772,
                    1.8062997914661576)],
       UNBOUNDED), (0, 2)),
+    # Coplanar draw 491 of seed 8: all three members bind, and the triple
+    # kernel's coplanar branch finds the point.
+    (((0, 1, 2), EvaderSpec((0.19224407789619025, -0.6333416296594518,
+                             2.8393889488765156), 1.1949828758963867),
+      [PursuerSpec((-0.40967601382469176, -2.105060380228677,
+                    2.827844653363813), 1.8767991049263, 1.5108248691816566),
+       PursuerSpec((0.3549244902679204, -1.3000252599314845,
+                    2.822293642282952), 1.789785364730321, 0.6204434398345341),
+       PursuerSpec((1.7349390486170115, -0.0573364233297613,
+                    2.808280701547619), 1.3925147257495387,
+                   1.5528891746000069)],
+      UNBOUNDED), (0, 1, 2)),
 ]
 
 
@@ -194,6 +206,17 @@ def test_kept_inputs_certify():
         result = outcome(*case)
         assert result is not None, case
         assert result.active_set == active_set
+
+
+def test_kept_inputs_certify_without_the_polish(monkeypatch):
+    # Every kept input but the first, near-sphere one (ROADMAP item 8) is
+    # certified by the direct kernels.
+    def refused(group):
+        raise AssertionError("the solve reached the polish")
+
+    monkeypatch.setattr(interception, "_polished", refused)
+    for case, active_set in KEPT[1:]:
+        assert outcome(*case).active_set == active_set
 
 
 @pytest.mark.parametrize("regime", REGIMES)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -27,16 +28,17 @@ from reachavoid.interception import (
     _Form,
     _gram_multipliers,
     _program,
-    _sphere_low_point,
+    _real_roots,
 )
+from reachavoid.matching import _sphere_low_point
 
 import oracles
 from barrier import barrier_reference
 from lemmas import (
-    CoplanarConfigurationError,
     reduce_coalition,
     triple_candidates,
 )
+from test_degenerate import KEPT, corpus as degenerate_corpus
 
 P_AXIS = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.0)
 P_AXIS_R = PursuerSpec(position=(0, 0, 1), speed=2.0, capture_radius=0.5)
@@ -240,10 +242,7 @@ def test_triple_candidates_substitution_random():
     seen = 0
     for _ in range(40):
         pursuers, evader = oracles.ring_pose(rng)
-        try:
-            candidates = triple_candidates((0, 1, 2), evader, pursuers)
-        except CoplanarConfigurationError:
-            continue
+        candidates = triple_candidates((0, 1, 2), evader, pursuers)
         assert len(candidates) <= 4
         for candidate in candidates:
             for p in pursuers:
@@ -270,15 +269,27 @@ def test_triple_candidates_empty_when_boundaries_nested():
     assert spread > 1e-3
 
 
-def test_triple_candidates_rejects_coplanar():
-    pursuers = [
-        PursuerSpec(position=(1, 0, 1), speed=2.0),
-        PursuerSpec(position=(-1, 0, 1), speed=2.0),
-        PursuerSpec(position=(0, 0, 0.5), speed=2.0),
-    ]
-    evader = EvaderSpec(position=(0, 0, 3), speed=1.0)
-    with pytest.raises(CoplanarConfigurationError):
-        triple_candidates((0, 1, 2), evader, pursuers)
+def test_triple_candidates_of_coplanar_axes_lie_on_every_boundary():
+    # With the evader and the pursuers in one plane the three boundaries
+    # still meet in at most four points, each on all three of them.
+    seen = 0
+    for members, evader, pursuers, _ in degenerate_corpus("coplanar"):
+        if len(members) != 3:
+            continue
+        candidates = triple_candidates(members, evader, pursuers)
+        assert len(candidates) <= 4
+        for candidate in candidates:
+            for p in pursuers:
+                assert abs(potential(p, evader, candidate)) <= 1e-7
+        seen += len(candidates)
+    assert seen >= 10, seen
+    # Seed-8 coplanar draw 491 binds all three members: the lowest
+    # candidate is the interception point.
+    (members, evader, pursuers, _), active_set = KEPT[2]
+    assert active_set == (0, 1, 2)
+    best = min(triple_candidates(members, evader, pursuers), key=lambda c: c[2])
+    result = solve_interception(members, evader, pursuers)
+    assert math.dist(best, result.point) <= 1e-9
     with pytest.raises(ValueError):
         triple_candidates((0, 1), evader, pursuers)
 
@@ -490,6 +501,26 @@ def _sphere_form(centre, radius):
     """A form whose dropped sphere is ``(centre, radius)``."""
     return _Form(centre, 1.0, 0.0, sum(x * x for x in centre) - radius * radius,
                  0.0, math.inf)
+
+
+def test_real_roots_match_numpy_on_seeded_polynomials():
+    rng = random.Random(17)
+    for degree in (2, 3, 4):
+        for _ in range(300):
+            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
+            roots = np.roots(coeffs)
+            if min(abs(a - b) for a, b in itertools.combinations(roots, 2)) < 1e-6:
+                continue  # a near-double root has no sign change to find
+            expected = sorted(r.real for r in roots
+                              if r.imag == 0.0 and -2.0 <= r.real <= 2.0)
+            got = _real_roots(coeffs, -2.0, 2.0)
+            assert got == sorted(got)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), coeffs
+    # A quadratic without its square term, or a line, has the line's root.
+    assert _real_roots([0.0, 2.0, -1.0], 0.0, 3.0) == [0.5]
+    assert _real_roots([2.0, -1.0], 0.0, 3.0) == [0.5]
+    assert _real_roots([1.0, 0.0, 1.0], -3.0, 3.0) == []
+    assert _real_roots([1.0], -3.0, 3.0) == []
 
 
 def test_sphere_low_point_is_the_lowest_point_of_both_dropped_spheres():

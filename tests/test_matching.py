@@ -74,8 +74,10 @@ def test_coalition_count():
     )
     assert enumerated == 92
     assert len(all_coalitions(8)) == 92
-    with pytest.raises(ValueError):
-        coalition_count(0)
+    for n in (0, -2):
+        for count in (coalition_count, all_coalitions):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                count(n)
     # Numpy integers count as their value.
     assert coalition_count(np.int64(3)) == 7
     assert all_coalitions(np.int32(3)) is all_coalitions(3)
