@@ -554,7 +554,7 @@ def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
     root, found by Newton's method safeguarded by bisection, with value and
     slope from one Horner pass.
     """
-    if not lo < hi:
+    if not lo <= hi:
         return []
     degree = len(coeffs) - 1
     if degree <= 2:

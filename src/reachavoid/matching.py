@@ -6,8 +6,8 @@ against that evader while every proper subcoalition loses.  Two edges
 conflict when their coalitions share a pursuer, so a valid assignment is a
 matching that additionally uses each pursuer at most once.  Finding the
 largest such matching is NP-hard (pair-only instances encode 3-dimensional
-matching), hence both an exact branch-and-bound search and the three-stage
-sequential approximation are provided.
+matching), hence an exact branch-and-bound search, for small instances, and
+a polynomial three-stage approximation within a factor three of optimal.
 
 The graph build needs only each coalition's kind, the sign of its lowest
 altitude.  It goes by increasing coalition size and decides a coalition
@@ -527,31 +527,62 @@ def max_bipartite_matching(left_ids, right_ids, edges) -> tuple[tuple, ...]:
     return tuple(sorted(match_left.items()))
 
 
-def _greedy_conflict_free(graph: GameGraph, edges) -> list[tuple[int, int]]:
-    chosen: list[tuple[int, int]] = []
-    used_pursuers: set[int] = set()
-    used_evaders: set[int] = set()
-    for edge in sorted(edges, key=graph.edge_key):
-        members = set(graph.coalitions[edge[0]])
-        if edge[1] in used_evaders or members & used_pursuers:
-            continue
-        chosen.append(edge)
-        used_pursuers |= members
-        used_evaders.add(edge[1])
-    return chosen
+def _parts(graph: GameGraph, edge: tuple[int, int]) -> tuple[int, ...]:
+    """An edge's pursuers, then its evader ``j`` as part ``~j < 0``."""
+    return (*graph.coalitions[edge[0]], ~edge[1])
 
 
-def _exact_conflict_free(graph: GameGraph, edges) -> list[tuple[int, int]]:
-    """Exact maximum conflict-free matching by depth-first branch and bound.
+def _local_packing(graph: GameGraph, edges) -> list[tuple[int, int]]:
+    """A conflict-free subset of ``edges`` that no local move enlarges.
 
-    Edges are explored grouped by evader, rarest evader first; the bound is
-    the count of distinct unassigned evaders still reachable.
+    The search adds edges in :meth:`GameGraph.edge_key` order while one
+    shares no part (:func:`_parts`) with those chosen, then trades one
+    chosen edge for two disjoint edges that share parts with it alone, and
+    repeats until neither move applies: the t = 2 local search of Hurkens
+    and Schrijver (SIAM J. Discrete Math. 2(1), 1989).  Each trade adds an
+    edge, so at most ``len(edges)`` happen.
     """
-    edges = list(edges)
-    if not edges:
-        return []
+    edges = sorted(edges, key=graph.edge_key)
+    parts = {edge: _parts(graph, edge) for edge in edges}
+    owner: dict[int, tuple[int, int]] = {}  # each chosen part's edge
+    while True:
+        for edge in edges:
+            if not any(p in owner for p in parts[edge]):
+                owner.update(dict.fromkeys(parts[edge], edge))
+        # The unchosen edges that each chosen edge alone blocks.
+        alone: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for edge in edges:
+            blockers = {owner[p] for p in parts[edge] if p in owner}
+            if len(blockers) == 1 and edge not in blockers:
+                alone.setdefault(blockers.pop(), []).append(edge)
+        trade = next(((chosen, (a, b)) for chosen, free in alone.items()
+                      for a, b in itertools.combinations(free, 2)
+                      if set(parts[a]).isdisjoint(parts[b])), None)
+        if trade is None:
+            return sorted(set(owner.values()))
+        chosen, pair = trade
+        for p in parts[chosen]:
+            del owner[p]
+        for edge in pair:
+            owner.update(dict.fromkeys(parts[edge], edge))
+
+
+def exact_mbmc(graph: GameGraph, *, max_edges: int = EXACT_EDGE_GUARD) -> Matching:
+    """Optimal conflict-free matching, for instances within the size guard.
+
+    Depth-first branch and bound: edges are explored grouped by evader,
+    rarest evader first; the bound is the count of distinct unassigned
+    evaders still reachable.  Raises :class:`SizeGuardExceeded` beyond
+    ``max_edges`` edges; callers needing an answer anyway should fall back
+    to :func:`sequential_matching`.
+    """
+    if len(graph.edges) > max_edges:
+        raise SizeGuardExceeded(
+            f"exact matching refused: {len(graph.edges)} edges exceed the "
+            f"guard of {max_edges}"
+        )
     by_evader: dict[int, list[tuple[int, int]]] = {}
-    for edge in edges:
+    for edge in graph.edges:
         by_evader.setdefault(edge[1], []).append(edge)
     evader_order = sorted(by_evader, key=lambda e: (len(by_evader[e]), e))
     for e in evader_order:
@@ -582,66 +613,34 @@ def _exact_conflict_free(graph: GameGraph, edges) -> list[tuple[int, int]]:
         walk(pos + 1)  # leave this evader unassigned
 
     walk(0)
-    return best
-
-
-def exact_mbmc(graph: GameGraph, *, max_edges: int = EXACT_EDGE_GUARD) -> Matching:
-    """Optimal conflict-free matching, for instances within the size guard.
-
-    Raises :class:`SizeGuardExceeded` beyond ``max_edges`` edges; callers
-    needing an answer anyway should fall back to
-    :func:`sequential_matching`.
-    """
-    if len(graph.edges) > max_edges:
-        raise SizeGuardExceeded(
-            f"exact matching refused: {len(graph.edges)} edges exceed the "
-            f"guard of {max_edges}"
-        )
-    return tuple(sorted(_exact_conflict_free(graph, graph.edges)))
+    return tuple(sorted(best))
 
 
 def sequential_matching(graph: GameGraph) -> Matching:
-    """Three-stage approximate conflict-free matching.
+    """Three-stage approximate conflict-free matching, in polynomial time.
 
     Stage one matches single-pursuer coalitions by maximum bipartite
     matching; stage two matches pair coalitions drawn only from the still
-    unmatched pursuers and evaders; stage three does the same for triples.
-    Each stage output is conflict-free, so the union is too.  The result is
-    within a factor three of optimal.
+    unmatched pursuers and evaders, and stage three does the same for
+    triples, each by :func:`_local_packing`.  The union is conflict-free.
 
-    Stage two and three subproblems must themselves avoid sharing pursuers
-    between pair/triple coalitions, which plain bipartite matching cannot
-    express; they are solved exactly by the branch-and-bound search (these
-    stage subgraphs are small), with a greedy maximal fallback above the
-    size guard.
+    It is within a factor three of optimal, and two of an optimum O with
+    no triple.  A local packing A of stage ``s`` is maximal and its edges
+    have ``s + 1`` parts, so each edge of a packing B meets A, at most
+    ``s + 1`` meet one edge of A, and at most one meets it alone, else a
+    trade applies: ``|B| <= (s + 2) / 2 |A|``.  A stage-one edge blocks at
+    most two edges of O, and a stage-two edge three, among them every pair
+    of O that stage one left free; so ``|O| <= 2 |S1| + 3 |S2| + 5/2
+    |S3|``, and ``|O| <= 2 |S1| + 2 |S2|`` when O has no triple.
     """
     singles = [e for e in graph.edges if len(graph.coalitions[e[0]]) == 1]
-    stage1 = max_bipartite_matching(
-        sorted({e[0] for e in singles}),
-        sorted({e[1] for e in singles}),
-        singles,
-    )
-    matched: list[tuple[int, int]] = list(stage1)
-    used_pursuers = {
-        i for ci, _ in matched for i in graph.coalitions[ci]
-    }
-    used_evaders = {ej for _, ej in matched}
-
+    matched = list(max_bipartite_matching(
+        {e[0] for e in singles}, {e[1] for e in singles}, singles))
     for size in (2, 3):
-        stage_edges = [
-            e for e in graph.edges
-            if len(graph.coalitions[e[0]]) == size
-            and e[1] not in used_evaders
-            and not set(graph.coalitions[e[0]]) & used_pursuers
-        ]
-        if len(stage_edges) <= EXACT_EDGE_GUARD:
-            stage = _exact_conflict_free(graph, stage_edges)
-        else:
-            stage = _greedy_conflict_free(graph, stage_edges)
-        matched.extend(stage)
-        for ci, ej in stage:
-            used_pursuers |= set(graph.coalitions[ci])
-            used_evaders.add(ej)
+        used = {p for edge in matched for p in _parts(graph, edge)}
+        matched += _local_packing(graph, [
+            e for e in graph.edges if len(graph.coalitions[e[0]]) == size
+            and used.isdisjoint(_parts(graph, e))])
     return tuple(sorted(matched))
 
 

@@ -93,6 +93,10 @@ def test_lone_member_with_a_binding_ball_takes_the_ordered_tries(calls):
     assert calls["_direct"] == 1
     # _direct reads the member's lowest point that the lone test found.
     assert calls["_solve_single"] == 1
+    # A ball centred on the evader has near = far = R, and the pair's
+    # closed form finds its root in that zero-width range: no polish.
+    assert calls["_polished"] == 0
+    assert result.kkt_residual <= KKT_TOLERANCE
 
 
 def _ball_pairs(radius: float):

@@ -305,10 +305,10 @@ def test_sequential_matching_conflict_free_and_deterministic():
         assert pairs == sequential_matching(graph)
 
 
-def test_sequential_matching_greedy_stage_above_guard():
+def test_sequential_matching_pair_stage_above_guard_is_maximal():
     # Twelve pursuers form 66 pair coalitions; with two evaders each and no
     # single edges, the pair stage has more edges than the exact search
-    # accepts and takes the greedy maximal matching instead.
+    # accepts; its local packing still leaves no edge free.
     rng = random.Random(11)
     coalitions = tuple(itertools.combinations(range(12), 2))
     edges = [(ci, ej) for ci in range(len(coalitions))
@@ -324,6 +324,54 @@ def test_sequential_matching_greedy_stage_above_guard():
     for ci, ej in graph.edges:
         assert ej in used_evaders or set(graph.coalitions[ci]) & used_pursuers
     assert sequential_matching(graph) == pairs
+
+
+def test_sequential_matching_trades_the_first_triple_above_guard():
+    # The first triple in edge order shares a part with each of the four
+    # triples of the optimum, and padding triples holding pursuer 0 push
+    # the stage past the guard.  A greedy stage keeps the first triple
+    # alone; a trade of it for two of the optimum's frees the other two.
+    optimum = [((0, 3, 4), 1), ((1, 5, 6), 2), ((2, 7, 8), 3), ((9, 10, 11), 0)]
+    padding = [((0, j, k), ej) for j, k in itertools.combinations(range(1, 12), 2)
+               for ej in (1, 2) if (j, k) not in ((1, 2), (3, 4))]
+    named = [((0, 1, 2), 0)] + optimum + padding
+    coalitions = tuple(sorted({members for members, _ in named}))
+    index = {c: i for i, c in enumerate(coalitions)}
+    graph = GameGraph(coalitions=coalitions, evaders=tuple(range(4)),
+                      edges=tuple((index[c], ej) for c, ej in named))
+    assert len(graph.edges) > EXACT_EDGE_GUARD
+    assert graph.edges[0] == (index[(0, 1, 2)], 0)
+    pairs = sequential_matching(graph)
+    assert is_conflict_free(graph, pairs)
+    assert sorted((graph.coalitions[ci], ej) for ci, ej in pairs) == sorted(optimum)
+    assert len(exact_mbmc(graph, max_edges=len(graph.edges))) == 4
+
+
+@pytest.mark.parametrize("size, factor", [(2, 2), (3, 3)])
+def test_sequential_matching_bound_on_planted_instances_above_guard(size, factor):
+    # Each evader gets one planted coalition of ``size`` random pursuers,
+    # disjoint from the others', so the optimum matches every evader and
+    # uses no triple when the plants are pairs.  Every other edge takes
+    # its members from distinct plants, so it blocks up to size + 1 of
+    # them, and all of them meet in one stage above the guard.
+    rng = random.Random(size)
+    for _ in range(40):
+        n_e = rng.randint(6, 12)
+        labels = rng.sample(range(size * n_e), size * n_e)
+        plants = [tuple(sorted(labels[size * ej:size * ej + size]))
+                  for ej in range(n_e)]
+        named = {(members, ej) for ej, members in enumerate(plants)}
+        while len(named) <= EXACT_EDGE_GUARD + 20:
+            members = tuple(sorted(rng.choice(plants[ej])
+                                   for ej in rng.sample(range(n_e), size)))
+            named.add((members, rng.randrange(n_e)))
+        coalitions = tuple(sorted({members for members, _ in named}))
+        index = {c: i for i, c in enumerate(coalitions)}
+        graph = GameGraph(coalitions=coalitions, evaders=tuple(range(n_e)),
+                          edges=tuple((index[c], ej) for c, ej in named))
+        pairs = sequential_matching(graph)
+        assert is_conflict_free(graph, pairs)
+        assert factor * len(pairs) >= n_e, (n_e, pairs)
 
 
 def test_approximation_bounds_random_instances():
