@@ -2,7 +2,8 @@
 
 ``build_graph_with_results`` decides each coalition by a kept point, a ray
 witness or a solve.  These tests count the decisions it makes on the
-seeded barely-faster poses of ``test_graph_skip``: kept-point lookups that
+seeded barely-faster poses of ``test_graph_skip`` and on one 24v24 pose,
+where the kept points are most numerous: kept-point lookups that
 hit and miss, by coalition size; ray witnesses, by member count; and
 solves, by coalition size.  The counts are integers and do not depend on
 the platform's libm, so a change to how the build reaches its decisions
@@ -40,6 +41,10 @@ LEDGERS = {
                            {1: 110, 2: 81, 3: 26}, {1: 2, 2: 13, 3: 1}),
     (12, 5, "ball"): ({2: (431, 42), 3: (1227, 6)}, {1: 110, 2: 81, 3: 26},
                       {1: 3, 2: 13, 3: 1}),
+    (24, 6, "unbounded"): ({2: (2618, 157), 3: (14048, 45)},
+                           {1: 385, 2: 355, 3: 258}, {1: 26, 2: 65, 3: 26}),
+    (24, 6, "ball"): ({2: (2618, 157), 3: (14047, 46)},
+                      {1: 385, 2: 358, 3: 263}, {1: 30, 2: 66, 3: 26}),
 }
 
 
@@ -75,7 +80,11 @@ def ledger(monkeypatch, size: int, seed: int, region_name: str):
             dict(sorted(witnesses.items())), dict(sorted(solves.items())))
 
 
-CASES = [(size, seed, region_name) for size, seed in POSES for region_name in REGIONS]
+#: The poses of ``test_graph_skip``, and one 24v24 pose, whose kept points
+#: are the most numerous: too large to solve every coalition of, but its
+#: ledger is cheap.
+CASES = [(size, seed, region_name) for size, seed in (*POSES, (24, 6))
+         for region_name in REGIONS]
 IDS = [f"{size}v{size}-seed{seed}-{region_name}" for size, seed, region_name in CASES]
 
 
