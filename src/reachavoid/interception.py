@@ -109,6 +109,9 @@ KKT_TOLERANCE = 1e-8
 
 _COALITION_MAX = 3
 
+# The spacing of the floats next to 1.
+_ULP = math.ulp(1.0)
+
 Coalition = tuple[int, ...]
 
 
@@ -553,10 +556,21 @@ def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
     monotone pieces, and each piece whose ends differ in sign holds one
     root, found by Newton's method safeguarded by bisection, with value and
     slope from one Horner pass.
+
+    A zero-width range, as a ball centred on the evader gives (its form has
+    ``near = far = R``), holds ``lo`` itself when the polynomial vanishes
+    there to rounding: within ``2 degree`` ulps of the sum of its terms'
+    magnitudes.  A root found in closed form may land an ulp off it.
     """
     if not lo <= hi:
         return []
     degree = len(coeffs) - 1
+    if lo == hi:
+        acc = size = 0.0
+        for c in coeffs:
+            acc = acc * lo + c
+            size = size * abs(lo) + abs(c)
+        return [lo] if abs(acc) <= 2 * degree * _ULP * size else []
     if degree <= 2:
         a, b, c = [0.0] * (2 - degree) + coeffs
         disc = b * b - 4.0 * a * c

@@ -99,6 +99,36 @@ def test_lone_member_with_a_binding_ball_takes_the_ordered_tries(calls):
     assert result.kkt_residual <= KKT_TOLERANCE
 
 
+def _centred_ball_poses(count: int):
+    """Seeded single-pursuer poses in a ball centred on the evader that
+    reaches 0.2-1 below the exit plane, the pursuer 0.3-0.9 of its radius
+    from the evader."""
+    rng = random.Random("centred-ball")
+    for _ in range(count):
+        height = rng.uniform(0.5, 2.5)
+        centre = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), height)
+        radius = height + rng.uniform(0.2, 1.0)
+        offset = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        distance = rng.uniform(0.3, 0.9) * radius / math.hypot(*offset)
+        position = tuple(c + distance * u for c, u in zip(centre, offset))
+        yield (PursuerSpec(position, rng.uniform(1.05, 3.0),
+                           rng.uniform(0.0, 0.2) * distance),
+               EvaderSpec(centre, 1.0), Ball(centre, radius))
+
+
+def test_member_and_centred_ball_binding_together_skip_the_polish(calls):
+    # The pair's range [R, R] has zero width, and its closed-form root can
+    # land an ulp off R: _real_roots returns R itself when the quadratic
+    # vanishes there to rounding.
+    binding = 0
+    for pursuer, evader, region in _centred_ball_poses(400):
+        result = solve_interception((0,), evader, [pursuer], region)
+        if result.region_active and result.active_set == (0,):
+            binding += 1
+            assert result.kkt_residual <= KKT_TOLERANCE
+    assert binding >= 20 and calls["_polished"] == 0, (binding, calls)
+
+
 def _ball_pairs(radius: float):
     """Every (pursuer, evader) pair of ``random_scenario(0…39)`` whose
     players both lie within 0.9 ``radius`` of their midpoint, with a ball
