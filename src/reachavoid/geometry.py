@@ -149,8 +149,11 @@ def _f_grad_hess(con: _Con, y: Vec, hessian: bool = True):
 
 
 def _race(pursuer: PursuerSpec, evader: EvaderSpec) -> _Con:
-    return (la.sub(pursuer.position, evader.position),
-            speed_ratio(pursuer, evader), pursuer.capture_radius)
+    # Written out on scalars: the graph build makes one for every pursuer
+    # and evader, and the helpers' calls cost as much as the arithmetic.
+    (p0, p1, p2), (e0, e1, e2) = pursuer.position, evader.position
+    return ((p0 - e0, p1 - e1, p2 - e2), pursuer.speed / evader.speed,
+            pursuer.capture_radius)
 
 
 def potential(pursuer: PursuerSpec, evader: EvaderSpec, x) -> float:

@@ -20,10 +20,11 @@ settles it:
 - the kept point: an evasion space only shrinks as pursuers join
   (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
   keeps below the tie band shows that a larger coalition loses when every
-  further member's potential holds there.  Each kept point gets, when it
-  is kept, the bitmask of the undecided singles whose potentials hold at
-  it, so the test is a few integer operations, and a coalition it decides
-  costs no ray and no solve;
+  further member's potential holds there.  Each undecided single keeps
+  the bitmask of the kept points at which its potential holds, set as each
+  point is kept, so the test ANDs its members' bitmasks and the lowest set
+  bit names the first point that covers it; a coalition it decides costs
+  no ray and no solve;
 - the ray witness: every body is convex and holds the evader, so the
   nearest of a coalition's boundaries along any ray from the evader is a
   point of its closure, and one below the tie band shows that the
@@ -197,36 +198,45 @@ def _dropped_sphere(q: Vec, k: float, m: float) -> tuple[Vec, float]:
     sphere a boundary form becomes with ``l`` dropped; it holds the member's
     body, and it is the boundary itself for zero capture radii and for the
     ball."""
-    centre = la.scale(q, 1.0 / k)
-    return centre, la.dot(centre, centre) - m / k
+    s = 1.0 / k
+    c0 = q[0] * s
+    c1 = q[1] * s
+    c2 = q[2] * s
+    return (c0, c1, c2), c0 * c0 + c1 * c1 + c2 * c2 - m / k
 
 
 def _sphere_low_point(fa: _Form, fb: _Form) -> Vec | None:
     """The lowest common point of the two forms' dropped spheres, or None
     when they do not meet in a circle or it is horizontal; it aims a pair's
     first witness ray."""
-    ca, ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
-    cb, rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
-    axis = la.sub(cb, ca)
-    d = la.norm(axis)
+    (a0, a1, a2), ra2 = _dropped_sphere(fa.q, fa.k, fa.m)
+    (b0, b1, b2), rb2 = _dropped_sphere(fb.q, fb.k, fb.m)
+    n0 = b0 - a0
+    n1 = b1 - a1
+    n2 = b2 - a2
+    d = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
     if d == 0.0:
         return None
-    nu = la.scale(axis, 1.0 / d)
+    s = 1.0 / d
+    n0 *= s
+    n1 *= s
+    n2 *= s
     t = (d * d + ra2 - rb2) / (2.0 * d)
     radius2 = ra2 - t * t
     if radius2 <= 0.0:
         return None
-    return _circle_low_point(la.add(ca, la.scale(nu, t)), nu, radius2)
+    return _circle_low_point((a0 + n0 * t, a1 + n1 * t, a2 + n2 * t),
+                             (n0, n1, n2), radius2)
 
 
 def _wins_alone(form: _Form, z_e: float) -> bool:
     """Whether the dropped sphere of a member's boundary ``form`` lies above
     ``GOAL_TOLERANCE`` by more than its rounding, against an evader at
     altitude ``z_e``: then so does its body, and the member wins alone."""
-    centre, radius2 = _dropped_sphere(form.q, form.k, form.m)
+    (c0, c1, c2), radius2 = _dropped_sphere(form.q, form.k, form.m)
     radius = math.sqrt(radius2)
-    low_err = 1e-12 * (la.norm(centre) + radius)
-    return z_e + (centre[2] - radius) > GOAL_TOLERANCE + 1e-12 * abs(z_e) + low_err
+    low_err = 1e-12 * (math.sqrt(c0 * c0 + c1 * c1 + c2 * c2) + radius)
+    return z_e + (c2 - radius) > GOAL_TOLERANCE + 1e-12 * abs(z_e) + low_err
 
 
 def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
@@ -264,19 +274,21 @@ def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
     return y
 
 
-def _kept_point(kept: list[tuple[int, Vec]], want: int) -> Vec | None:
-    """The first of ``kept``'s points whose mask holds every bit of
-    ``want``, or None.
+def _kept_point(kept: list[Vec], inside: list[int],
+                members: Coalition) -> Vec | None:
+    """The first of ``kept``'s points at which every potential of
+    ``members`` holds, or None.
 
-    Each mask holds the bits of the pursuers whose potentials hold at its
-    point, which lies in the ball and below the tie band.  An evasion space
-    only shrinks as pursuers join (``ES(S + k) = ES(S) & body_k``), so such a
-    point lies in the closure of the coalition ``want`` names, which loses.
+    ``inside[i]`` holds the bits of the kept points, by their index in
+    ``kept``, at which pursuer ``i``'s potential holds; every kept point
+    lies in the ball and below the tie band.  An evasion space only shrinks
+    as pursuers join (``ES(S + k) = ES(S) & body_k``), so a point whose bit
+    every member holds lies in the closure of ``members``, which loses.
     """
-    for mask, y in kept:
-        if mask & want == want:
-            return y
-    return None
+    common = -1
+    for i in members:
+        common &= inside[i]
+    return kept[(common & -common).bit_length() - 1] if common else None
 
 
 def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
@@ -301,10 +313,11 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
       ball entry of the first of them;
     - **kept point**: each losing coalition keeps a point of its closure
       below ``-GOAL_TOLERANCE`` at which every member's potential and the
-      ball's hold.  When it is kept, it gets the bitmask of the undecided
-      singles whose potentials hold there, and a pair or triple whose
-      members' bits all lie in one point's mask loses, by
-      :func:`_kept_point`, with no ray built and no solve;
+      ball's hold.  Each undecided single keeps the bitmask of the kept
+      points at which its potential holds, and a point's bit is set in
+      them when it is kept.  A pair or triple whose members' bitmasks
+      share a bit loses, by :func:`_kept_point`, at the first such point,
+      with no ray built and no solve;
     - **ray witness**: every body is convex and holds the evader, so along
       a unit ray from the evader the nearest of the coalition's boundaries
       (the ball's sphere included), pulled in by 1e-9 of its distance, is a
@@ -357,30 +370,52 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         # single's solve would, before any of this evader's solves.
         shaped: dict[int, _Constraint] = {}
         ball_entry: list[_Constraint] = []
+        # Each shaped single's potential as the scalar terms keep evaluates
+        # it from: i, q, the form's k = -(alpha - 1)(alpha + 1), |q|^2,
+        # alpha and r.
+        terms = []
         for i in range(len(pursuers)):
             member, *ball = _program((i,), evader, pursuers, region)
-            if _wins_alone(member.shape(), z_e):
+            form = member.shape()
+            if _wins_alone(form, z_e):
                 edges.append((index_of[(i,)], ej))
                 continue
             if ball and not ball_entry:
                 ball[0].shape()
                 ball_entry = ball
             shaped[i] = member
+            (q0, q1, q2), alpha, r = member.key
+            terms.append((i, q0, q1, q2, form.k, q0 * q0 + q1 * q1 + q2 * q2,
+                          alpha, r))
         # Each losing coalition's point in the evader's frame, by its
         # members: the target of its supersets' rays.
         points: dict[Coalition, Vec] = {}
         # The kept points: those below the tie band at which every potential
-        # of their coalition, the ball's included, holds, each with the mask
-        # of the shaped singles whose potentials hold there.  A pair's or
-        # triple's members all lose alone, so only their bits are asked for.
-        kept: list[tuple[int, Vec]] = []
+        # of their coalition, the ball's included, holds.  inside[i] holds
+        # the bits, by index in kept, of those at which shaped single i's
+        # potential holds.  A pair's or triple's members all lose alone, so
+        # only their bits are asked for.
+        kept: list[Vec] = []
+        inside = [0] * len(pursuers)
 
         def keep(members: Coalition, y: Vec) -> None:
-            mask = 0
-            for m, con in shaped.items():
-                if m in members or _f_original(con.key, y) >= 0.0:
-                    mask |= 1 << m
-            kept.append((mask, y))
+            bit = 1 << len(kept)
+            kept.append(y)
+            y0, y1, y2 = y
+            yy = y0 * y0 + y1 * y1 + y2 * y2
+            y_norm = math.sqrt(yy)
+            for i, q0, q1, q2, k, qq, alpha, r in terms:
+                if i in members:
+                    inside[i] |= bit
+                    continue
+                # _f_original's arithmetic in its order, on terms made once.
+                d0 = y0 - q0
+                d1 = y1 - q1
+                d2 = y2 - q2
+                if (k * yy - 2.0 * (y0 * q0 + y1 * q1 + y2 * q2) + qq) / (
+                        math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+                        + alpha * y_norm) - r >= 0.0:
+                    inside[i] |= bit
 
         def loses(members: Coalition, rays) -> bool:
             """Decide ``members`` by a witness on one of ``rays``, else solve
@@ -414,9 +449,11 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             for y in targets:
                 if y is None:
                     continue
-                length = la.norm(y)
+                y0, y1, y2 = y
+                length = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
                 if length > 0.0:
-                    ray = la.scale(y, 1.0 / length)
+                    s = 1.0 / length
+                    ray = (y0 * s, y1 * s, y2 * s)
                     if ray not in tried:
                         tried.add(ray)
                         yield ray
@@ -424,12 +461,12 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 yield _DOWN
 
         losing_singles = []
-        for i, member in shaped.items():
+        for i, q0, q1, q2, _, qq, alpha, _ in terms:
             # The ray to the lowest point of the member's Apollonius sphere,
             # -(q + alpha |q| e_z), which is its body when r = 0.
-            q, alpha, _ = member.key
-            low = (q[0], q[1], q[2] + alpha * la.norm(q))
-            if loses((i,), (la.scale(low, -1.0 / la.norm(low)),)):
+            low2 = q2 + alpha * math.sqrt(qq)
+            s = -1.0 / math.sqrt(q0 * q0 + q1 * q1 + low2 * low2)
+            if loses((i,), ((q0 * s, q1 * s, low2 * s),)):
                 losing_singles.append(i)
         # lost[i] holds the bits of the j > i whose pair (i, j) loses.  A
         # pair or triple asks the kept points first, and builds its rays only
@@ -438,7 +475,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         lost = [0] * len(pursuers)
         losing_pairs = []
         for i, j in itertools.combinations(losing_singles, 2):
-            y = _kept_point(kept, 1 << i | 1 << j)
+            y = _kept_point(kept, inside, (i, j))
             if y is not None:
                 points[i, j] = y
             elif not loses((i, j), toward(
@@ -454,8 +491,8 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
             while common:
                 bit = common & -common
                 common ^= bit
-                if _kept_point(kept, 1 << i | 1 << j | bit) is None:
-                    k = bit.bit_length() - 1
+                k = bit.bit_length() - 1
+                if _kept_point(kept, inside, (i, j, k)) is None:
                     loses((i, j, k), toward(
                         points[i,], points[j,], points[k,],
                         points[i, j], points[i, k], points[j, k]))

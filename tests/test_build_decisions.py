@@ -57,9 +57,9 @@ def ledger(monkeypatch, size: int, seed: int, region_name: str):
     witness = matching._witness
     solve = matching.solve_interception
 
-    def counted_kept_point(points, want):
-        y = kept_point(points, want)
-        kept[want.bit_count(), y is not None] += 1
+    def counted_kept_point(points, inside, members):
+        y = kept_point(points, inside, members)
+        kept[len(members), y is not None] += 1
         return y
 
     def counted_witness(group, ray):

@@ -159,10 +159,9 @@ def record_kept_points(monkeypatch, evaders, events):
         current[:] = [evaders.index(evader)]
         return program(members, evader, *args)
 
-    def recorded(kept, want):
-        y = kept_point(kept, want)
-        coalition = tuple(i for i in range(want.bit_length()) if want >> i & 1)
-        events.append(("kept", coalition, current[0], y))
+    def recorded(kept, inside, members):
+        y = kept_point(kept, inside, members)
+        events.append(("kept", members, current[0], y))
         return y
 
     monkeypatch.setattr(matching, "_program", recorded_program)
