@@ -22,6 +22,7 @@ from collections import Counter
 import pytest
 
 from reachavoid import GameKind, classify_result, interception, matching
+from reachavoid.geometry import _f_original, _race
 from reachavoid.matching import build_graph_with_results
 
 from test_graph_skip import POSES, REGIONS, pose
@@ -92,6 +93,40 @@ IDS = [f"{size}v{size}-seed{seed}-{region_name}" for size, seed, region_name in 
 def test_build_makes_the_pinned_decisions(monkeypatch, size, seed, region_name):
     assert ledger(monkeypatch, size, seed, region_name) == LEDGERS[
         size, seed, region_name]
+
+
+@pytest.mark.parametrize("size,seed,region_name", CASES, ids=IDS)
+def test_each_kept_point_bit_is_the_potential_check_there(
+        monkeypatch, size, seed, region_name):
+    # The build evaluates the potentials at a kept point from scalar terms
+    # made once per evader; each bit a coalition asks for must be what
+    # _f_original gives there.  A member of the coalition that kept the
+    # point holds there by the same check.
+    pursuers, evaders = pose(size, seed)
+    current = []
+    seen = {}  # (evader index, pursuer): kept points already checked
+    program = matching._program
+    kept_point = matching._kept_point
+
+    def recorded_program(members, evader, *args):
+        current[:] = [evaders.index(evader), evader]
+        return program(members, evader, *args)
+
+    def checked_kept_point(kept, inside, members):
+        ej, evader = current
+        for i in members:
+            assert inside[i] >> len(kept) == 0, (members, ej)
+            con = _race(pursuers[i], evader)
+            for p in range(seen.get((ej, i), 0), len(kept)):
+                bit = inside[i] >> p & 1
+                assert bit == (_f_original(con, kept[p]) >= 0.0), (i, ej, p)
+            seen[ej, i] = len(kept)
+        return kept_point(kept, inside, members)
+
+    monkeypatch.setattr(matching, "_program", recorded_program)
+    monkeypatch.setattr(matching, "_kept_point", checked_kept_point)
+    build_graph_with_results(pursuers, evaders, REGIONS[region_name])
+    assert sum(seen.values()) > 0
 
 
 def pair_solves(monkeypatch, sphere_low_point, region_name):
