@@ -109,9 +109,6 @@ KKT_TOLERANCE = 1e-8
 
 _COALITION_MAX = 3
 
-# The spacing of the floats next to 1.
-_ULP = math.ulp(1.0)
-
 Coalition = tuple[int, ...]
 
 
@@ -570,7 +567,7 @@ def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
         for c in coeffs:
             acc = acc * lo + c
             size = size * abs(lo) + abs(c)
-        return [lo] if abs(acc) <= 2 * degree * _ULP * size else []
+        return [lo] if abs(acc) <= 2 * degree * math.ulp(size) else []
     if degree <= 2:
         a, b, c = [0.0] * (2 - degree) + coeffs
         disc = b * b - 4.0 * a * c
