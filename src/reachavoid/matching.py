@@ -10,35 +10,40 @@ matching), hence an exact branch-and-bound search, for small instances, and
 a polynomial three-stage approximation within a factor three of optimal.
 
 The graph build needs only each coalition's kind, the sign of its lowest
-altitude.  It goes by increasing coalition size and decides a coalition
+altitude.  It goes by increasing coalition size, examines a pair or triple
+only when all its proper subcoalitions lose, and decides a coalition
 without a solve wherever one of three sound tests, tried in this order,
 settles it:
 
 - the win bound: a member's body lies inside its dropped sphere, so a
-  single whose sphere clears the tie band wins.  It is computed from the
-  form of each single's ``_program`` constraint, made before any decision;
-- the kept point: an evasion space only shrinks as pursuers join
-  (``ES(S + k) = ES(S) & body_k``), so a point that a losing coalition
-  keeps below the tie band shows that a larger coalition loses when every
-  further member's potential holds there.  Each undecided single keeps
-  the bitmask of the kept points at which its potential holds, set as each
-  point is kept, so the test ANDs its members' bitmasks and the lowest set
-  bit names the first point that covers it; a coalition it decides costs
-  no ray and no solve;
+  single whose sphere clears the tie band by more than its rounding wins.
+  It is computed from the form of each single's ``_program`` constraint,
+  made before any decision;
+- the kept point: a coalition whose evasion space reaches below the tie
+  band loses, and an evasion space only shrinks as pursuers join
+  (``ES(S + k) = ES(S) & body_k``).  So a point below the tie band at
+  which the ball's and every member's potential hold shows that the
+  coalition loses, and so does every larger one whose further members'
+  potentials hold there.  The build's one test of a candidate point,
+  ``keep``, checks exactly that and keeps the point: each undecided single
+  keeps the bitmask of the kept points at which its potential holds, and a
+  pair or triple whose members' bitmasks share a bit loses at the first
+  such point, with no ray and no solve;
 - the ray witness: every body is convex and holds the evader, so the
-  nearest of a coalition's boundaries along any ray from the evader is a
-  point of its closure, and one below the tie band shows that the
-  coalition loses.  A pair first tries the ray toward the lowest common
-  point of its members' dropped spheres: each sphere holds its member's
-  body, so that point estimates where the pair's evasion space dips
-  lowest.  Then a pair or triple tries the rays toward the points its
-  losing subcoalitions kept.
+  nearest of a coalition's boundaries along a ray from the evader, the
+  ball's sphere included and pulled in by 1e-9, is a candidate point of
+  its closure for ``keep``.  A single tries the ray to its Apollonius
+  sphere's lowest point.  A pair first tries the ray toward the lowest
+  common point of its members' dropped spheres: each sphere holds its
+  member's body, so that point estimates where the pair's evasion space
+  dips lowest.  Then a pair or triple tries the rays toward its members'
+  and sub-pairs' points, then straight down.
 
-A pair or triple is examined only when all its proper subcoalitions lose.
-Each losing single ``i`` keeps the bitmask of the ``j > i`` whose pair
-``(i, j)`` loses, so a triple is admitted by its three pair bits.  Only
-coalitions that no test decides, among them every one near the tie band,
-are solved.
+A coalition that no test decides is solved, among them every one near the
+tie band; a solved loser's lowest point is its supersets' ray target, and
+a candidate for ``keep``.  Each losing single ``i`` keeps the bitmask of
+the ``j > i`` whose pair ``(i, j)`` loses, so a triple is admitted by its
+three pair bits.
 """
 
 from __future__ import annotations
@@ -51,14 +56,13 @@ from dataclasses import dataclass
 
 from . import _linalg as la
 from ._linalg import Vec
-from .geometry import EvaderSpec, PursuerSpec, _f_original
+from .geometry import EvaderSpec, PursuerSpec
 from .interception import (
     GOAL_TOLERANCE,
     GameKind,
     InterceptionResult,
     Region,
     UNBOUNDED,
-    _ball_g,
     _circle_low_point,
     _Constraint,
     _Form,
@@ -240,14 +244,14 @@ def _wins_alone(form: _Form, z_e: float) -> bool:
 
 
 def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
-    """A point of the closure of ``group``'s shaped constraints on the unit
-    ray ``d`` from the evader, or None.
+    """The nearest of ``group``'s shaped boundaries along the unit ray ``d``
+    from the evader, pulled in by 1e-9 of its distance, or None.
 
-    The point is the nearest of their boundaries along the ray, pulled in by
-    1e-9 of its distance.  Each boundary meets the ray where
-    ``k rho^2 - 2 b rho + m = 0`` with ``b = l + d . q``, at the positive
-    root, taken in the form without cancellation.  That root is exact only
-    to rounding, so the point is kept only when every potential holds at it.
+    Each boundary meets the ray where ``k rho^2 - 2 b rho + m = 0`` with
+    ``b = l + d . q``, at the positive root, taken in the form without
+    cancellation.  That root is exact only to rounding, so the point is
+    only a candidate: the build's ``keep`` decides whether it lies in the
+    closure.  No potential is evaluated here.
     """
     d0, d1, d2 = d
     rho = math.inf
@@ -265,13 +269,7 @@ def _witness(group: list[_Constraint], d: Vec) -> Vec | None:
         if reach < rho:
             rho = reach
     rho *= 1.0 - 1e-9
-    y = (rho * d0, rho * d1, rho * d2)
-    for c in group:
-        # Inline rather than c.value(y): the method call costs as much as
-        # the arithmetic, on the build's hottest loop.
-        if not (_f_original(c.key, y) if c.member else _ball_g(c.key, y)) >= 0.0:
-            return None
-    return y
+    return (rho * d0, rho * d1, rho * d2)
 
 
 def _kept_point(kept: list[Vec], inside: list[int],
@@ -297,47 +295,14 @@ def build_graph(pursuers: list[PursuerSpec], evaders: list[EvaderSpec],
 
     An edge joins a coalition to an evader when the coalition does not lose
     (win or tie) while every proper subcoalition loses outright, so edges
-    carry exactly the minimal winning coalitions.  Coalitions are examined
-    by increasing size: a pair or triple is examined only when all its
-    proper subcoalitions lose, which for a triple is one test of its three
-    sub-pairs' bits in per-single bitmasks of losing pairs.  A coalition is
-    solved only when none of three tests, tried in order, decides its kind.
-    Each evader's singles get their ``_program`` constraints first, in
-    pursuer order:
-
-    - **win bound**: a single whose dropped sphere (its body with the
-      capture-radius term left out, which holds the body) lies above
-      ``GOAL_TOLERANCE`` by more than its rounding wins, and its edge is
-      recorded unsolved.  :func:`_wins_alone` computes the bound from the
-      single's boundary form; the singles it leaves undecided share the
-      ball entry of the first of them;
-    - **kept point**: each losing coalition keeps a point of its closure
-      below ``-GOAL_TOLERANCE`` at which every member's potential and the
-      ball's hold.  Each undecided single keeps the bitmask of the kept
-      points at which its potential holds, and a point's bit is set in
-      them when it is kept.  A pair or triple whose members' bitmasks
-      share a bit loses, by :func:`_kept_point`, at the first such point,
-      with no ray built and no solve;
-    - **ray witness**: every body is convex and holds the evader, so along
-      a unit ray from the evader the nearest of the coalition's boundaries
-      (the ball's sphere included), pulled in by 1e-9 of its distance, is a
-      point of the closure once every potential is checked there.  Below
-      ``-GOAL_TOLERANCE`` it shows that the coalition loses, and it becomes
-      the coalition's kept point.  A single tries the ray to its
-      Apollonius sphere's lowest point.  A pair first tries the ray to the
-      lowest point of the circle where its members' dropped spheres meet
-      (no such ray when they do not meet in a circle or it is horizontal).
-      Then a pair or triple tries the rays to
-      its members' and sub-pairs' points, then straight down.
-
-    A solved loser's lowest point is a ray target for its supersets, and
-    it gets a mask too when its members' potentials and the ball's hold
-    there by the same float check.  No test decides a coalition whose
-    lowest altitude lies in the tie band ``|z| <= GOAL_TOLERANCE``, so its
-    kind comes from its solve.  The solves go through this module's
-    ``solve_interception`` and ``classify_result`` only.  A rejected input
-    raises what the first single solve to meet it would, before any of its
-    evader's decisions.
+    carry exactly the minimal winning coalitions.  A coalition is solved
+    only when none of the module's three tests decides its kind, so every
+    coalition whose lowest altitude lies in the tie band
+    ``|z| <= GOAL_TOLERANCE`` is solved, through this module's
+    ``solve_interception`` and ``classify_result`` only.  Each evader's
+    singles get their ``_program`` constraints first, in pursuer order, so
+    a rejected input raises what the first single solve to meet it would,
+    before any of its evader's decisions.
     """
     graph, _ = build_graph_with_results(
         pursuers, evaders, region, evader_ids=evader_ids
@@ -390,24 +355,26 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
         # Each losing coalition's point in the evader's frame, by its
         # members: the target of its supersets' rays.
         points: dict[Coalition, Vec] = {}
-        # The kept points: those below the tie band at which every potential
-        # of their coalition, the ball's included, holds.  inside[i] holds
-        # the bits, by index in kept, of those at which shaped single i's
-        # potential holds.  A pair's or triple's members all lose alone, so
-        # only their bits are asked for.
+        # The kept points.  inside[i] holds the bits, by index in kept, of
+        # those at which shaped single i's potential holds.  A pair's or
+        # triple's members all lose alone, so only their bits are asked for.
         kept: list[Vec] = []
         inside = [0] * len(pursuers)
 
-        def keep(members: Coalition, y: Vec) -> None:
-            bit = 1 << len(kept)
-            kept.append(y)
+        def keep(members: Coalition, y: Vec) -> bool:
+            """Whether ``y`` lies below the tie band, in the ball and where
+            every potential of ``members`` holds; if so, keep it and set its
+            bit for every shaped single whose potential holds there."""
             y0, y1, y2 = y
+            if not z_e + y2 < -GOAL_TOLERANCE:
+                return False
+            for ball in ball_entry:
+                if not ball.value(y) >= 0.0:
+                    return False
             yy = y0 * y0 + y1 * y1 + y2 * y2
             y_norm = math.sqrt(yy)
+            held = []
             for i, q0, q1, q2, k, qq, alpha, r in terms:
-                if i in members:
-                    inside[i] |= bit
-                    continue
                 # _f_original's arithmetic in its order, on terms made once.
                 d0 = y0 - q0
                 d1 = y1 - q1
@@ -415,29 +382,35 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
                 if (k * yy - 2.0 * (y0 * q0 + y1 * q1 + y2 * q2) + qq) / (
                         math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
                         + alpha * y_norm) - r >= 0.0:
-                    inside[i] |= bit
+                    held.append(i)
+                elif i in members:
+                    return False
+            bit = 1 << len(kept)
+            kept.append(y)
+            for i in held:
+                inside[i] |= bit
+            return True
 
         def loses(members: Coalition, rays) -> bool:
-            """Decide ``members`` by a witness on one of ``rays``, else solve
-            it; keep its point when it loses, else record its edge."""
+            """Decide ``members`` by the first of ``rays`` whose point
+            ``keep`` keeps, else solve it; record its point when it loses,
+            else its edge."""
             group = [shaped[i] for i in members] + ball_entry
             for ray in rays:
                 y = _witness(group, ray)
-                if y is not None and z_e + y[2] < -GOAL_TOLERANCE:
-                    points[members] = y
-                    keep(members, y)
-                    return True
-            result = solve_interception(members, evader, pursuers, region)
-            results[(members, ej)] = result
-            kind = classify_result(result, evader, pursuers, region)
-            if kind is GameKind.EVADER_WINS:
-                y = points[members] = la.sub(result.point, evader.position)
-                if z_e + y[2] < -GOAL_TOLERANCE and all(
-                        c.value(y) >= 0.0 for c in group):
-                    keep(members, y)
-                return True
-            edges.append((index_of[members], ej))
-            return False
+                if y is not None and keep(members, y):
+                    break
+            else:
+                result = solve_interception(members, evader, pursuers, region)
+                results[(members, ej)] = result
+                kind = classify_result(result, evader, pursuers, region)
+                if kind is not GameKind.EVADER_WINS:
+                    edges.append((index_of[members], ej))
+                    return False
+                y = la.sub(result.point, evader.position)
+                keep(members, y)
+            points[members] = y
+            return True
 
         def toward(*targets: Vec | None):
             """Unit rays to the points ``targets`` that are not None, in

@@ -3,11 +3,11 @@
 ``build_graph_with_results`` decides each coalition by a kept point, a ray
 witness or a solve.  These tests count the decisions it makes on the
 seeded barely-faster poses of ``test_graph_skip`` and on one 24v24 pose,
-where the kept points are most numerous: kept-point lookups that
-hit and miss, by coalition size; ray witnesses, by member count; and
-solves, by coalition size.  The counts are integers and do not depend on
-the platform's libm, so a change to how the build reaches its decisions
-must leave every one of them as it is.
+where the kept points are most numerous: kept-point lookups that hit and
+miss, by coalition size; rays tried, by member count, whether or not their
+point decides the coalition; and solves, by coalition size.  The counts
+are integers and do not depend on the platform's libm, so a change to how
+the build reaches its decisions must leave every one of them as it is.
 
 A re-pin is deliberate, and only for a change meant to move the
 decisions.  The last one gave each pair's witness rays a first ray, toward
@@ -23,12 +23,13 @@ import pytest
 
 from reachavoid import GameKind, classify_result, interception, matching
 from reachavoid.geometry import _f_original, _race
+from reachavoid.interception import GOAL_TOLERANCE, _ball_g
 from reachavoid.matching import build_graph_with_results
 
 from test_graph_skip import POSES, REGIONS, pose
 
 #: (size, seed, region) -> ({size: (kept hits, kept misses)},
-#: {member count: witnesses}, {size: solves})
+#: {member count: rays tried}, {size: solves})
 LEDGERS = {
     (8, 3, "unbounded"): ({2: (80, 19), 3: (133, 4)}, {1: 42, 2: 25, 3: 24},
                           {2: 2, 3: 3}),
@@ -52,7 +53,7 @@ LEDGERS = {
 def ledger(monkeypatch, size: int, seed: int, region_name: str):
     """The decision counts of one build, in the form of ``LEDGERS``."""
     kept = Counter()
-    witnesses = Counter()
+    rays = Counter()
     solves = Counter()
     kept_point = matching._kept_point
     witness = matching._witness
@@ -64,7 +65,9 @@ def ledger(monkeypatch, size: int, seed: int, region_name: str):
         return y
 
     def counted_witness(group, ray):
-        witnesses[sum(c.member for c in group)] += 1
+        # Every ray tried counts: its point decides the coalition only once
+        # the build's potential check keeps it.
+        rays[sum(c.member for c in group)] += 1
         return witness(group, ray)
 
     def counted_solve(members, *args, **kwargs):
@@ -78,7 +81,7 @@ def ledger(monkeypatch, size: int, seed: int, region_name: str):
     build_graph_with_results(pursuers, evaders, REGIONS[region_name])
     sizes = sorted({k for k, _ in kept})
     return ({k: (kept[k, True], kept[k, False]) for k in sizes},
-            dict(sorted(witnesses.items())), dict(sorted(solves.items())))
+            dict(sorted(rays.items())), dict(sorted(solves.items())))
 
 
 #: The poses of ``test_graph_skip``, and one 24v24 pose, whose kept points
@@ -101,19 +104,26 @@ def test_each_kept_point_bit_is_the_potential_check_there(
     # The build evaluates the potentials at a kept point from scalar terms
     # made once per evader; each bit a coalition asks for must be what
     # _f_original gives there.  A member of the coalition that kept the
-    # point holds there by the same check.
+    # point holds there by the same check, and every kept point lies below
+    # the tie band and in the ball.
     pursuers, evaders = pose(size, seed)
     current = []
     seen = {}  # (evader index, pursuer): kept points already checked
+    placed = {}  # evader index: kept points already checked for place
     program = matching._program
     kept_point = matching._kept_point
 
     def recorded_program(members, evader, *args):
-        current[:] = [evaders.index(evader), evader]
-        return program(members, evader, *args)
+        group = program(members, evader, *args)
+        current[:] = [evaders.index(evader), evader, group[1:]]
+        return group
 
     def checked_kept_point(kept, inside, members):
-        ej, evader = current
+        ej, evader, balls = current
+        for p in range(placed.get(ej, 0), len(kept)):
+            assert evader.position[2] + kept[p][2] < -GOAL_TOLERANCE, (ej, p)
+            assert all(_ball_g(ball.key, kept[p]) >= 0.0 for ball in balls), (ej, p)
+        placed[ej] = len(kept)
         for i in members:
             assert inside[i] >> len(kept) == 0, (members, ej)
             con = _race(pursuers[i], evader)
@@ -126,7 +136,8 @@ def test_each_kept_point_bit_is_the_potential_check_there(
     monkeypatch.setattr(matching, "_program", recorded_program)
     monkeypatch.setattr(matching, "_kept_point", checked_kept_point)
     build_graph_with_results(pursuers, evaders, REGIONS[region_name])
-    assert sum(seen.values()) > 0
+    assert sum(seen.values()) > 0 and sum(placed.values()) > 0
+    assert (region_name == "ball") == bool(current[2])
 
 
 def pair_solves(monkeypatch, sphere_low_point, region_name):

@@ -5,10 +5,11 @@ tests decides its kind: a single whose dropped sphere lies above the tie
 band wins, and a coalition with a point of its closure below the tie band
 loses.  That point is either one a subcoalition kept, at which every
 further member's potential holds, or the nearest boundary along a ray from
-the evader, checked on every potential.  These tests compare the build
-against every coalition of up to three solved against each evader, on
-seeded poses whose pursuers are barely faster than the evaders, so that
-most singles lose, and on the degenerate corpus of ``test_degenerate``.
+the evader, once every member's potential and the ball's hold there.
+These tests compare the build against every coalition of up to three
+solved against each evader, on seeded poses whose pursuers are barely
+faster than the evaders, so that most singles lose, and on the degenerate
+corpus of ``test_degenerate``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from reachavoid import (
     potential,
     solve_interception,
 )
-from reachavoid.geometry import _race
-from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED
+from reachavoid.geometry import _f_original, _race
+from reachavoid.interception import GOAL_TOLERANCE, UNBOUNDED, _ball_g
 from reachavoid.matching import _wins_alone, all_coalitions, build_graph_with_results
 
 from test_degenerate import REGIMES, corpus
@@ -100,6 +101,15 @@ def decisions(graph, results, solved):
                        else GameKind.EVADER_WINS)
             found.append((members, ej, decided, kind))
     return found
+
+
+def decides(group, y, z_e: float) -> bool:
+    """Whether a ray's point ``y`` decides that the coalition of ``group``
+    loses against an evader at altitude ``z_e``: it lies below the tie band
+    and every member's potential and the ball's hold there."""
+    return (y is not None and z_e + y[2] < -GOAL_TOLERANCE
+            and all((_f_original(c.key, y) if c.member else _ball_g(c.key, y))
+                    >= 0.0 for c in group))
 
 
 def mismatched(found):
@@ -175,16 +185,17 @@ def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
     region = REGIONS[region_name]
     owner = {_race(p, e): (i, ej) for ej, e in enumerate(evaders)
              for i, p in enumerate(pursuers)}
-    # (coalition, evader index, point) of every point that the witness test
-    # or a kept point gave
+    # (coalition, evader index, point) of every point that decided a
+    # coalition, by a ray or by a kept point
     found = []
     witness = matching._witness
 
     def recorded(group, ray):
         y = witness(group, ray)
-        if y is not None:
-            members = [owner[c.key] for c in group if c.member]
-            found.append((tuple(i for i, _ in members), members[0][1], y))
+        members = [owner[c.key] for c in group if c.member]
+        ej = members[0][1]
+        if decides(group, y, evaders[ej].position[2]):
+            found.append((tuple(i for i, _ in members), ej, y))
         return y
 
     monkeypatch.setattr(matching, "_witness", recorded)
@@ -198,8 +209,8 @@ def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
     for coalition, ej, y in found:
         evader = evaders[ej]
         x = tuple(a + b for a, b in zip(evader.position, y))
-        if x[2] >= -GOAL_TOLERANCE:
-            continue  # a closure point in or above the tie band decides nothing
+        # A closure point in or above the tie band decides nothing.
+        assert x[2] < -GOAL_TOLERANCE, (coalition, ej)
         # The point lies in the coalition's closure, so its solve reaches
         # at least as low, and the coalition loses.
         for i in coalition:
@@ -220,10 +231,8 @@ def test_skipped_coalitions_lose_at_the_point_they_were_skipped_for(
                     and (members, ej) not in results):
                 assert (members, ej) in witnessed, (members, ej)
     assert witnessed and not mismatched(decisions(graph, results, solved))
-    # Kept points decide pairs and triples, each from below the tie band.
+    # Kept points decide pairs and triples.
     assert {len(members) for members, _, _ in decided} == {2, 3}
-    for members, ej, y in decided:
-        assert evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE, (members, ej)
 
 
 def test_skip_reaches_pairs_and_triples_and_leaves_only_multi_active_solves():
@@ -256,8 +265,11 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
 
     def recorded_witness(group, ray):
         members = [owner[c.key] for c in group if c.member]
+        ej = members[0][1]
         y = witness(group, ray)
-        events.append(("witness", tuple(i for i, _ in members), members[0][1], y))
+        # The ray's point when it decides the coalition, else None.
+        events.append(("witness", tuple(i for i, _ in members), ej,
+                       y if decides(group, y, evaders[ej].position[2]) else None))
         rays[events[-1][1:3], ray] += 1
         return y
 
@@ -298,9 +310,7 @@ def test_witness_work_is_lazy_and_done_once(monkeypatch, region_name):
         if step == "kept" and y is not None:
             by_kept += 1
             done.add(key)
-        if step == "solve" or (
-                step == "witness" and y is not None
-                and evaders[ej].position[2] + y[2] < -GOAL_TOLERANCE):
+        if step == "solve" or (step == "witness" and y is not None):
             done.add(key)
     assert by_kept
     # No coalition tries one ray twice: its witness would fail again.
@@ -350,6 +360,27 @@ def test_a_kept_point_inside_further_members_decides_without_a_ray(
         result = solve(members, KEPT_EVADER, KEPT_PURSUERS, region)
         kind = classify_result(result, KEPT_EVADER, KEPT_PURSUERS, region)
         assert kind is GameKind.EVADER_WINS, members
+
+
+@pytest.mark.parametrize("region_name", list(REGIONS))
+def test_a_ray_point_beyond_the_boundary_decides_nothing(monkeypatch, region_name):
+    # Scaled by 3 from the evader, each ray's point lies beyond the nearest
+    # boundary along its ray, outside the coalition's closure.  The build
+    # must test the point, not trust the ray: it solves the coalitions
+    # those rays decided, and every edge stays as it was.
+    witness = matching._witness
+
+    def beyond(group, ray):
+        y = witness(group, ray)
+        return None if y is None else (3.0 * y[0], 3.0 * y[1], 3.0 * y[2])
+
+    monkeypatch.setattr(matching, "_witness", beyond)
+    pursuers, evaders = pose(8, 3)
+    graph, results = build_graph_with_results(pursuers, evaders,
+                                              REGIONS[region_name])
+    unwrapped, unwrapped_results = build(8, 3, region_name)
+    assert graph.edges == unwrapped.edges
+    assert len(results) > len(unwrapped_results)
 
 
 @pytest.mark.parametrize("region_name", list(REGIONS))
