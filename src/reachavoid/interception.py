@@ -39,7 +39,19 @@ must leave stationarity and complementary slackness within
 so a default solve first tries the candidate points of one, two and three
 active constraints and certifies the first whose other constraints all
 hold strictly.  A certified KKT point of this strictly convex program is
-its unique minimizer, so the order below changes only the cost:
+its unique minimizer, so the order changes only the cost.
+
+A pair or triple first tries its own kernel below, with every member
+active.  Evasion spaces satisfy ``ES(S + k) = ES(S) & body_k``, so when
+member k is inactive at the lowest point of S, that point is also the
+lowest point of S without k, and S has the same value.  Every member of a
+minimal winning coalition is therefore active at its point, and the graph
+build solves a pair or triple only when its proper subcoalitions lose and
+none of their kept points decides it, which leaves a member inactive
+rarely.  When that kernel does not certify, the solve goes on in the order
+below, without trying the set again.  A single's every-member set is the
+single path's candidate, and coalitions of four or more take the order
+below from the start:
 
 - **single**: each member's body alone has its lowest point found by a
   Newton search over one angle (the body is one of revolution about the
@@ -815,6 +827,8 @@ def _lone(group: list[_Constraint]):
     """The minimizer with one constraint active, as :func:`_direct` returns
     it, or None: that constraint's own lowest point, with every other one
     strictly holding there, so the highest of the group's own lowest points.
+    A single's solve tries it first; a pair's or triple's tries it after its
+    kernel with every member active, and finds every lowest point here.
 
     Only that point is tried, by :func:`_certify` written out for one
     active constraint with the same arithmetic in the same order: its value
@@ -848,26 +862,36 @@ def _lone(group: list[_Constraint]):
     return y, (group.index(con),), [lam], stationarity, slack
 
 
-def _direct(group: list[_Constraint]):
-    """The minimizer certified directly from two or three active
-    constraints, as ``(y, active, multipliers, stationarity, slackness)``
-    (see :func:`_certify`), or None.
+def _kernel_point(group: list[_Constraint], subset: tuple[int, ...]):
+    """The lowest point of the pair or triple kernel on the constraints at
+    the positions ``subset`` that certifies with exactly them active, as
+    ``(y, active, multipliers, stationarity, slackness)`` (see
+    :func:`_certify`), or None."""
+    forms = [group[j].shape() for j in subset]
+    points = _pair_points(*forms) if len(subset) == 2 else _triple_points(*forms)
+    for y in points:
+        certificate = _certify(group, y, subset)
+        if certificate is not None:
+            return (y, *certificate)
+    return None
 
-    Tries every pair of constraints, then every triple (lowest candidate
-    first), by position in the group, the ball like a member;
-    :func:`_lone` has tried one active constraint.  A certified KKT point
-    of this strictly convex program is its unique minimizer, so the order
-    only affects cost.
+
+def _direct(group: list[_Constraint], tried: tuple[int, ...] = ()):
+    """The minimizer certified directly from two or three active
+    constraints, as :func:`_kernel_point` returns it, or None.
+
+    Tries every pair of constraints, then every triple, by position in the
+    group, the ball like a member, but not the set ``tried``, whose kernel
+    the solve has tried already; :func:`_lone` has tried one active
+    constraint.  A certified KKT point of this strictly convex program is
+    its unique minimizer, so the order only affects cost.
     """
     for size in (2, 3):
         for subset in itertools.combinations(range(len(group)), size):
-            forms = [group[j].shape() for j in subset]
-            points = (_pair_points(*forms) if size == 2
-                      else _triple_points(*forms))
-            for y in points:
-                certificate = _certify(group, y, subset)
-                if certificate is not None:
-                    return (y, *certificate)
+            if subset != tried:
+                found = _kernel_point(group, subset)
+                if found is not None:
+                    return found
     return None
 
 
@@ -1038,8 +1062,13 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
-    # _direct and the polish reuse the lowest points that _lone caches.
-    found = _lone(group) or _direct(group) or _polished(group)
+    # A pair or triple that the graph build solves almost always has every
+    # member active at its point (see the module docstring), so its own
+    # kernel goes first; a single's is _lone's candidate.  _direct skips
+    # that set, and it and the polish reuse the lowest points _lone caches.
+    every = tuple(range(len(members)))
+    found = ((2 <= len(every) <= 3 and _kernel_point(group, every))
+             or _lone(group) or _direct(group, every) or _polished(group))
     if found is None:
         raise SolverFailure("no KKT certificate at a direct candidate or "
                             "a polished point")

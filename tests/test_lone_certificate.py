@@ -5,7 +5,8 @@ point with every other constraint strictly holding there, so it is the
 highest of the group's own lowest points.  Every solve certifies that one
 point with one multiplier and one stationarity and slackness residual
 instead of the generic certificate, before it takes the generic ordered
-tries of two and three active constraints.  It must return what the
+tries of two and three active constraints; a pair or triple tries its
+kernel with every member active before both.  It must return what the
 generic certificate returns, bit for bit, and hand a point it cannot
 certify to the KKT polish.  The engine's per-frame re-solve of an adopted
 single is the common case.
