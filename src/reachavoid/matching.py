@@ -87,6 +87,16 @@ class SizeGuardExceeded(RuntimeError):
     """The exact matcher refused an instance above its size guard."""
 
 
+def _distinct_evaders(ids) -> tuple[int, ...]:
+    """``ids`` as a tuple; raises on an id listed twice, whose two evaders
+    would share one vertex and so at most one match."""
+    ids = tuple(ids)
+    if len(set(ids)) < len(ids):
+        repeated = next(ej for k, ej in enumerate(ids) if ej in ids[:k])
+        raise ValueError(f"evader id {repeated} is listed more than once")
+    return ids
+
+
 @dataclass(frozen=True)
 class GameGraph:
     """Bipartite coalition-evader graph with an implicit conflict relation.
@@ -107,7 +117,7 @@ class GameGraph:
             if members in seen:
                 raise ValueError(f"coalition {members} is listed more than once")
             seen.add(members)
-        evaders = tuple(map(_index, self.evaders))
+        evaders = _distinct_evaders(map(_index, self.evaders))
         evader_set = set(evaders)
         edges = []
         for ci, ej in self.edges:
@@ -322,7 +332,7 @@ def build_graph_with_results(pursuers, evaders, region: Region = UNBOUNDED, *,
     if evader_ids is None:
         evader_ids = tuple(range(len(evaders)))
     else:
-        evader_ids = tuple(map(_index, evader_ids))
+        evader_ids = _distinct_evaders(map(_index, evader_ids))
         if len(evader_ids) != len(evaders):
             raise ValueError("evader_ids must align with evaders")
 

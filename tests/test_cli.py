@@ -243,6 +243,15 @@ def test_cmd_match_repeated_coalition_graph_file(tmp_path, capsys):
             "once") in capsys.readouterr().err
 
 
+def test_cmd_match_repeated_evader_graph_file(tmp_path, capsys):
+    path = tmp_path / "repeated-evader.json"
+    path.write_text(json.dumps({"coalitions": [[0], [1]], "evaders": [0, 0],
+                                "edges": [[0, 0], [1, 0]]}))
+    assert main(["match", "--graph-file", str(path), "--matcher", "both"]) == 2
+    assert ("input error: --graph-file: evader id 0 is listed more than "
+            "once") in capsys.readouterr().err
+
+
 def test_cmd_intercept(tmp_path, capsys):
     path = write(tmp_path, "win.json", COLLINEAR_WIN)
     assert main(["intercept", "--scenario", path, "--coalition", "0"]) == 0

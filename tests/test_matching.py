@@ -165,6 +165,24 @@ def test_is_conflict_free_rejects_invalid_matchings():
         assert not is_conflict_free(graph, matching), name
 
 
+def test_graph_refuses_a_repeated_evader_id():
+    # Edges to one id from two evaders share a vertex, so a matcher would
+    # match at most one of them.
+    with pytest.raises(ValueError, match="evader id 0 is listed more than once"):
+        GameGraph(coalitions=((0,), (1,)), evaders=(0, 0),
+                  edges=((0, 0), (1, 0)))
+
+
+def test_build_graph_refuses_a_repeated_evader_id():
+    # Each pursuer alone wins against each evader: four edges, two matched.
+    pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0), PursuerSpec((1.0, 0.0, 1.0), 2.0)]
+    evaders = [EvaderSpec((0.0, 0.0, 3.0), 1.0), EvaderSpec((1.0, 0.0, 3.0), 1.0)]
+    graph = build_graph(pursuers, evaders, evader_ids=(5, 6))
+    assert len(graph.edges) == 4 and len(sequential_matching(graph)) == 2
+    with pytest.raises(ValueError, match="evader id 5 is listed more than once"):
+        build_graph(pursuers, evaders, evader_ids=(5, 5))
+
+
 def test_build_graph_rejects_misaligned_evader_ids():
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0)]
     evaders = [EvaderSpec((0.0, 0.0, 3.0), 1.0), EvaderSpec((1.0, 0.0, 3.0), 1.0)]
