@@ -12,7 +12,7 @@ optionally further intersected with a closed ball play region:
 with f_i the race potential of :mod:`reachavoid.geometry` and
 g(x) = R^2 - ||x - c||^2.  :func:`_program` builds each solve's one
 constraint group: a :class:`_Constraint` per member in coalition order,
-then the ball's last.  The kernels, the certificate and the last resort all
+then the ball's last.  The kernels, the certificate and the polish all
 read that group, tell the ball from a member only by its ``member`` flag
 and evaluate the ball by g alone, so active sets and multipliers are keyed
 alike on every path; only the result splits the ball's entry out.
@@ -75,13 +75,12 @@ below from the start:
   quartic in rho; its real roots are tried lowest point first.  When the
   axes are coplanar the forms combine into a quadratic in rho instead, and
   each root gives the lower of two points mirrored in the axes' plane.
-- **last resort**: when no candidate certifies, the single path's
-  candidate, the first highest own lowest point, is certified with every
-  constraint within ``ACTIVE_TOLERANCE`` of its boundary active, which
-  certifies constraints tied there with dependent gradients.  Else one
-  Newton polish of the KKT system with that constraint alone active
-  refines it (a candidate just outside the certificate), and the refined
-  point is certified the same way.
+- **polish**: when no candidate certifies (dependent gradients, or a
+  candidate just outside the certificate) a Newton polish of the KKT
+  system refines each set of one to three constraints, smallest first,
+  from the set's own lowest points.  The first polished point that
+  certifies is returned, with the constraints within ``ACTIVE_TOLERANCE``
+  of their boundary as active set.
 
 The module also classifies the winner of the single-evader game from the
 sign of the optimal altitude.
@@ -961,6 +960,31 @@ def _polish_kkt(group: list[_Constraint], y: Vec, active: tuple[int, ...]):
     return yc, dict(zip(active, lam))
 
 
+def _polish_hypothesis(group: list[_Constraint], y: Vec, active):
+    """Polish one active-set guess, shedding the most positive multiplier
+    until none is above 1e-10.
+
+    Returns ``(y, lam)`` or None when the guess cannot be made consistent.
+    """
+    active = list(active)
+    while active:
+        try:
+            polished = _polish_kkt(group, y, tuple(active))
+        except ZeroDivisionError:
+            # An active member's gradient is undefined at the evader itself,
+            # where the tests' barrier reference can stop when the evader
+            # grazes a capture sphere.
+            return None
+        if polished is None:
+            return None
+        lam = polished[1]
+        offender = max(active, key=lam.__getitem__)
+        if lam[offender] <= 1e-10:
+            return polished
+        active.remove(offender)
+    return None
+
+
 def _certify_at(group: list[_Constraint], y: Vec):
     """:func:`_certify` with the constraints within ``ACTIVE_TOLERANCE`` of
     their boundary at ``y`` as active set; None also when an active member's
@@ -974,27 +998,22 @@ def _certify_at(group: list[_Constraint], y: Vec):
 
 
 def _polished(group: list[_Constraint]):
-    """The minimizer at :func:`_lone`'s candidate, the first highest own
-    lowest point, as :func:`_direct` returns it, or None.
+    """The minimizer polished from the kernels' points, as :func:`_direct`
+    returns it, or None.
 
-    The candidate is certified by :func:`_certify_at`, so with constraints
-    tied there active too; else :func:`_polish_kkt` refines it with its own
-    constraint alone active, and the refined point is certified likewise.
+    Each set of one to three constraints, smallest first, is polished from
+    the lowest point of each of its constraints.
     """
-    j = max(range(len(group)), key=lambda k: group[k].lowest()[2])
-    y = group[j].y
-    certificate = _certify_at(group, y)
-    if certificate is None:
-        try:
-            polished = _polish_kkt(group, y, (j,))
-        except ZeroDivisionError:
-            # A member's gradient is undefined at the evader itself.
-            polished = None
-        if polished is None:
-            return None
-        y = polished[0]
-        certificate = _certify_at(group, y)
-    return None if certificate is None else (y, *certificate)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(len(group)), size):
+            for j in subset:
+                found = _polish_hypothesis(group, group[j].lowest(), subset)
+                if found is None:
+                    continue
+                certificate = _certify_at(group, found[0])
+                if certificate is not None:
+                    return (found[0], *certificate)
+    return None
 
 
 def _result(members: Coalition, epos: Vec, group: list[_Constraint], y: Vec,
@@ -1039,22 +1058,20 @@ def solve_interception(coalition, evader: EvaderSpec, pursuers,
     Returns the unique lowest-altitude point of the evader's evasion-space
     closure (intersected with the ball region when given) together with a
     KKT certificate.  The solve certifies the direct kernels' points, else
-    the single path's candidate with its ties active, else that candidate
-    refined by one KKT polish.
+    a KKT polish from them.
     """
     members = validate_coalition(coalition, len(pursuers), max_size=None)
     group = _program(members, evader, pursuers, region)
     # A pair or triple that the graph build solves almost always has every
     # member active at its point (see the module docstring), so its own
     # kernel goes first; a single's is _lone's candidate.  _direct skips
-    # that set, and it and the last resort reuse the lowest points _lone
-    # caches.
+    # that set, and it and the polish reuse the lowest points _lone caches.
     every = tuple(range(len(members)))
     found = ((2 <= len(every) <= 3 and _kernel_point(group, every))
              or _lone(group) or _direct(group, every) or _polished(group))
     if found is None:
-        raise SolverFailure("no KKT certificate at a direct candidate or the "
-                            "highest own lowest point, as it is or polished")
+        raise SolverFailure("no KKT certificate at a direct candidate or "
+                            "a polished point")
     return _result(members, evader.position, group, *found)
 
 

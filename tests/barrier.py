@@ -1,18 +1,14 @@
 """The tests' independent reference for the interception point: a
-log-barrier Newton continuation, then a KKT polish over active-set
-hypotheses.
+log-barrier Newton continuation, then the solver's KKT polish.
 
 :func:`barrier_reference` continues a log-barrier from a given strictly
 feasible point and polishes the result on active-set hypotheses from tight
 to loose, else the barrier point itself certifies.  It shares no kernel with
 :func:`reachavoid.solve_interception`, so the tests use it to cross-check
-the default solve and the uniqueness of the minimizer.  Its hypothesis
-search, :func:`_polish_hypothesis`, which sheds constraints whose
-multipliers come out positive, has no other user and so lives here too.
-The reference reuses the solve's constraint group
-(``interception._program``), its Newton polish (``interception._polish_kkt``)
-and its certificate, which is why it lives here and not in :mod:`oracles`,
-whose helpers avoid the library's solution paths altogether.
+the default solve and the uniqueness of the minimizer.  It reuses the
+solve's constraint group (``interception._program``), its polish and its
+certificate, which is why it lives here and not in :mod:`oracles`, whose
+helpers avoid the library's solution paths altogether.
 
 The barrier works in the solver's evader frame (a point is y = x - x_E)
 and handles each member through the equivalent concave form
@@ -49,7 +45,7 @@ from reachavoid.interception import (
     _ball_g,
     _certify_at,
     _Constraint,
-    _polish_kkt,
+    _polish_hypothesis,
     _program,
     _result,
     validate_coalition,
@@ -237,31 +233,6 @@ def _barrier_solve(group: list[_Constraint], y0: Vec, mu2: float) -> Vec:
         if m / t <= _BARRIER_GAP:
             return y
         t *= 10.0
-
-
-def _polish_hypothesis(group: list[_Constraint], y: Vec, active):
-    """Polish one active-set guess, shedding the most positive multiplier
-    until none is above 1e-10.
-
-    Returns ``(y, lam)`` or None when the guess cannot be made consistent.
-    """
-    active = list(active)
-    while active:
-        try:
-            polished = _polish_kkt(group, y, tuple(active))
-        except ZeroDivisionError:
-            # An active member's gradient is undefined at the evader itself,
-            # where the barrier can stop when the evader grazes a capture
-            # sphere.
-            return None
-        if polished is None:
-            return None
-        lam = polished[1]
-        offender = max(active, key=lam.__getitem__)
-        if lam[offender] <= 1e-10:
-            return polished
-        active.remove(offender)
-    return None
 
 
 def barrier_reference(coalition, evader: EvaderSpec, pursuers,

@@ -4,8 +4,7 @@ A default solve first looks for one, two or three active constraints
 (members or the ball sphere) whose common lowest point satisfies every other
 constraint strictly; that point is certified with Gram-system multipliers
 and returned without the KKT polish.  Only when none certifies does it
-try its last resort: the highest own lowest point with the constraints
-tied there active, else that point refined by one polish.  The tests'
+polish active-set guesses from the same kernels' points.  The tests'
 barrier + polish reference (``barrier.barrier_reference``) shares none of
 these kernels, so the two can be compared on the same input; the package
 itself defines no barrier.
@@ -32,7 +31,6 @@ from reachavoid import (
 from reachavoid import interception
 from reachavoid.interception import KKT_TOLERANCE, UNBOUNDED
 
-import barrier
 import lemmas
 import oracles
 from barrier import barrier_reference
@@ -43,7 +41,7 @@ AGREEMENT = 1e-7
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of polish runs, the reference's among them, angle-kernel
+    """Counts of polish hypotheses tried, polish runs, angle-kernel
     evaluations, pair curves of two pieces and single lowest points."""
     counts = Counter()
 
@@ -56,9 +54,8 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(interception, name, wrapper)
 
+    counted("_polish_hypothesis")
     counted("_polish_kkt")
-    # The reference's hypothesis search refines with the same polish.
-    monkeypatch.setattr(barrier, "_polish_kkt", interception._polish_kkt)
     counted("_section_altitude")
     counted("_solve_single")
 
@@ -86,10 +83,10 @@ def calls(monkeypatch):
 
 
 def polishes(calls, members, evader, pursuers, region=UNBOUNDED) -> int:
-    """Polish runs of a default solve; 0 on every direct path."""
-    before = calls["_polish_kkt"]
+    """Polish hypotheses a default solve tries; 0 on every direct path."""
+    before = calls["_polish_hypothesis"]
     solve_interception(members, evader, pursuers, region)
-    return calls["_polish_kkt"] - before
+    return calls["_polish_hypothesis"] - before
 
 
 def assert_paths_agree(members, evader, pursuers, region=UNBOUNDED):
@@ -305,7 +302,7 @@ def test_zero_radius_seed_is_the_answer(calls):
         calls.clear()
         solve_interception((0,), evader, [pursuer])
         assert calls["_section_altitude"] == 1
-        assert calls["_polish_kkt"] == 0
+        assert calls["_polish_hypothesis"] == 0
 
 
 # A capture radius of 0.99 of the distance puts this body's lowest point
@@ -445,15 +442,14 @@ def test_coaxial_and_dependent_pairs_fall_through(calls):
     assert assert_paths_agree((0, 1), evader, pursuers).active_set == (0, 1)
 
     # Both boundaries pass through (0, 0, 7/3) with gradients along the
-    # vertical axis: the active gradients are dependent, so no kernel
-    # certifies, and the tied lowest point certifies as it is.
+    # vertical axis: the active gradients are dependent.
     evader = EvaderSpec((0.0, 0.0, 3.0), 1.0)
     pursuers = [PursuerSpec((0.0, 0.0, 1.0), 2.0),
                 PursuerSpec((0.0, 0.0, 0.0), 3.0, 1.0 / 3.0)]
-    assert polishes(calls, (0, 1), evader, pursuers) == 0
+    calls.clear()
+    assert polishes(calls, (0, 1), evader, pursuers) >= 1
     result = solve_interception((0, 1), evader, pursuers)
     assert math.dist(result.point, (0.0, 0.0, 7.0 / 3.0)) <= 1e-8
-    assert result.active_set == (0, 1)
 
 
 def _shed_to_first_member(calls, members, evader, pursuers, ball):
@@ -474,7 +470,7 @@ def _shed_to_first_member(calls, members, evader, pursuers, ball):
         group.append(interception._Constraint(
             (relative(ball.center), ball.radius), False))
     calls.clear()
-    outcome = barrier._polish_hypothesis(group, start, (0, 1))
+    outcome = interception._polish_hypothesis(group, start, (0, 1))
     assert outcome is not None
     point, lam = outcome
     assert calls["_polish_kkt"] == 2
